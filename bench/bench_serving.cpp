@@ -6,9 +6,10 @@
 //              and re-fetches its whole remote neighborhood);
 //   * cached — the default serving path (semantic-group halo cache,
 //              micro-batching under the latency deadline).
-// Everything in the committed BENCH_serving.json snapshot is modelled
-// (latency quantiles, hit rate, fetched MB), so the diff is exact on any
-// host; wall-clock compute never enters the JSON.
+// In the committed BENCH_serving.json snapshot, `real_time` is the
+// measured wall time of one InferenceServer::run() (median of
+// kTimedRuns); the modelled latency quantiles, hit rate and fetched MB
+// live in named fields, so they diff exactly on any host.
 //
 // Acceptance gates (non-zero exit on failure):
 //   * at the top of the sweep — where the arrival rate is past the naive
@@ -26,12 +27,14 @@
 // scripts/check_bench_regression.py), plus the CommonFlags set —
 // --queries / --serve-batch / --deadline-ms reshape the base serving
 // config for both arms of the comparison.
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 
+#include "scgnn/common/timer.hpp"
 #include "scgnn/graph/dataset.hpp"
 
 namespace {
@@ -39,12 +42,28 @@ namespace {
 using namespace scgnn;
 
 constexpr double kQpsSweep[] = {1000.0, 4000.0, 16000.0};
+/// Timed serving passes per row; the median is reported.
+constexpr int kTimedRuns = 5;
 
 struct Row {
     double qps = 0.0;
     const char* mode = "naive";
     runtime::ServeResult r;
+    double wall_ns = 0.0;  ///< median measured wall time of run()
 };
+
+/// Serve the stream kTimedRuns times; returns the median wall time in ns.
+double time_runs(const runtime::InferenceServer& server,
+                 runtime::ServeResult& out) {
+    std::vector<double> ns;
+    for (int i = 0; i < kTimedRuns; ++i) {
+        const WallTimer t;
+        out = server.run();
+        ns.push_back(t.seconds() * 1e9);
+    }
+    std::nth_element(ns.begin(), ns.begin() + kTimedRuns / 2, ns.end());
+    return ns[kTimedRuns / 2];
+}
 
 void write_json(const char* path, const std::vector<Row>& rows, double scale,
                 std::uint32_t queries) {
@@ -60,16 +79,14 @@ void write_json(const char* path, const std::vector<Row>& rows, double scale,
                  scale, queries);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
-        // The modelled p99 goes out as real_time — deterministic, so the
-        // regression checker's ratio logic tracks the quantity this bench
-        // is about (the tail latency the cache buys back).
+        // real_time is measured; the modelled figures are named fields.
         std::fprintf(
             f,
             "    {\"name\": \"BM_Serving/qps:%g/%s\", "
             "\"real_time\": %.6f, \"time_unit\": \"ns\", "
             "\"p50_ms\": %.17g, \"p99_ms\": %.17g, \"p999_ms\": %.17g, "
             "\"hit_rate\": %.17g, \"halo_mb\": %.17g}%s\n",
-            r.qps, r.mode, r.r.p99_ms * 1e6, r.r.p50_ms, r.r.p99_ms,
+            r.qps, r.mode, r.wall_ns, r.r.p50_ms, r.r.p99_ms,
             r.r.p999_ms, r.r.hit_rate, r.r.halo_mb,
             i + 1 < rows.size() ? "," : "");
     }
@@ -109,6 +126,8 @@ int main(int argc, char** argv) {
                 common.scn.serve.queries, common.scn.serve.batch_max,
                 common.scn.serve.deadline_ms);
 
+    const partition::Partitioning parts = partition::make_partitioning(
+        common.scn.pipeline.algo, d.graph, parts_n, seed);
     std::vector<Row> rows;
     for (const double qps : kQpsSweep) {
         for (const bool cached : {false, true}) {
@@ -125,20 +144,27 @@ int main(int argc, char** argv) {
             Row row;
             row.qps = qps;
             row.mode = cached ? "cached" : "naive";
-            row.r = runtime::Scenario::build(std::move(scn)).run(d).serve;
+            // build() validates and inherits the training-side knobs; the
+            // server is built here so only run() is timed.
+            const runtime::Scenario scenario =
+                runtime::Scenario::build(std::move(scn));
+            const runtime::InferenceServer server(d, parts,
+                                                  scenario.config().serve);
+            row.wall_ns = time_runs(server, row.r);
             rows.push_back(std::move(row));
         }
     }
 
     Table table({"QPS", "mode", "batches", "mean batch", "p50 ms", "p99 ms",
-                 "p99.9 ms", "hit rate", "halo MB"});
+                 "p99.9 ms", "hit rate", "halo MB", "run wall ms"});
     for (const Row& r : rows)
         table.add_row({Table::num(r.qps, 0), r.mode,
                        Table::num(r.r.batches), Table::num(r.r.mean_batch, 2),
                        Table::num(r.r.p50_ms, 3), Table::num(r.r.p99_ms, 3),
                        Table::num(r.r.p999_ms, 3),
                        Table::num(r.r.hit_rate, 4),
-                       Table::num(r.r.halo_mb, 3)});
+                       Table::num(r.r.halo_mb, 3),
+                       Table::num(r.wall_ns * 1e-6, 3)});
     std::printf("\n%s\n", table.str().c_str());
 
     if (json_path != nullptr)

@@ -15,13 +15,13 @@
 /// run is bitwise reproducible at any thread count.
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "scgnn/comm/fabric.hpp"
 #include "scgnn/core/semantic_compressor.hpp"
 #include "scgnn/dist/context.hpp"
 #include "scgnn/graph/dataset.hpp"
+#include "scgnn/graph/graph.hpp"
 #include "scgnn/partition/partition.hpp"
 
 namespace scgnn::runtime {
@@ -73,8 +73,13 @@ struct ServeResult {
 };
 
 /// Deterministic open-loop serving simulator. Build once per dataset +
-/// partitioning (the static setup: DistContext and, under `semantic`,
-/// the per-plan groupings), then run() any number of identical streams.
+/// partitioning (the static setup: DistContext, under `semantic` the
+/// per-plan groupings, and the dense halo-unit index), then run() any
+/// number of identical streams.
+///
+/// Every halo unit has a dense id, laid out per plan as [groups][raw rows]
+/// followed by one off-plan id per node. run() is const, keeps all scratch
+/// local to the call, and is safe to call concurrently on one server.
 class InferenceServer {
 public:
     InferenceServer(const graph::Dataset& data,
@@ -89,21 +94,29 @@ public:
     }
 
 private:
+    /// Per-call scratch of run() (defined in inference.cpp).
+    struct Scratch;
+
     /// Resolve the remote halo units of query node `v` (appended to
-    /// `units`, one signature per unit) and return the number of nodes its
-    /// L-hop neighborhood touches (the compute term).
-    std::size_t resolve_units(std::uint32_t v,
-                              std::vector<std::uint64_t>& units,
-                              std::vector<std::uint32_t>& unit_owner) const;
+    /// `s.units` as dense ids) and return the number of nodes its L-hop
+    /// neighborhood touches (the compute term).
+    std::size_t resolve_units(std::uint32_t v, Scratch& s) const;
+
+    /// A plan row of one node: the unit id it resolves to for `home`.
+    struct HomeUnit {
+        std::uint32_t home;
+        std::uint32_t unit;
+    };
 
     ServeConfig cfg_;
     dist::DistContext ctx_;
-    tensor::SparseMatrix adj_;  ///< global normalised adjacency (BFS edges)
-    std::uint32_t num_nodes_ = 0;
-    /// (src·P+dst) → plan index or −1, for boundary-row lookups.
-    std::vector<std::int64_t> plan_of_pair_;
-    /// Per plan: group id per plan row (−1 = raw), empty when !semantic.
-    std::vector<std::vector<std::int32_t>> group_of_;
+    graph::Graph graph_;  ///< BFS edges (Â's pattern minus its self-loops)
+    /// Per node, its plan rows sorted by home part (CSR over nodes): the
+    /// O(N + Σ plan rows) index behind unit resolution.
+    std::vector<std::uint64_t> home_ptr_;
+    std::vector<HomeUnit> home_units_;
+    std::uint32_t off_plan_base_ = 0;  ///< unit id of off-plan node 0
+    std::vector<std::uint32_t> unit_owner_;  ///< owner part per unit id
 };
 
 } // namespace scgnn::runtime

@@ -2,13 +2,20 @@
 // validation pass of build(), the training dispatch equivalence that
 // makes Scenario::for_training a drop-in for the deprecated
 // dist::train_distributed, the sampled-training workload, and the
-// serving workload's determinism and caching/batching behaviour.
+// serving workload's determinism and caching/batching behaviour, its
+// equality with a signature-keyed reference model, and concurrent run().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <thread>
+#include <unordered_set>
 
 #include "scgnn/common/parallel.hpp"
+#include "scgnn/common/rng.hpp"
+#include "scgnn/common/stats.hpp"
 #include "scgnn/dist/factory.hpp"
 #include "scgnn/runtime/scenario.hpp"
 
@@ -210,6 +217,252 @@ TEST(ScenarioServe, CacheReducesFetchVolume) {
     EXPECT_DOUBLE_EQ(naive.hit_rate, 0.0);
     EXPECT_LT(cached.halo_mb, naive.halo_mb);
     EXPECT_GT(cached.hit_rate, 0.0);
+}
+
+// Reference model of the serving run: a hash-set BFS over Â and halo
+// units keyed by splitmix64 signatures in hash-set caches. InferenceServer
+// replaces the signatures with dense ids and must reproduce it exactly.
+std::uint64_t ref_unit_sig(std::uint64_t tag, std::uint64_t a,
+                           std::uint64_t b) {
+    std::uint64_t s = tag;
+    s = splitmix64(s) ^ a;
+    s = splitmix64(s) ^ b;
+    return splitmix64(s);
+}
+
+ServeResult reference_serve(const graph::Dataset& d,
+                            const dist::DistContext& ctx,
+                            const ServeConfig& cfg) {
+    const std::uint32_t p = ctx.num_parts();
+    const tensor::SparseMatrix adj =
+        gnn::normalized_adjacency(d.graph, gnn::AdjNorm::kSymmetric);
+    std::vector<std::int64_t> plan_of_pair(static_cast<std::size_t>(p) * p,
+                                           -1);
+    for (std::size_t pi = 0; pi < ctx.plans().size(); ++pi)
+        plan_of_pair[static_cast<std::size_t>(ctx.plans()[pi].src_part) * p +
+                     ctx.plans()[pi].dst_part] = static_cast<std::int64_t>(pi);
+    std::vector<std::vector<std::int32_t>> group_of(ctx.plans().size());
+    if (cfg.semantic) {
+        core::SemanticCompressor comp(cfg.compressor);
+        comp.setup(ctx);
+        for (std::size_t pi = 0; pi < ctx.plans().size(); ++pi)
+            group_of[pi] = comp.grouping(pi).group_of_row;
+    }
+
+    auto resolve = [&](std::uint32_t v, std::vector<std::uint64_t>& units,
+                       std::vector<std::uint32_t>& owners) {
+        const std::uint32_t home = ctx.owner(v);
+        std::vector<std::uint32_t> visited{v};
+        std::unordered_set<std::uint32_t> seen{v};
+        std::size_t lo = 0;
+        for (std::uint32_t hop = 0; hop < cfg.layers; ++hop) {
+            const std::size_t hi = visited.size();
+            for (std::size_t fi = lo; fi < hi; ++fi)
+                for (const std::uint32_t w : adj.row_cols(visited[fi]))
+                    if (seen.insert(w).second) visited.push_back(w);
+            lo = hi;
+        }
+        for (const std::uint32_t u : visited) {
+            const std::uint32_t o = ctx.owner(u);
+            if (o == home) continue;
+            std::uint64_t sig = ref_unit_sig(0xC9, o, u);
+            const std::int64_t pi =
+                plan_of_pair[static_cast<std::size_t>(o) * p + home];
+            if (pi >= 0) {
+                const auto& src = ctx.plans()[static_cast<std::size_t>(pi)]
+                                      .dbg.src_nodes;
+                const auto it = std::lower_bound(src.begin(), src.end(), u);
+                if (it != src.end() && *it == u) {
+                    const auto row =
+                        static_cast<std::uint64_t>(it - src.begin());
+                    const std::int32_t g =
+                        cfg.semantic
+                            ? group_of[static_cast<std::size_t>(pi)][row]
+                            : -1;
+                    sig = g >= 0 ? ref_unit_sig(
+                                       0xA5, static_cast<std::uint64_t>(pi),
+                                       static_cast<std::uint64_t>(g))
+                                 : ref_unit_sig(
+                                       0xB7, static_cast<std::uint64_t>(pi),
+                                       row);
+                }
+            }
+            units.push_back(sig);
+            owners.push_back(o);
+        }
+        return visited.size();
+    };
+
+    struct Query {
+        double arrival_ms;
+        std::uint32_t node;
+    };
+    std::vector<std::vector<Query>> per_device(p);
+    Rng rng(cfg.seed);
+    for (std::uint32_t i = 0; i < cfg.queries; ++i) {
+        const auto v =
+            static_cast<std::uint32_t>(rng.uniform_u64(d.graph.num_nodes()));
+        per_device[ctx.owner(v)].push_back({i * (1e3 / cfg.qps), v});
+    }
+
+    comm::Fabric fabric(p, cfg.cost);
+    Histogram hist(0.0, cfg.hist_max_ms, cfg.hist_bins);
+    RunningStat lat;
+    ServeResult res;
+    res.queries = cfg.queries;
+    std::uint64_t fetched = 0;
+    const std::uint64_t unit_bytes =
+        static_cast<std::uint64_t>(cfg.embed_dim) * sizeof(float);
+    for (std::uint32_t dev = 0; dev < p; ++dev) {
+        const std::vector<Query>& q = per_device[dev];
+        std::unordered_set<std::uint64_t> cache;
+        double busy_ms = 0.0;
+        for (std::size_t i = 0; i < q.size();) {
+            const double t0 = q[i].arrival_ms;
+            std::size_t j = i + 1;
+            while (j < q.size() && j - i < cfg.batch_max &&
+                   q[j].arrival_ms <= t0 + cfg.deadline_ms)
+                ++j;
+            const double close_ms =
+                j - i == cfg.batch_max
+                    ? q[j - 1].arrival_ms
+                    : std::min(t0 + cfg.deadline_ms, q.back().arrival_ms);
+            const double dispatch_ms = std::max(busy_ms, close_ms);
+            std::vector<std::uint64_t> units;
+            std::vector<std::uint32_t> owners;
+            std::size_t touched = 0;
+            for (std::size_t k = i; k < j; ++k)
+                touched += resolve(q[k].node, units, owners);
+            std::unordered_set<std::uint64_t> batch_seen;
+            std::map<std::uint32_t, std::uint64_t> by_owner;
+            for (std::size_t u = 0; u < units.size(); ++u) {
+                if (!batch_seen.insert(units[u]).second) continue;
+                if (cfg.halo_cache && cache.count(units[u]) > 0) {
+                    ++res.cache_hits;
+                    continue;
+                }
+                ++res.cache_misses;
+                by_owner[owners[u]] += unit_bytes;
+                if (cfg.halo_cache) cache.insert(units[u]);
+            }
+            double fetch_ms = 0.0;
+            for (const auto& [o, bytes] : by_owner) {
+                fetch_ms += fabric.send(o, dev, bytes).modelled_ms;
+                fetched += bytes;
+            }
+            const double service_ms =
+                cfg.dispatch_overhead_ms +
+                cfg.compute_ms_per_node * static_cast<double>(touched) +
+                fetch_ms;
+            const double done_ms = dispatch_ms + service_ms;
+            busy_ms = done_ms;
+            for (std::size_t k = i; k < j; ++k) {
+                hist.add(done_ms - q[k].arrival_ms);
+                lat.add(done_ms - q[k].arrival_ms);
+            }
+            ++res.batches;
+            i = j;
+        }
+    }
+    res.mean_batch = static_cast<double>(res.queries) /
+                     static_cast<double>(res.batches);
+    res.p50_ms = hist.quantile(0.50);
+    res.p99_ms = hist.quantile(0.99);
+    res.p999_ms = hist.quantile(0.999);
+    res.mean_ms = lat.mean();
+    res.max_ms = lat.max();
+    const std::uint64_t touches = res.cache_hits + res.cache_misses;
+    res.hit_rate = touches > 0 ? static_cast<double>(res.cache_hits) /
+                                     static_cast<double>(touches)
+                               : 0.0;
+    res.halo_mb = static_cast<double>(fetched) / 1e6;
+    return res;
+}
+
+/// Every ServeResult field, bitwise.
+void expect_same(const ServeResult& a, const ServeResult& b) {
+    EXPECT_EQ(a.queries, b.queries);
+    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.mean_batch, b.mean_batch);
+    EXPECT_EQ(a.p50_ms, b.p50_ms);
+    EXPECT_EQ(a.p99_ms, b.p99_ms);
+    EXPECT_EQ(a.p999_ms, b.p999_ms);
+    EXPECT_EQ(a.mean_ms, b.mean_ms);
+    EXPECT_EQ(a.max_ms, b.max_ms);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.cache_misses, b.cache_misses);
+    EXPECT_EQ(a.hit_rate, b.hit_rate);
+    EXPECT_EQ(a.halo_mb, b.halo_mb);
+}
+
+/// Contiguous chunks of BFS order from node 0, unreached nodes last. An
+/// edge joins nodes at most one BFS level apart, so distant chunks share
+/// no cross edge and their part pairs get no exchange plan.
+partition::Partitioning bfs_chunks(const graph::Graph& g, std::uint32_t p) {
+    const std::uint32_t n = g.num_nodes();
+    std::vector<std::uint32_t> order{0};
+    std::vector<bool> seen(n, false);
+    seen[0] = true;
+    for (std::size_t i = 0; i < order.size(); ++i)
+        for (const std::uint32_t w : g.neighbors(order[i]))
+            if (!seen[w]) {
+                seen[w] = true;
+                order.push_back(w);
+            }
+    for (std::uint32_t u = 0; u < n; ++u)
+        if (!seen[u]) order.push_back(u);
+    partition::Partitioning parts;
+    parts.num_parts = p;
+    parts.part_of.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        parts.part_of[order[i]] = static_cast<std::uint32_t>(i * p / n);
+    return parts;
+}
+
+TEST(ScenarioServe, MatchesSignatureKeyedReferenceModel) {
+    const graph::Dataset d = tiny_data();
+    const ServeConfig base = base_cfg(d, ScenarioMode::kServe).serve;
+    for (const std::uint32_t p : {2u, 8u}) {
+        const partition::Partitioning parts = bfs_chunks(d.graph, p);
+        if (p == 8) {
+            // Part pairs without a plan resolve to off-plan units only.
+            const dist::DistContext ctx(d, parts, gnn::AdjNorm::kSymmetric);
+            ASSERT_LT(ctx.plans().size(), std::size_t{p} * (p - 1));
+        }
+        for (const bool semantic : {true, false})
+            for (const bool cache : {true, false})
+                for (const std::uint32_t batch_max : {1u, 8u})
+                    for (const std::uint32_t layers : {1u, 3u}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "P=" << p << " semantic=" << semantic
+                                     << " cache=" << cache
+                                     << " batch_max=" << batch_max
+                                     << " layers=" << layers);
+                        ServeConfig cfg = base;
+                        cfg.semantic = semantic;
+                        cfg.halo_cache = cache;
+                        cfg.batch_max = batch_max;
+                        cfg.layers = layers;
+                        const InferenceServer server(d, parts, cfg);
+                        expect_same(server.run(),
+                                    reference_serve(d, server.context(), cfg));
+                    }
+    }
+}
+
+TEST(ScenarioServe, ConcurrentRunsMatchSerialRun) {
+    const graph::Dataset d = tiny_data();
+    const partition::Partitioning parts = partition::make_partitioning(
+        partition::PartitionAlgo::kNodeCut, d.graph, 4, 5);
+    const InferenceServer server(d, parts,
+                                 base_cfg(d, ScenarioMode::kServe).serve);
+    const ServeResult serial = server.run();
+    std::vector<ServeResult> results(4);
+    std::vector<std::thread> threads;
+    for (ServeResult& r : results)
+        threads.emplace_back([&server, &r] { r = server.run(); });
+    for (std::thread& t : threads) t.join();
+    for (const ServeResult& r : results) expect_same(r, serial);
 }
 
 TEST(ScenarioServe, TrainingDispatchThrows) {
