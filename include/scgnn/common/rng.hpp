@@ -104,6 +104,15 @@ public:
     [[nodiscard]] std::vector<std::uint32_t> sample_without_replacement(
         std::uint32_t n, std::uint32_t k);
 
+    /// The same draws written into caller buffers: `out` receives the k
+    /// picks in draw order and `scratch` is working memory (the iota pool
+    /// of the dense case). Reusing both across calls makes repeated
+    /// sampling allocation-free, except for Floyd draws of more than 32
+    /// picks, which use a hash set.
+    void sample_without_replacement(std::uint32_t n, std::uint32_t k,
+                                    std::vector<std::uint32_t>& out,
+                                    std::vector<std::uint32_t>& scratch);
+
 private:
     result_type next() noexcept {
         const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;

@@ -9,9 +9,9 @@
 /// style: the self term of the normalised adjacency is always kept at its
 /// exact weight, and the sampled non-self entries are rescaled by
 /// (candidates / sampled) so the sampled aggregation stays an unbiased
-/// estimate of the full one. Sampling is entirely serial and keyed by a
-/// splitmix64 chain over (seed, epoch, batch, layer, node), so a batch is
-/// bitwise identical at any thread count and across runs.
+/// estimate of the full one. Every draw is keyed by a splitmix64 chain
+/// over (seed, epoch, batch, layer, node), so a batch is bitwise identical
+/// at any thread count, in any build order and across runs.
 ///
 /// The cross-partition edges of a batch do not trigger the full boundary
 /// exchange of the fixed path: they are collected into per-(layer, plan)
@@ -72,10 +72,41 @@ struct SampledBatch {
 };
 
 /// Seeded, thread-count-invariant neighbor sampler over a partitioned
-/// dataset. Build once per run; call begin_epoch() then batch(b) for
-/// b ∈ [0, num_batches()).
+/// dataset. Build once per run; call begin_epoch() then
+/// sample(b, scratch, out) or batch(b) for b ∈ [0, num_batches()). Both
+/// are const and keep no state between calls, so several threads may
+/// sample batches of one sampler at once, each into its own Scratch.
 class NeighborSampler {
 public:
+    /// Caller-owned working memory of one batch build: a node →
+    /// batch-local position array, per-node dedup stamps and request
+    /// slots, the frontier levels and per-consumer draw buffers. The
+    /// sampled edges are staged in the output batch's own storage. The
+    /// three per-node arrays take 12 bytes per graph node, so a Scratch
+    /// costs O(N) however small the batch: a caller that keeps one per
+    /// thread holds O(threads · N). Once a Scratch and the output batch
+    /// have served a batch of similar size, sampling into them allocates
+    /// nothing. Nothing carries over from one batch to the next.
+    class Scratch {
+    private:
+        friend class NeighborSampler;
+        /// One aggregation layer's same-owner edges while the batch is
+        /// built: the output matrix's arrays, swapped out and back in.
+        struct Layer {
+            std::vector<std::uint64_t> ends;  ///< per consumer: end in col
+            std::vector<std::uint64_t> ptr;   ///< CSR row pointers
+            std::vector<std::uint32_t> col;
+            std::vector<float> val;
+        };
+        std::vector<std::uint32_t> pos;    ///< node → batch-local index
+        std::vector<std::uint32_t> stamp;  ///< node → last level stamp
+        std::uint32_t tick = 0;            ///< last stamp handed out
+        std::vector<std::uint32_t> slot;   ///< node → index in its request
+        std::vector<std::uint32_t> others, pick, pool;  ///< per consumer
+        std::vector<std::vector<std::uint32_t>> need;  ///< [level] nodes
+        std::vector<Layer> layers;
+    };
+
     /// `num_layers` is the model's aggregation depth (fanout must have one
     /// entry, broadcast, or exactly `num_layers` entries, each ≥ 1).
     NeighborSampler(const graph::Dataset& data, const DistContext& ctx,
@@ -88,9 +119,15 @@ public:
     /// Batches per epoch: ceil(train split / batch_size).
     [[nodiscard]] std::size_t num_batches() const noexcept;
 
-    /// Build batch `b` of the current epoch. Pure function of
-    /// (config seed, epoch, b) — rebuilding the same batch gives the same
-    /// result bit for bit.
+    /// Sample batch `b` of the current epoch into `out`, working in
+    /// `scratch` and reusing the storage `out` already has. The batch is a
+    /// pure function of (config seed, epoch, b) — rebuilding it gives the
+    /// same result bit for bit, whatever scratch, output or thread builds
+    /// it.
+    void sample(std::size_t b, Scratch& scratch, SampledBatch& out) const;
+
+    /// sample() with a scratch of its own into a new batch (allocates per
+    /// call).
     [[nodiscard]] SampledBatch batch(std::size_t b) const;
 
     /// Fanout at aggregation layer `l` (broadcast-aware).
@@ -100,17 +137,34 @@ public:
     }
 
     [[nodiscard]] const SamplerConfig& config() const noexcept { return cfg_; }
+    /// The global normalised adjacency Â the sampler draws from.
+    [[nodiscard]] const tensor::SparseMatrix& adjacency() const noexcept {
+        return adj_;
+    }
     [[nodiscard]] std::uint32_t num_layers() const noexcept {
         return num_layers_;
     }
 
 private:
+    /// One boundary row of node u: plan `plan` (u's part → dst_part)
+    /// sends u as its row `row`.
+    struct PlanRow {
+        std::uint32_t dst_part, plan, row;
+    };
+
+    /// The plan and plan row that carry `src` to part `dst_part`.
+    [[nodiscard]] const PlanRow& plan_row(std::uint32_t src,
+                                          std::uint32_t dst_part) const;
+
     const DistContext* ctx_;
     SamplerConfig cfg_;
     std::uint32_t num_layers_;
     tensor::SparseMatrix adj_;  ///< global normalised adjacency
     std::vector<std::uint32_t> order_;  ///< permuted train node ids
-    std::vector<std::int64_t> plan_of_pair_;  ///< (src·P+dst) → plan or −1
+    /// Per-node CSR of boundary rows: node u's rows are
+    /// plan_rows_[plan_row_ptr_[u] .. plan_row_ptr_[u + 1]).
+    std::vector<std::uint64_t> plan_row_ptr_;
+    std::vector<PlanRow> plan_rows_;
     std::uint64_t epoch_ = 0;
 };
 

@@ -18,12 +18,13 @@ struct Triplet {
     float value;
 };
 
-/// Immutable CSR (compressed sparse row) matrix of f32.
+/// CSR (compressed sparse row) matrix of f32.
 ///
 /// Built once from triplets (duplicates are summed, as graph adjacency
 /// assembly requires) and then used read-only by SpMM; this mirrors how the
 /// normalised adjacency Â is prepared once per partitioning and reused every
-/// epoch.
+/// epoch. assign() swaps ready CSR arrays in, for per-batch matrices that
+/// reuse their storage.
 class SparseMatrix {
 public:
     /// Empty 0×0 matrix.
@@ -33,6 +34,16 @@ public:
     /// Triplets may arrive in any order.
     SparseMatrix(std::size_t rows, std::size_t cols,
                  std::vector<Triplet> triplets);
+
+    /// Replace the contents with ready CSR arrays by swapping storage:
+    /// `ptr`, `col` and `val` receive this matrix's previous arrays, so no
+    /// element is copied. `ptr` holds rows+1 non-decreasing offsets from 0
+    /// to nnz, and columns ascend strictly within each row. Checked in
+    /// O(rows + nnz) before anything changes. Assigning an empty 0×0 CSR
+    /// (`ptr` = {0}) hands a matrix's storage to a caller to refill.
+    void assign(std::size_t rows, std::size_t cols,
+                std::vector<std::uint64_t>& ptr,
+                std::vector<std::uint32_t>& col, std::vector<float>& val);
 
     /// Number of rows.
     [[nodiscard]] std::size_t rows() const noexcept { return rows_; }

@@ -7,15 +7,16 @@
 #include <cstdio>
 
 #include "scgnn/common/log.hpp"
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/common/timer.hpp"
 #include "scgnn/dist/error_feedback.hpp"
 #include "scgnn/dist/trainer.hpp"
-#include "scgnn/gnn/adjacency.hpp"
 #include "scgnn/gnn/checkpoint.hpp"
 #include "scgnn/obs/ledger.hpp"
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/obs.hpp"
 #include "scgnn/obs/trace.hpp"
+#include "scgnn/tensor/kernels.hpp"
 #include "scgnn/tensor/sparse.hpp"
 #include "scgnn/tensor/workspace.hpp"
 
@@ -85,12 +86,10 @@ public:
                 note_miss(plan.dst_part);
                 continue;
             }
-            for (std::size_t e = 0; e < req.edge_dst.size(); ++e) {
-                const auto r = recon.get().row(req.edge_req[e]);
-                auto d = out.row(req.edge_dst[e]);
-                const float w = req.edge_w[e];
-                for (std::size_t c = 0; c < f; ++c) d[c] += w * r[c];
-            }
+            for (std::size_t e = 0; e < req.edge_dst.size(); ++e)
+                tensor::kern::axpy(req.edge_w[e],
+                                   recon.get().row(req.edge_req[e]).data(),
+                                   out.row(req.edge_dst[e]).data(), f);
         }
         if (timeline_ != nullptr) timeline_->end_step();
     }
@@ -110,12 +109,10 @@ public:
             // Consumer-side gradient w.r.t. each reconstructed subset row:
             // the adjoint of the forward scatter.
             tensor::Workspace::Lease gin(ws_, n, f);
-            for (std::size_t e = 0; e < req.edge_dst.size(); ++e) {
-                const auto src = g.row(req.edge_dst[e]);
-                auto d = gin.get().row(req.edge_req[e]);
-                const float w = req.edge_w[e];
-                for (std::size_t c = 0; c < f; ++c) d[c] += w * src[c];
-            }
+            for (std::size_t e = 0; e < req.edge_dst.size(); ++e)
+                tensor::kern::axpy(req.edge_w[e],
+                                   g.row(req.edge_dst[e]).data(),
+                                   gin.get().row(req.edge_req[e]).data(), f);
             tensor::Workspace::Lease gout(ws_, n, f);
             const std::uint64_t bytes = comp_->backward_subset(
                 *ctx_, req.plan, layer, req.rows, gin.get(), gout.get());
@@ -127,11 +124,10 @@ public:
                 note_miss(plan.src_part);
                 continue;
             }
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto s = gout.get().row(i);
-                auto d = out.row(req.src_local[i]);
-                for (std::size_t c = 0; c < f; ++c) d[c] += s[c];
-            }
+            // 1·x is exact, so this is the plain sum d += x.
+            for (std::size_t i = 0; i < n; ++i)
+                tensor::kern::axpy(1.0f, gout.get().row(i).data(),
+                                   out.row(req.src_local[i]).data(), f);
         }
         if (timeline_ != nullptr) timeline_->end_step();
     }
@@ -254,9 +250,8 @@ DistTrainResult train_sampled(const graph::Dataset& data,
     compressor.set_workspace(&ws);
     fabric.reserve_history(cfg.epochs);
 
-    const tensor::SparseMatrix eval_adj =
-        gnn::normalized_adjacency(data.graph, cfg.norm);
-    gnn::SpmmAggregator eval_agg(eval_adj);
+    // Evaluation aggregates over the full Â the sampler already holds.
+    gnn::SpmmAggregator eval_agg(sampler.adjacency());
 
     comm::collective::Allreduce weight_sync;
     if (cfg.comm.count_weight_sync) {
@@ -279,6 +274,10 @@ DistTrainResult train_sampled(const graph::Dataset& data,
     // Reused per-batch buffers (feature gather + labels).
     Matrix batch_feat;
     std::vector<std::int32_t> batch_labels;
+    // The lookahead window: one reused batch and sampler scratch per pool
+    // thread. Each scratch holds O(N) per-node arrays (DESIGN.md §14).
+    std::vector<SampledBatch> window(num_threads());
+    std::vector<NeighborSampler::Scratch> scratch(window.size());
 
     std::uint32_t stale = 0;
     for (std::uint32_t e = 0; e < cfg.epochs; ++e) {
@@ -300,7 +299,21 @@ DistTrainResult train_sampled(const graph::Dataset& data,
         double loss_sum = 0.0;
         const std::size_t batches = sampler.num_batches();
         for (std::size_t bi = 0; bi < batches; ++bi) {
-            const SampledBatch batch = sampler.batch(bi);
+            // Lookahead window: sample the next batches in parallel, one
+            // slot each, then train them in order. A batch is a pure
+            // function of (seed, epoch, b), so the window width never
+            // changes a result. Once warm, the slots allocate nothing.
+            const std::size_t slot = bi % window.size();
+            if (slot == 0) {
+                SCGNN_TRACE_SPAN("dist.sample_window");
+                const std::size_t ahead =
+                    std::min(window.size(), batches - bi);
+                parallel_for(0, ahead, 1, [&](std::size_t lo, std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i)
+                        sampler.sample(bi + i, scratch[i], window[i]);
+                });
+            }
+            const SampledBatch& batch = window[slot];
             const std::size_t n = batch.nodes.size();
             const std::size_t in_dim = data.features.cols();
             batch_feat.reshape_zero(n, in_dim);
@@ -366,6 +379,11 @@ DistTrainResult train_sampled(const graph::Dataset& data,
             }
         }
     }
+    // Free the sampling buffers before the full-graph evaluation, which
+    // needs memory of its own.
+    window = {};
+    scratch = {};
+    batch_feat = {};
     result.mean_epoch_ms = total_epoch_ms / result.epochs_run;
     result.mean_comm_ms = total_comm_ms / result.epochs_run;
     result.mean_compute_ms = total_compute_ms / result.epochs_run;

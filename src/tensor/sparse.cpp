@@ -36,6 +36,26 @@ SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
     for (std::size_t r = 0; r < rows_; ++r) ptr_[r + 1] += ptr_[r];
 }
 
+void SparseMatrix::assign(std::size_t rows, std::size_t cols,
+                          std::vector<std::uint64_t>& ptr,
+                          std::vector<std::uint32_t>& col,
+                          std::vector<float>& val) {
+    SCGNN_CHECK(ptr.size() == rows + 1 && ptr[0] == 0 &&
+                    ptr[rows] == col.size() && val.size() == col.size(),
+                "CSR arrays must match the shape");
+    for (std::size_t r = 0; r < rows; ++r)
+        SCGNN_CHECK(ptr[r] <= ptr[r + 1], "CSR row pointers must ascend");
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::uint64_t i = ptr[r]; i < ptr[r + 1]; ++i)
+            SCGNN_CHECK(col[i] < cols && (i == ptr[r] || col[i - 1] < col[i]),
+                        "CSR columns must ascend strictly within a row");
+    rows_ = rows;
+    cols_ = cols;
+    ptr_.swap(ptr);
+    col_.swap(col);
+    val_.swap(val);
+}
+
 std::span<const std::uint32_t> SparseMatrix::row_cols(std::size_t r) const {
     SCGNN_CHECK(r < rows_, "sparse row index out of range");
     return {col_.data() + ptr_[r], static_cast<std::size_t>(ptr_[r + 1] - ptr_[r])};

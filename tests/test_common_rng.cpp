@@ -148,6 +148,52 @@ TEST(Rng, SampleWithoutReplacementFullPopulation) {
 TEST(Rng, SampleWithoutReplacementRejectsOversample) {
     Rng r(18);
     EXPECT_THROW((void)r.sample_without_replacement(5, 6), Error);
+    std::vector<std::uint32_t> out, scratch;
+    EXPECT_THROW(r.sample_without_replacement(5, 6, out, scratch), Error);
+}
+
+// Literal draws pin every branch: the dense partial Fisher–Yates
+// (k·3 ≥ n), Floyd with the linear membership scan (small k) and Floyd
+// with the hash set (large k). Both Floyd cases include draws
+// that collide with an earlier pick and are replaced by j.
+TEST(Rng, SampleWithoutReplacementPinnedDraws) {
+    struct Case {
+        std::uint64_t seed;
+        std::uint32_t n, k;
+        std::vector<std::uint32_t> want;
+    };
+    const Case cases[] = {
+        {2024, 20, 7, {1, 15, 3, 5, 16, 8, 11}},
+        {5, 40, 13, {8, 17, 19, 25, 16, 32, 33, 28, 13, 14, 37, 9, 39}},
+        {13, 120, 39, {19, 64, 80, 9,  56, 38, 11, 50, 53, 40,  51, 45, 76,
+                       94, 26, 63, 75, 82, 24, 13, 101, 70, 77, 100, 61, 31,
+                       99, 65, 47, 5,  21, 96, 41, 60, 97, 93, 44, 0,  119}},
+    };
+    for (const Case& c : cases) {
+        Rng r(c.seed);
+        EXPECT_EQ(r.sample_without_replacement(c.n, c.k), c.want)
+            << "n=" << c.n << " k=" << c.k;
+    }
+}
+
+TEST(Rng, SampleWithoutReplacementOutParamMatchesReturningForm) {
+    Rng pick(19);
+    // Buffers reused across calls, as batch samplers do.
+    std::vector<std::uint32_t> out, scratch;
+    for (int trial = 0; trial < 400; ++trial) {
+        const auto n = static_cast<std::uint32_t>(1 + pick.index(300));
+        std::uint32_t k = static_cast<std::uint32_t>(pick.index(n + 1));
+        if (trial % 7 == 0) k = 0;
+        if (trial % 7 == 1) k = n;
+        const std::uint64_t seed = pick();
+        Rng a(seed), b(seed);
+        const std::vector<std::uint32_t> want =
+            a.sample_without_replacement(n, k);
+        b.sample_without_replacement(n, k, out, scratch);
+        ASSERT_EQ(out, want) << "n=" << n << " k=" << k;
+        // Both forms leave the engine at the same point of its stream.
+        ASSERT_EQ(a(), b());
+    }
 }
 
 TEST(Rng, SplitMix64IsDeterministic) {

@@ -201,8 +201,11 @@ TEST(GoldenOverlapMode, DeterministicFieldsMatchAdditiveAndEpochShrinks) {
 
     // Scheduling the same compute budget and send set can only shrink the
     // epoch: on reddit (comm-dominated) the makespan is strictly below
-    // the additive sum, and the ledger identity holds.
-    EXPECT_LT(overlap.train.mean_epoch_ms, additive.train.mean_epoch_ms);
+    // the additive sum of the overlap run's own compute and comm, and the
+    // ledger identity holds. (Compute is measured wall time, so epochs of
+    // two separate runs are not comparable.)
+    EXPECT_LT(overlap.train.mean_epoch_ms,
+              overlap.train.mean_compute_ms + overlap.train.mean_comm_ms);
     EXPECT_GT(overlap.train.mean_overlap_ms, 0.0);
     EXPECT_GE(overlap.train.mean_epoch_ms, overlap.train.mean_compute_ms);
     // The additive run reports no overlap fields.

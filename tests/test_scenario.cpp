@@ -157,21 +157,43 @@ TEST(ScenarioSampleTrain, RunsAndReportsSamplingStats) {
 }
 
 TEST(ScenarioSampleTrain, BitwiseReproducibleAcrossThreadCounts) {
+    // The trainer builds batches in a lookahead window of one batch per
+    // pool thread. Besides the base config, cover a batch count that is
+    // not a multiple of the window (7 batches at 4 threads) and one with
+    // fewer batches than threads.
     const graph::Dataset d = tiny_data();
-    auto run_at = [&](unsigned threads) {
-        ThreadCountGuard guard(threads);
-        const Scenario s =
-            Scenario::build(base_cfg(d, ScenarioMode::kSampleTrain));
-        const ScenarioResult r = s.run(d);
-        std::ostringstream o;
-        for (const dist::EpochMetrics& m : r.pipeline.train.epoch_metrics)
-            o << g17(m.loss) << ",";
-        o << g17(r.pipeline.train.test_accuracy) << ","
-          << r.pipeline.train.sampling.requested_rows << ","
-          << r.pipeline.train.sampling.request_bytes;
-        return o.str();
+    const std::size_t train = d.train_mask.size();
+    struct Case {
+        std::uint32_t batch_size;
+        std::uint64_t batches;  ///< per epoch; 0 = unchecked
     };
-    EXPECT_EQ(run_at(1), run_at(4));
+    const Case cases[] = {{48, 0},
+                          {static_cast<std::uint32_t>((train + 6) / 7), 7},
+                          {static_cast<std::uint32_t>((train + 2) / 3), 3}};
+    for (const Case& c : cases) {
+        auto run_at = [&](unsigned threads) {
+            ThreadCountGuard guard(threads);
+            ScenarioConfig cfg = base_cfg(d, ScenarioMode::kSampleTrain);
+            cfg.sampler.batch_size = c.batch_size;
+            const ScenarioResult r = Scenario::build(cfg).run(d);
+            const dist::DistTrainResult& t = r.pipeline.train;
+            if (c.batches != 0) {
+                EXPECT_EQ(t.sampling.batches, c.batches * t.epochs_run);
+            }
+            std::ostringstream o;
+            for (const dist::EpochMetrics& m : t.epoch_metrics)
+                o << g17(m.loss) << "," << g17(m.comm_mb) << ","
+                  << g17(m.comm_ms) << ",";
+            o << g17(t.final_loss) << "," << g17(t.train_accuracy) << ","
+              << g17(t.val_accuracy) << "," << g17(t.test_accuracy) << ","
+              << t.sampling.batches << ","
+              << g17(t.sampling.mean_batch_nodes) << ","
+              << t.sampling.requested_rows << ","
+              << t.sampling.request_bytes;
+            return o.str();
+        };
+        EXPECT_EQ(run_at(1), run_at(4)) << "batch_size " << c.batch_size;
+    }
 }
 
 std::string render_serve(const ServeResult& s) {

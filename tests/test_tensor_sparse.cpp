@@ -57,6 +57,62 @@ TEST(Sparse, OutOfRangeTripletThrows) {
     EXPECT_THROW(SparseMatrix(2, 2, {{0, 2, 1.0f}}), Error);
 }
 
+TEST(Sparse, AssignFromCsrMatchesTriplets) {
+    const SparseMatrix want = tiny();
+    SparseMatrix m(1, 1, {{0, 0, 9.0f}});  // storage to be replaced
+    std::vector<std::uint64_t> ptr{0, 2, 2, 4};
+    std::vector<std::uint32_t> col{0, 2, 0, 1};
+    std::vector<float> val{1.0f, 2.0f, 3.0f, 4.0f};
+    m.assign(3, 3, ptr, col, val);
+    ASSERT_EQ(m.rows(), 3u);
+    ASSERT_EQ(m.cols(), 3u);
+    EXPECT_TRUE(std::equal(m.row_ptr().begin(), m.row_ptr().end(),
+                           want.row_ptr().begin(), want.row_ptr().end()));
+    EXPECT_TRUE(std::equal(m.col_idx().begin(), m.col_idx().end(),
+                           want.col_idx().begin(), want.col_idx().end()));
+    EXPECT_TRUE(std::equal(m.values().begin(), m.values().end(),
+                           want.values().begin(), want.values().end()));
+    // The caller's vectors hold the previous 1×1 arrays.
+    EXPECT_EQ(ptr, (std::vector<std::uint64_t>{0, 1}));
+    EXPECT_EQ(col, (std::vector<std::uint32_t>{0}));
+    EXPECT_EQ(val, (std::vector<float>{9.0f}));
+
+    // An empty 0×0 CSR takes the storage back out.
+    std::vector<std::uint64_t> ptr0{0};
+    std::vector<std::uint32_t> col0;
+    std::vector<float> val0;
+    const float* storage = m.values().data();
+    m.assign(0, 0, ptr0, col0, val0);
+    EXPECT_EQ(m.rows(), 0u);
+    EXPECT_EQ(m.nnz(), 0u);
+    EXPECT_EQ(m.row_ptr().size(), 1u);
+    EXPECT_EQ(val0.data(), storage);
+    EXPECT_EQ(col0, (std::vector<std::uint32_t>{0, 2, 0, 1}));
+}
+
+TEST(Sparse, AssignRejectsMalformedCsrAndKeepsContents) {
+    SparseMatrix m = tiny();
+    std::vector<float> val{1.0f, 2.0f};
+    const auto rejects = [&](std::size_t rows, std::size_t cols,
+                             std::vector<std::uint64_t> ptr,
+                             std::vector<std::uint32_t> col) {
+        const std::vector<std::uint32_t> given = col;
+        EXPECT_THROW(m.assign(rows, cols, ptr, col, val), Error);
+        EXPECT_EQ(col, given);  // nothing swapped
+    };
+    // Columns must ascend strictly within a row.
+    rejects(1, 3, {0, 2}, {2, 0});
+    rejects(1, 3, {0, 2}, {1, 1});
+    // Columns in range, pointers ascending and matching nnz.
+    rejects(1, 2, {0, 2}, {0, 2});
+    rejects(2, 3, {0, 3, 2}, {0, 1});
+    rejects(1, 3, {0, 1}, {0, 1});
+    EXPECT_EQ(val, (std::vector<float>{1.0f, 2.0f}));
+    EXPECT_EQ(m.rows(), 3u);
+    EXPECT_EQ(m.nnz(), 4u);
+    EXPECT_FLOAT_EQ(m.coeff(2, 1), 4.0f);
+}
+
 TEST(Sparse, RowAccess) {
     const SparseMatrix s = tiny();
     EXPECT_EQ(s.row_cols(1).size(), 0u);
