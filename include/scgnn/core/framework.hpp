@@ -146,6 +146,7 @@ struct PipelineResult {
 /// Run the full Fig. 8 pipeline on a dataset. When cfg.method selects a
 /// baseline the semantic statistics (wire_rows, groups) are still computed
 /// for reference, since they are a static property of the partitioning.
+/// Same as runtime::Scenario::run in train mode.
 [[nodiscard]] PipelineResult run_pipeline(const graph::Dataset& data,
                                           const PipelineConfig& cfg);
 
@@ -155,7 +156,7 @@ namespace detail {
 /// rows, grouping figures, compression ratio). When the method is plain
 /// semantic, `comp` must be the training compressor (its live grouping is
 /// read); otherwise a reference grouping is rebuilt from `method.semantic`.
-/// Shared by run_pipeline and the Scenario sample-train path.
+/// Used by Scenario::run, which run_pipeline calls in train mode.
 void fill_semantic_stats(PipelineResult& res, const dist::DistContext& ctx,
                          const MethodConfig& method,
                          const dist::BoundaryCompressor* comp);

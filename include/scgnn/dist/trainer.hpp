@@ -82,10 +82,6 @@ public:
                    BoundaryCompressor& compressor,
                    comm::Timeline* timeline = nullptr);
 
-    [[nodiscard]] tensor::Matrix forward(const tensor::Matrix& h,
-                                         int layer) override;
-    [[nodiscard]] tensor::Matrix backward(const tensor::Matrix& g,
-                                          int layer) override;
     void forward_into(const tensor::Matrix& h, int layer,
                       tensor::Matrix& out) override;
     void backward_into(const tensor::Matrix& g, int layer,
@@ -121,6 +117,10 @@ public:
     }
 
 private:
+    /// Per-direction compressor accounting under obs (defined in
+    /// trainer.cpp).
+    struct ExchangeTally;
+
     /// Last successfully received block per (plan, layer) plus its age in
     /// consecutive stale uses.
     struct StaleSlot {
@@ -137,6 +137,18 @@ private:
                                   std::size_t plan_idx, int layer,
                                   bool delivered, tensor::Matrix& fresh,
                                   std::uint32_t receiver);
+
+    /// Compress `in` through plan `plan_idx` into `fresh` (the halo rows
+    /// when `forward`, else their gradients) and price the block on the
+    /// fabric. Returns the block the receiver aggregates: `fresh`, or the
+    /// stale fallback of resolve() when the send failed.
+    const tensor::Matrix& exchange(bool forward, std::size_t plan_idx,
+                                   int layer, const tensor::Matrix& in,
+                                   tensor::Matrix& fresh, ExchangeTally& tally);
+
+    /// Record this step's per-partition compute on the timeline and close
+    /// the step.
+    void end_timeline_step();
 
     const DistContext* ctx_;
     comm::Fabric* fabric_;
@@ -289,9 +301,10 @@ struct DistTrainResult {
 
 namespace detail {
 
-/// The full-batch distributed training loop. Not a public entry point:
-/// workloads mount through runtime::Scenario, which validates the config
-/// once and dispatches here (or to train_sampled).
+/// Full-batch distributed training: one epoch step over the whole training
+/// split per epoch, on the shared epoch driver (DESIGN.md §14). Not a
+/// public entry point: workloads mount through runtime::Scenario, which
+/// validates the config once and dispatches here (or to train_sampled).
 [[nodiscard]] DistTrainResult train_full(const graph::Dataset& data,
                                          const partition::Partitioning& parts,
                                          const gnn::GnnConfig& model_cfg,
@@ -303,23 +316,13 @@ namespace detail {
 /// Neighbor-sampled mini-batch training: per-epoch seeded batches from
 /// `sampler_cfg`, halo *requests* priced through the compressor's subset
 /// exchange and the fabric instead of the full boundary exchange.
+/// Runs on the same epoch driver as detail::train_full, so it shares its
+/// rate control, overlap scheduling, early stopping and report keys.
 /// Membership schedules are not supported in this mode (Scenario::build
 /// rejects them). Deterministic and bitwise thread-count-invariant.
 [[nodiscard]] DistTrainResult train_sampled(
     const graph::Dataset& data, const partition::Partitioning& parts,
     const gnn::GnnConfig& model_cfg, const DistTrainConfig& cfg,
     const SamplerConfig& sampler_cfg, BoundaryCompressor& compressor);
-
-/// Train a fresh model on `data` split by `parts`, exchanging boundary rows
-/// through `compressor`. Deterministic given the seeds in the configs.
-[[deprecated(
-    "mount workloads behind runtime::Scenario "
-    "(Scenario::for_training(cfg).train(...))")]] inline DistTrainResult
-train_distributed(const graph::Dataset& data,
-                  const partition::Partitioning& parts,
-                  const gnn::GnnConfig& model_cfg, const DistTrainConfig& cfg,
-                  BoundaryCompressor& compressor) {
-    return detail::train_full(data, parts, model_cfg, cfg, compressor);
-}
 
 } // namespace scgnn::dist

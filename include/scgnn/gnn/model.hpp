@@ -29,26 +29,29 @@ class Aggregator {
 public:
     virtual ~Aggregator() = default;
 
-    /// Forward aggregation y = Â·h for aggregation step `layer`.
-    [[nodiscard]] virtual tensor::Matrix forward(const tensor::Matrix& h,
-                                                 int layer) = 0;
-
-    /// Backward aggregation g_h = Âᵀ·g for aggregation step `layer`.
-    [[nodiscard]] virtual tensor::Matrix backward(const tensor::Matrix& g,
-                                                  int layer) = 0;
-
-    /// forward() into a caller-reused destination. Overriders that write
-    /// `out` in place (reshape_zero + fill) keep the model's steady-state
-    /// epochs allocation-free; the default delegates to forward().
+    /// Forward aggregation out = Â·h for aggregation step `layer`, into a
+    /// caller-reused destination. Implementations write `out` in place
+    /// (reshape_zero + fill), which keeps the model's steady-state epochs
+    /// allocation-free.
     virtual void forward_into(const tensor::Matrix& h, int layer,
-                              tensor::Matrix& out) {
-        out = forward(h, layer);
+                              tensor::Matrix& out) = 0;
+
+    /// Backward aggregation out = Âᵀ·g for aggregation step `layer`.
+    virtual void backward_into(const tensor::Matrix& g, int layer,
+                               tensor::Matrix& out) = 0;
+
+    /// forward_into() a fresh matrix.
+    [[nodiscard]] tensor::Matrix forward(const tensor::Matrix& h, int layer) {
+        tensor::Matrix out;
+        forward_into(h, layer, out);
+        return out;
     }
 
-    /// backward() into a caller-reused destination (see forward_into).
-    virtual void backward_into(const tensor::Matrix& g, int layer,
-                               tensor::Matrix& out) {
-        out = backward(g, layer);
+    /// backward_into() a fresh matrix.
+    [[nodiscard]] tensor::Matrix backward(const tensor::Matrix& g, int layer) {
+        tensor::Matrix out;
+        backward_into(g, layer, out);
+        return out;
     }
 };
 

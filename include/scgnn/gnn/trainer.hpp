@@ -22,10 +22,6 @@ public:
     /// `adj` must outlive the aggregator.
     explicit SpmmAggregator(const tensor::SparseMatrix& adj) : adj_(&adj) {}
 
-    [[nodiscard]] tensor::Matrix forward(const tensor::Matrix& h,
-                                         int layer) override;
-    [[nodiscard]] tensor::Matrix backward(const tensor::Matrix& g,
-                                          int layer) override;
     void forward_into(const tensor::Matrix& h, int layer,
                       tensor::Matrix& out) override;
     void backward_into(const tensor::Matrix& g, int layer,

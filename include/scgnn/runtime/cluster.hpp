@@ -107,12 +107,6 @@ public:
         return membership_.active();
     }
 
-    /// Per-slot 0/1 mask for Timeline::schedule().
-    [[nodiscard]] const std::vector<std::uint8_t>& active_mask()
-        const noexcept {
-        return membership_.mask();
-    }
-
     /// Fire the events scheduled for `epoch` (1-based; must be called
     /// with strictly increasing epochs). Returns the transition when at
     /// least one event fired — the returned pointer stays valid until the

@@ -9,8 +9,7 @@
 /// exactly once by Scenario::parse_flag()/from_flags() and validated
 /// exactly once by Scenario::build(). Binaries pick the workload with
 /// `--mode train|sample-train|serve`; library callers that only need the
-/// training dispatch use Scenario::for_training(cfg).train(...), which is
-/// the migration target of the deprecated dist::train_distributed().
+/// training dispatch use Scenario::for_training(cfg).train(...).
 
 #include <cstdint>
 #include <string>

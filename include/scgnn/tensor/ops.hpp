@@ -93,6 +93,11 @@ void softmax_cross_entropy_grad_into(const Matrix& logits,
 /// y += alpha * x over the full payload; shapes must match.
 void axpy(float alpha, const Matrix& x, Matrix& y);
 
+/// Copy row ids[i] of `src` into row i of `dst` for every i. `dst` needs
+/// src's column count and at least ids.size() rows.
+void gather_rows(const Matrix& src, std::span<const std::uint32_t> ids,
+                 Matrix& dst);
+
 /// Scale every row r of `m` by `scale[r]`. Requires scale.size()==m.rows().
 void scale_rows(Matrix& m, std::span<const float> scale);
 

@@ -1,6 +1,7 @@
 #include "scgnn/core/framework.hpp"
 
 #include "scgnn/dist/factory.hpp"
+#include "scgnn/runtime/scenario.hpp"
 
 namespace scgnn::core {
 
@@ -235,20 +236,11 @@ void fill_semantic_stats(PipelineResult& res, const dist::DistContext& ctx,
 
 PipelineResult run_pipeline(const graph::Dataset& data,
                             const PipelineConfig& cfg) {
-    const partition::Partitioning parts = partition::make_partitioning(
-        cfg.algo, data.graph, cfg.num_parts, cfg.partition_seed);
-
-    PipelineResult res;
-    res.partition_quality = partition::evaluate(data.graph, parts);
-
-    const std::unique_ptr<dist::BoundaryCompressor> comp =
-        make_compressor(cfg.method);
-    res.train =
-        dist::detail::train_full(data, parts, cfg.model, cfg.train, *comp);
-
-    const dist::DistContext ctx(data, parts, cfg.train.norm);
-    detail::fill_semantic_stats(res, ctx, cfg.method, comp.get());
-    return res;
+    // The pipeline is the train-mode scenario, so the CLI and this entry
+    // point run one body.
+    runtime::ScenarioConfig scn;
+    scn.pipeline = cfg;
+    return runtime::Scenario::build(std::move(scn)).run(data).pipeline;
 }
 
 } // namespace scgnn::core

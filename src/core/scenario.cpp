@@ -316,35 +316,19 @@ ScenarioResult Scenario::run(const graph::Dataset& data) const {
     ScenarioResult res;
     if (obs::enabled())
         obs::record_config("scenario.mode", mode_name(cfg_.mode));
-    switch (cfg_.mode) {
-        case ScenarioMode::kTrain:
-            res.pipeline = core::run_pipeline(data, cfg_.pipeline);
-            return res;
-        case ScenarioMode::kSampleTrain: {
-            const core::PipelineConfig& pc = cfg_.pipeline;
-            const partition::Partitioning parts = partition::make_partitioning(
-                pc.algo, data.graph, pc.num_parts, pc.partition_seed);
-            res.pipeline.partition_quality =
-                partition::evaluate(data.graph, parts);
-            const std::unique_ptr<dist::BoundaryCompressor> comp =
-                core::make_compressor(pc.method);
-            res.pipeline.train = dist::train_sampled(
-                data, parts, pc.model, pc.train, cfg_.sampler, *comp);
-            const dist::DistContext ctx(data, parts, pc.train.norm);
-            core::detail::fill_semantic_stats(res.pipeline, ctx, pc.method,
-                                              comp.get());
-            return res;
-        }
-        case ScenarioMode::kServe: {
-            const core::PipelineConfig& pc = cfg_.pipeline;
-            const partition::Partitioning parts = partition::make_partitioning(
-                pc.algo, data.graph, pc.num_parts, pc.partition_seed);
-            const InferenceServer server(data, parts, cfg_.serve);
-            res.serve = server.run();
-            return res;
-        }
+    const core::PipelineConfig& pc = cfg_.pipeline;
+    const partition::Partitioning parts = partition::make_partitioning(
+        pc.algo, data.graph, pc.num_parts, pc.partition_seed);
+    if (cfg_.mode == ScenarioMode::kServe) {
+        res.serve = InferenceServer(data, parts, cfg_.serve).run();
+        return res;
     }
-    SCGNN_ASSERT(false, "unreachable scenario mode");
+    res.pipeline.partition_quality = partition::evaluate(data.graph, parts);
+    const std::unique_ptr<dist::BoundaryCompressor> comp =
+        core::make_compressor(pc.method);
+    res.pipeline.train = train(data, parts, pc.model, *comp);
+    const dist::DistContext ctx(data, parts, pc.train.norm);
+    core::detail::fill_semantic_stats(res.pipeline, ctx, pc.method, comp.get());
     return res;
 }
 
@@ -352,19 +336,13 @@ dist::DistTrainResult Scenario::train(
     const graph::Dataset& data, const partition::Partitioning& parts,
     const gnn::GnnConfig& model_cfg,
     dist::BoundaryCompressor& compressor) const {
-    switch (cfg_.mode) {
-        case ScenarioMode::kTrain:
-            return dist::detail::train_full(data, parts, model_cfg,
-                                            cfg_.pipeline.train, compressor);
-        case ScenarioMode::kSampleTrain:
-            return dist::train_sampled(data, parts, model_cfg,
-                                       cfg_.pipeline.train, cfg_.sampler,
-                                       compressor);
-        case ScenarioMode::kServe:
-            break;
-    }
-    SCGNN_CHECK(false, "the serve scenario has no training dispatch");
-    return {};
+    SCGNN_CHECK(cfg_.mode != ScenarioMode::kServe,
+                "the serve scenario has no training dispatch");
+    if (cfg_.mode == ScenarioMode::kSampleTrain)
+        return dist::train_sampled(data, parts, model_cfg, cfg_.pipeline.train,
+                                   cfg_.sampler, compressor);
+    return dist::detail::train_full(data, parts, model_cfg,
+                                    cfg_.pipeline.train, compressor);
 }
 
 } // namespace scgnn::runtime

@@ -1,16 +1,13 @@
 #include "scgnn/dist/trainer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 
-#include "scgnn/common/log.hpp"
+#include "epoch_driver.hpp"
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/common/timer.hpp"
-#include "scgnn/dist/error_feedback.hpp"
 #include "scgnn/runtime/cluster.hpp"
 #include "scgnn/gnn/adjacency.hpp"
-#include "scgnn/gnn/checkpoint.hpp"
 #include "scgnn/obs/ledger.hpp"
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/trace.hpp"
@@ -21,23 +18,25 @@ namespace scgnn::dist {
 
 using tensor::Matrix;
 
-namespace {
-
 /// Per-direction compressor accounting: wall time of the compress /
 /// reconstruct round-trip, wire bytes, and the vanilla per-edge bytes the
 /// same exchange would have cost (the live compression-ratio numerator).
 /// One choke point covers every BoundaryCompressor uniformly.
-void note_exchange(const char* dir, double seconds, std::uint64_t wire_bytes,
-                   std::uint64_t vanilla_bytes) {
-    obs::Registry& reg = obs::registry();
-    const std::string base = std::string("compress.") + dir;
-    reg.counter(base + ".calls").add(1);
-    reg.gauge(base + ".seconds").add(seconds);
-    reg.counter(base + ".wire_bytes").add(wire_bytes);
-    reg.counter(base + ".vanilla_bytes").add(vanilla_bytes);
-}
+struct DistAggregator::ExchangeTally {
+    double seconds = 0.0;
+    std::uint64_t wire_bytes = 0;
+    std::uint64_t vanilla_bytes = 0;
 
-} // namespace
+    /// Add the tally to the `compress.<dir>.*` metrics.
+    void publish(const char* dir) const {
+        obs::Registry& reg = obs::registry();
+        const std::string base = std::string("compress.") + dir;
+        reg.counter(base + ".calls").add(1);
+        reg.gauge(base + ".seconds").add(seconds);
+        reg.counter(base + ".wire_bytes").add(wire_bytes);
+        reg.counter(base + ".vanilla_bytes").add(vanilla_bytes);
+    }
+};
 
 DistAggregator::DistAggregator(const DistContext& ctx, comm::Fabric& fabric,
                                BoundaryCompressor& compressor,
@@ -96,16 +95,55 @@ const Matrix& DistAggregator::resolve(
     return slot.cached;
 }
 
-Matrix DistAggregator::forward(const Matrix& h, int layer) {
-    Matrix out;
-    forward_into(h, layer, out);
-    return out;
+const Matrix& DistAggregator::exchange(bool forward, std::size_t plan_idx,
+                                       int layer, const Matrix& in,
+                                       Matrix& fresh, ExchangeTally& tally) {
+    const PairPlan& plan = ctx_->plans()[plan_idx];
+    // Halos travel owner → consumer, gradients the reverse route.
+    const std::uint32_t from = forward ? plan.src_part : plan.dst_part;
+    const std::uint32_t to = forward ? plan.dst_part : plan.src_part;
+    const bool obs_on = obs::enabled();
+    const std::uint64_t t0 = obs_on ? obs::detail::trace_now_ns() : 0;
+    const std::uint64_t bytes =
+        forward ? comp_->forward_rows(*ctx_, plan_idx, layer, in, fresh)
+                : comp_->backward_rows(*ctx_, plan_idx, layer, in, fresh);
+    // Wire cost flows between the hosting devices: with an elastic
+    // cluster the partitions may be co-located (free) or live on
+    // reassigned devices; the null-cluster identity map keeps the static
+    // path bit-identical.
+    const std::uint32_t sdev = cluster_ ? cluster_->owner(from) : from;
+    const std::uint32_t ddev = cluster_ ? cluster_->owner(to) : to;
+    if (obs_on) {
+        const std::uint64_t t1 = obs::detail::trace_now_ns();
+        obs::record_span(forward ? "compress.forward" : "compress.backward",
+                         t0, t1);
+        tally.seconds += static_cast<double>(t1 - t0) * 1e-9;
+        if (sdev != ddev) {
+            tally.wire_bytes += bytes;
+            tally.vanilla_bytes += in.payload_bytes();
+        }
+    }
+    bool delivered = true;
+    if (sdev != ddev) {
+        const comm::SendOutcome sent = fabric_->send(sdev, ddev, bytes);
+        delivered = sent.delivered;
+        if (timeline_ != nullptr)
+            timeline_->record_send(sdev, ddev, sent.wire_bytes,
+                                   sent.modelled_ms * 1e-3);
+    }
+    if (!fabric_->fault_model().active()) return fresh;
+    return resolve(forward ? stale_fwd_ : stale_bwd_, plan_idx, layer,
+                   delivered, fresh, to);
 }
 
-Matrix DistAggregator::backward(const Matrix& g, int layer) {
-    Matrix out;
-    backward_into(g, layer, out);
-    return out;
+void DistAggregator::end_timeline_step() {
+    // Compute accumulates on the *hosting* device, so a survivor carrying
+    // two partitions shows twice the compute in the schedule
+    // (record_compute adds).
+    for (std::uint32_t d = 0; d < ctx_->num_parts(); ++d)
+        timeline_->record_compute(cluster_ ? cluster_->owner(d) : d,
+                                  part_s_[d]);
+    timeline_->end_step();
 }
 
 void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
@@ -145,11 +183,7 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
             const auto locals = ctx.local_nodes(static_cast<std::uint32_t>(p));
             const auto halo = ctx.halo(static_cast<std::uint32_t>(p));
             stacked_[p].reshape_zero(locals.size() + halo.size(), f);
-            for (std::size_t i = 0; i < locals.size(); ++i) {
-                const auto srow = h.row(locals[i]);
-                auto drow = stacked_[p].row(i);
-                std::copy(srow.begin(), srow.end(), drow.begin());
-            }
+            tensor::gather_rows(h, locals, stacked_[p]);
             if (tl) part_s_[p] += t.seconds();
         }
     });
@@ -157,55 +191,16 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
     // Halo exchange, plan by plan.
     {
         SCGNN_TRACE_SPAN("dist.comm.forward");
-        const bool obs_on = obs::enabled();
-        double comp_s = 0.0;
-        std::uint64_t wire = 0, vanilla = 0;
+        ExchangeTally tally;
         const auto plans = ctx.plans();
         for (std::size_t pi = 0; pi < plans.size(); ++pi) {
             const PairPlan& plan = plans[pi];
             tensor::Workspace::Lease src_l(ws_, plan.num_rows(), f);
             Matrix& src = src_l.get();
-            for (std::size_t i = 0; i < plan.dbg.src_nodes.size(); ++i) {
-                const auto srow = h.row(plan.dbg.src_nodes[i]);
-                auto drow = src.row(i);
-                std::copy(srow.begin(), srow.end(), drow.begin());
-            }
+            tensor::gather_rows(h, plan.dbg.src_nodes, src);
             tensor::Workspace::Lease recon_l(ws_, plan.num_rows(), f);
-            Matrix& recon = recon_l.get();
-            const std::uint64_t t0 =
-                obs_on ? obs::detail::trace_now_ns() : 0;
-            const std::uint64_t bytes =
-                comp_->forward_rows(ctx, pi, layer, src, recon);
-            // Wire cost flows between the hosting devices: with an
-            // elastic cluster the partitions may be co-located (free) or
-            // live on reassigned devices; the null-cluster identity map
-            // keeps the static path bit-identical.
-            const std::uint32_t sdev =
-                cluster_ ? cluster_->owner(plan.src_part) : plan.src_part;
-            const std::uint32_t ddev =
-                cluster_ ? cluster_->owner(plan.dst_part) : plan.dst_part;
-            if (obs_on) {
-                const std::uint64_t t1 = obs::detail::trace_now_ns();
-                obs::record_span("compress.forward", t0, t1);
-                comp_s += static_cast<double>(t1 - t0) * 1e-9;
-                if (sdev != ddev) {
-                    wire += bytes;
-                    vanilla += src.payload_bytes();
-                }
-            }
-            bool delivered = true;
-            if (sdev != ddev) {
-                const comm::SendOutcome sent = fabric_->send(sdev, ddev, bytes);
-                delivered = sent.delivered;
-                if (tl)
-                    timeline_->record_send(sdev, ddev, sent.wire_bytes,
-                                           sent.modelled_ms * 1e-3);
-            }
             const Matrix& arrived =
-                fabric_->fault_model().active()
-                    ? resolve(stale_fwd_, pi, layer, delivered, recon,
-                              plan.dst_part)
-                    : recon;
+                exchange(true, pi, layer, src, recon_l.get(), tally);
 
             const std::size_t halo_base =
                 ctx.local_nodes(plan.dst_part).size();
@@ -216,8 +211,7 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
                 std::copy(srow.begin(), srow.end(), drow.begin());
             }
         }
-        if (obs_on && !plans.empty())
-            note_exchange("forward", comp_s, wire, vanilla);
+        if (obs::enabled() && !plans.empty()) tally.publish("forward");
     }
 
     // Per-partition local SpMM, results written back in global order.
@@ -242,15 +236,7 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
             if (tl) part_s_[p] += t.seconds();
         }
     });
-    if (tl) {
-        // Compute accumulates on the *hosting* device, so a survivor
-        // carrying two partitions shows twice the compute in the
-        // schedule (record_compute adds).
-        for (std::uint32_t d = 0; d < parts; ++d)
-            timeline_->record_compute(cluster_ ? cluster_->owner(d) : d,
-                                      part_s_[d]);
-        timeline_->end_step();
-    }
+    if (tl) end_timeline_step();
 }
 
 void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
@@ -275,11 +261,7 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
             const auto part = static_cast<std::uint32_t>(p);
             const auto locals = ctx.local_nodes(part);
             gp_[p].reshape_zero(locals.size(), f);
-            for (std::size_t i = 0; i < locals.size(); ++i) {
-                const auto srow = g.row(locals[i]);
-                auto drow = gp_[p].row(i);
-                std::copy(srow.begin(), srow.end(), drow.begin());
-            }
+            tensor::gather_rows(g, locals, gp_[p]);
             tensor::spmm_transposed_into(ctx.local_adj(part), gp_[p],
                                          stacked_grad_[p]);
             // Local block accumulates directly.
@@ -296,9 +278,7 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
     // (q → p) the receiver p now returns gradients for q's boundary rows.
     {
         SCGNN_TRACE_SPAN("dist.comm.backward");
-        const bool obs_on = obs::enabled();
-        double comp_s = 0.0;
-        std::uint64_t wire = 0, vanilla = 0;
+        ExchangeTally tally;
         const auto plans = ctx.plans();
         for (std::size_t pi = 0; pi < plans.size(); ++pi) {
             const PairPlan& plan = plans[pi];
@@ -313,39 +293,8 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
                 std::copy(srow.begin(), srow.end(), drow.begin());
             }
             tensor::Workspace::Lease grad_out_l(ws_, plan.num_rows(), f);
-            Matrix& grad_out = grad_out_l.get();
-            const std::uint64_t t0 =
-                obs_on ? obs::detail::trace_now_ns() : 0;
-            const std::uint64_t bytes =
-                comp_->backward_rows(ctx, pi, layer, grad_in, grad_out);
-            // Gradients travel receiver-host → sender-host (the reverse
-            // of the forward route through the same ownership map).
-            const std::uint32_t sdev =
-                cluster_ ? cluster_->owner(plan.dst_part) : plan.dst_part;
-            const std::uint32_t ddev =
-                cluster_ ? cluster_->owner(plan.src_part) : plan.src_part;
-            if (obs_on) {
-                const std::uint64_t t1 = obs::detail::trace_now_ns();
-                obs::record_span("compress.backward", t0, t1);
-                comp_s += static_cast<double>(t1 - t0) * 1e-9;
-                if (sdev != ddev) {
-                    wire += bytes;
-                    vanilla += grad_in.payload_bytes();
-                }
-            }
-            bool delivered = true;
-            if (sdev != ddev) {
-                const comm::SendOutcome sent = fabric_->send(sdev, ddev, bytes);
-                delivered = sent.delivered;
-                if (tl)
-                    timeline_->record_send(sdev, ddev, sent.wire_bytes,
-                                           sent.modelled_ms * 1e-3);
-            }
             const Matrix& arrived =
-                fabric_->fault_model().active()
-                    ? resolve(stale_bwd_, pi, layer, delivered, grad_out,
-                              plan.src_part)
-                    : grad_out;
+                exchange(false, pi, layer, grad_in, grad_out_l.get(), tally);
 
             for (std::size_t i = 0; i < plan.dbg.src_nodes.size(); ++i) {
                 const auto srow = arrived.row(i);
@@ -353,18 +302,9 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
                 for (std::size_t c = 0; c < f; ++c) drow[c] += srow[c];
             }
         }
-        if (obs_on && !plans.empty())
-            note_exchange("backward", comp_s, wire, vanilla);
+        if (obs::enabled() && !plans.empty()) tally.publish("backward");
     }
-    if (tl) {
-        // Compute accumulates on the *hosting* device, so a survivor
-        // carrying two partitions shows twice the compute in the
-        // schedule (record_compute adds).
-        for (std::uint32_t d = 0; d < parts; ++d)
-            timeline_->record_compute(cluster_ ? cluster_->owner(d) : d,
-                                      part_s_[d]);
-        timeline_->end_step();
-    }
+    if (tl) end_timeline_step();
 }
 
 void DistAggregator::invalidate_moved(
@@ -380,66 +320,42 @@ void DistAggregator::invalidate_moved(
             std::find(moved_parts.begin(), moved_parts.end(),
                       plan.dst_part) != moved_parts.end();
         if (!touched) continue;
-        if (pi < stale_fwd_.size())
-            for (StaleSlot& s : stale_fwd_[pi]) {
-                s.valid = false;
-                s.age = 0;
-            }
-        if (pi < stale_bwd_.size())
-            for (StaleSlot& s : stale_bwd_[pi]) {
-                s.valid = false;
-                s.age = 0;
-            }
+        for (auto* cache : {&stale_fwd_, &stale_bwd_})
+            if (pi < cache->size())
+                for (StaleSlot& s : (*cache)[pi]) {
+                    s.valid = false;
+                    s.age = 0;
+                }
     }
 }
 
-DistTrainResult detail::train_full(const graph::Dataset& data,
-                                   const partition::Partitioning& parts,
-                                   const gnn::GnnConfig& model_cfg,
-                                   const DistTrainConfig& cfg,
-                                   BoundaryCompressor& compressor) {
-    SCGNN_CHECK(model_cfg.in_dim == data.features.cols(),
-                "model in_dim must match the dataset feature width");
-    SCGNN_CHECK(model_cfg.out_dim == data.num_classes,
-                "model out_dim must match the dataset class count");
-    SCGNN_CHECK(cfg.epochs >= 1, "need at least one epoch");
+namespace {
 
-    DistContext ctx(data, parts, cfg.norm);
-    // The fabric takes its link tiers from the configured topology; the
-    // default flat spec materialises every link with cfg.comm.cost, so the
-    // golden-pinned defaults are bit-identical to the pre-topology fabric.
-    const comm::Topology topo = comm::Topology::build(
-        cfg.comm.topology, parts.num_parts,
-        comm::TierModel{cfg.comm.cost.latency_s,
-                        cfg.comm.cost.bandwidth_bytes_per_s});
-    comm::Fabric fabric(topo);
-    fabric.set_fault_model(cfg.comm.fault);
-    fabric.set_retry_policy(cfg.comm.retry);
-    const bool overlap = cfg.comm.overlap();
-    comm::Timeline timeline(parts.num_parts);
-    DistAggregator agg(ctx, fabric, compressor,
-                       overlap ? &timeline : nullptr);
-    gnn::GnnModel model(model_cfg);
-    gnn::Adam opt(model.parameters(), cfg.adam);
-    std::uint64_t param_bytes = 0;
-    for (const tensor::Matrix* p : model.parameters())
-        param_bytes += p->payload_bytes();
-
-    // Elastic membership: a ClusterState owns the partition→device
-    // ownership map and everything rebuilt at a change epoch. Absent a
-    // schedule nothing is constructed and the run stays on the exact
-    // static code path (the golden-pinned bitwise guarantee).
-    const bool elastic = cfg.membership.active();
-    std::optional<runtime::ClusterState> cluster;
-    if (elastic) {
-        const std::size_t f = data.features.cols();
+/// Full-graph mode: one gnn::run_epoch over the whole training split per
+/// epoch, aggregating through DistAggregator. It also owns elastic
+/// membership, whose rebalance barrier runs in prepare(), outside the
+/// timed work.
+class FullGraphStep final : public detail::EpochStep {
+public:
+    explicit FullGraphStep(detail::EpochEnv& env)
+        : env_(env),
+          agg_(env.ctx, env.fabric, env.compressor, env.overlap_timeline()),
+          eval_adj_(gnn::normalized_adjacency(env.data.graph, env.cfg.norm)) {
+        agg_.set_workspace(&env.ws);
+        // Elastic membership: a ClusterState owns the partition→device
+        // ownership map and everything rebuilt at a change epoch. Absent a
+        // schedule nothing is constructed and the run stays on the exact
+        // static code path (the golden-pinned bitwise guarantee).
+        if (!env.cfg.membership.active()) return;
+        const std::uint32_t num_parts = env.ctx.num_parts();
+        const std::size_t f = env.data.features.cols();
         runtime::ClusterState::Profile prof;
-        prof.part_bytes.resize(parts.num_parts);
-        for (std::uint32_t p = 0; p < parts.num_parts; ++p)
+        prof.part_bytes.resize(num_parts);
+        for (std::uint32_t p = 0; p < num_parts; ++p)
             prof.part_bytes[p] = static_cast<std::uint64_t>(
-                ctx.local_nodes(p).size() * f * sizeof(float));
-        prof.affinity.resize(parts.num_parts);
-        for (const PairPlan& plan : ctx.plans()) {
+                env.ctx.local_nodes(p).size() * f * sizeof(float));
+        prof.affinity.resize(num_parts);
+        for (const PairPlan& plan : env.ctx.plans()) {
             const auto b = static_cast<std::uint64_t>(plan.num_rows() * f *
                                                       sizeof(float));
             prof.affinity[plan.src_part].push_back({plan.dst_part, b});
@@ -447,360 +363,128 @@ DistTrainResult detail::train_full(const graph::Dataset& data,
         }
         // A joiner receives the replicated weights plus both Adam moment
         // buffers before it can take part in a synchronous step.
-        prof.replica_bytes = param_bytes * 3;
-        cluster.emplace(topo, cfg.membership, std::move(prof));
-        agg.set_cluster(&*cluster);
+        prof.replica_bytes = env.param_bytes * 3;
+        cluster_.emplace(env.fabric.topology(), env.cfg.membership,
+                         std::move(prof));
+        agg_.set_cluster(&*cluster_);
+        obs::record_config("trainer.membership",
+                           runtime::membership_name(env.cfg.membership));
     }
 
-    SCGNN_CHECK(cfg.lr_decay > 0.0f && cfg.lr_decay <= 1.0f,
-                "lr_decay must be in (0, 1]");
-    SCGNN_CHECK(cfg.patience == 0 || !data.val_mask.empty(),
-                "early stopping needs a validation split");
-
-    if (obs::enabled()) {
-        obs::record_config("trainer.compressor", compressor.name());
-        obs::record_config("trainer.epochs", static_cast<double>(cfg.epochs));
-        obs::record_config("trainer.num_parts",
-                           static_cast<double>(parts.num_parts));
-        obs::record_config("trainer.num_nodes",
-                           static_cast<double>(data.graph.num_nodes()));
-        obs::record_config("trainer.feature_dim",
-                           static_cast<double>(data.features.cols()));
-        if (overlap) obs::record_config("trainer.cost_mode", "overlap");
-        if (cfg.rate.scheduled())
-            obs::record_config("trainer.schedule",
-                               schedule_name(cfg.rate.kind));
-        if (cfg.comm.topology.hierarchical()) {
-            obs::record_config("trainer.topology",
-                               comm::topology_name(cfg.comm.topology));
-            obs::record_config("trainer.oversubscription",
-                               cfg.comm.topology.oversubscription);
-        }
-        if (cfg.comm.count_weight_sync)
-            obs::record_config("trainer.collective",
-                               comm::collective::algo_name(cfg.comm.collective));
-        if (elastic)
-            obs::record_config("trainer.membership",
-                               runtime::membership_name(cfg.membership));
-        if (cfg.comm.fault.active()) {
-            obs::record_config("fault.drop_probability",
-                               cfg.comm.fault.drop_probability);
-            obs::record_config("fault.straggler_probability",
-                               cfg.comm.fault.straggler_probability);
-            obs::record_config("fault.seed",
-                               static_cast<double>(cfg.comm.fault.seed));
-            obs::record_config(
-                "fault.down_windows",
-                static_cast<double>(cfg.comm.fault.down_windows.size()));
-            obs::record_config(
-                "retry.max_attempts",
-                static_cast<double>(cfg.comm.retry.max_attempts));
-            obs::record_config("retry.timeout_s", cfg.comm.retry.timeout_s);
-        }
+    [[nodiscard]] const tensor::SparseMatrix& eval_adjacency()
+        const override {
+        return eval_adj_;
     }
 
-    {
-        SCGNN_TRACE_SPAN("dist.compressor_setup");
-        compressor.setup(ctx);
-    }
-
-    // Pooled scratch shared by the serial paths (exchange temporaries,
-    // compressor fuse buffers, the loss gradient) plus pre-sized epoch
-    // containers: after the first epoch warms every buffer, steady-state
-    // epochs run without heap allocations.
-    tensor::Workspace ws;
-    agg.set_workspace(&ws);
-    compressor.set_workspace(&ws);
-    fabric.reserve_history(cfg.epochs);
-
-    // Full-graph, uncompressed aggregator used for evaluation (and for the
-    // early-stopping validation probes — off the fabric, untimed).
-    const tensor::SparseMatrix eval_adj =
-        gnn::normalized_adjacency(data.graph, cfg.norm);
-    gnn::SpmmAggregator eval_agg(eval_adj);
-
-    DistTrainResult result;
-    if (cfg.record_epochs) result.epoch_metrics.reserve(cfg.epochs);
-    double total_epoch_ms = 0.0, total_comm_ms = 0.0, total_compute_ms = 0.0;
-    double total_bytes = 0.0;
-    // Weight-gradient synchronisation collective, charged once per epoch
-    // when enabled. The schedule is built once here from (topology,
-    // algorithm, |params|) and replayed every epoch — steady-state epochs
-    // run it without heap allocations. The default kRing over a flat
-    // topology prices the historical 2·(P−1)·|params|/P per-link volume.
-    comm::collective::Allreduce weight_sync;
-    if (cfg.comm.count_weight_sync) {
-        weight_sync = comm::collective::Allreduce(
-            fabric.topology(), cfg.comm.collective, param_bytes);
-    }
-
-    // Rate scheduling: only a non-fixed schedule ever touches the
-    // compressor (or the ledger), so the fixed default remains bitwise
-    // identical to the pre-scheduling golden pins. The drift signal is
-    // read off the error-feedback wrapper when one heads the stack.
-    RateController rate_ctl(cfg.rate);
-    const bool scheduled = cfg.rate.scheduled();
-    auto* ef = scheduled ? dynamic_cast<ErrorFeedbackCompressor*>(&compressor)
-                         : nullptr;
-    double loss_last = 0.0;
-
-    std::uint32_t stale = 0;
-    double total_overlap_ms = 0.0, total_exposed_ms = 0.0;
-    for (std::uint32_t e = 0; e < cfg.epochs; ++e) {
-        SCGNN_TRACE_SPAN("dist.epoch");
+    void prepare(std::uint32_t epoch) override {
+        if (!cluster_) return;
         // Membership changes take effect at the top of their epoch; the
-        // transition's migrations are priced below, *inside* this epoch's
+        // transition's migrations are priced here, *inside* this epoch's
         // fabric window, so the recovery spike shows in comm_mb/comm_ms.
         const runtime::Transition* tr =
-            (cluster && e >= 1) ? cluster->advance(e) : nullptr;
-        double epoch_rate = 1.0;
-        if (scheduled) {
-            // Signals describe the *completed* epochs: the loss of e−1
-            // and the residual drift accumulated during e−1 (read before
-            // begin_epoch resets the accumulators). The controller keeps
-            // its own loss anchor across its dwell window.
-            const double drift =
-                (e > 0 && ef != nullptr) ? ef->epoch_relative_residual() : 0.0;
-            epoch_rate = rate_ctl.next(e, loss_last, drift);
-            compressor.apply_rate(epoch_rate);
-            if (obs::enabled())
-                obs::registry().gauge("compress.rate").set(epoch_rate);
-            if (log_level() == LogLevel::kDebug) {
-                char buf[96];
-                std::snprintf(buf, sizeof buf,
-                              "rate[%u] fidelity=%.4f drift=%.4f", e,
-                              epoch_rate, drift);
-                log_debug(buf);
-            }
-        }
-        compressor.begin_epoch(e);
-        if (overlap) timeline.begin_epoch();
-        if (tr != nullptr) {
-            // Rebalance barrier: ship every reassigned partition's rows
-            // plus its carried compressor state, replicate the model onto
-            // joiners, and price the whole transition through the fabric
-            // (and as one timeline step under overlap) — recovery cost
-            // lands in the makespan, not a hand-wave.
-            SCGNN_TRACE_SPAN("membership.rebuild");
-            runtime::MembershipSummary& ms = cluster->summary();
-            double rebuild_s = 0.0;
-            std::uint64_t tr_bytes = 0;
-            if (overlap) timeline.begin_step("rebalance");
-            for (const runtime::Migration& mv : tr->moves) {
-                const std::uint64_t residual = compressor.state_bytes(mv.part);
-                const comm::SendOutcome sent = fabric.send(
-                    mv.from_device, mv.to_device, mv.bytes + residual);
-                if (overlap)
-                    timeline.record_send(mv.from_device, mv.to_device,
-                                         sent.wire_bytes,
-                                         sent.modelled_ms * 1e-3);
-                ms.migrated_residual_bytes += residual;
-                ms.migrated_bytes += residual;
-                tr_bytes += mv.bytes + residual;
-                rebuild_s += sent.modelled_ms * 1e-3;
-            }
-            for (const runtime::Migration& rep : tr->replications) {
-                const comm::SendOutcome sent =
-                    fabric.send(rep.from_device, rep.to_device, rep.bytes);
-                if (overlap)
-                    timeline.record_send(rep.from_device, rep.to_device,
-                                         sent.wire_bytes,
-                                         sent.modelled_ms * 1e-3);
-                tr_bytes += rep.bytes;
-                rebuild_s += sent.modelled_ms * 1e-3;
-            }
-            if (overlap) timeline.end_step();
-            ms.rebuild_ms += rebuild_s * 1e3;
-            agg.invalidate_moved(tr->moved_parts);
-            // The weight-sync collective now spans only the survivors.
-            if (cfg.comm.count_weight_sync)
-                weight_sync = comm::collective::Allreduce(
-                    fabric.topology(), cfg.comm.collective, param_bytes,
-                    cluster->active_devices());
-            if (obs::enabled()) {
-                obs::Registry& reg = obs::registry();
-                reg.counter("membership.joins").add(tr->joined.size());
-                reg.counter("membership.leaves").add(tr->left.size());
-                reg.counter("membership.moved_parts")
-                    .add(tr->moved_parts.size());
-                reg.counter("membership.migrated_bytes").add(tr_bytes);
-                reg.gauge("membership.active")
-                    .set(static_cast<double>(
-                        cluster->membership().active_count()));
-                reg.gauge("membership.rebuild_ms").set(ms.rebuild_ms);
-            }
-        }
-        if (cluster) cluster->note_epoch();
-        WallTimer timer;
-        const double loss = gnn::run_epoch(model, opt, agg, data.features,
-                                           data.labels, data.train_mask, &ws);
-        if (cfg.comm.count_weight_sync)
-            weight_sync.run(fabric, overlap ? &timeline : nullptr);
-        const double wall_ms = timer.millis();
-
-        // A shrunk cluster runs the same partitions on fewer devices, so
-        // the per-device compute budget divides by the *active* count
-        // (== num_parts on a static run, where the maths is unchanged).
-        const std::uint32_t active_now =
-            cluster ? cluster->membership().active_count() : parts.num_parts;
-        EpochMetrics m;
-        m.loss = loss;
-        m.rate = epoch_rate;
-        m.active_devices = active_now;
-        m.comm_mb = static_cast<double>(fabric.epoch_stats().bytes) / 1e6;
-        m.comm_ms = fabric.epoch_comm_seconds() * 1e3;
-        m.compute_ms = wall_ms / active_now;
-        if (overlap) {
-            // Normalise each device's recorded compute to the same
-            // per-device budget the additive model charges, so the two
-            // modes price identical work and differ only in how much
-            // communication hides under it. The active mask keeps absent
-            // devices from receiving a phantom budget.
-            const comm::TimelineStats ts = timeline.schedule(
-                wall_ms * 1e-3 / active_now,
-                cluster ? &cluster->active_mask() : nullptr);
-            m.epoch_ms = ts.makespan_s * 1e3;
-            m.comm_exposed_ms = ts.comm_exposed_s * 1e3;
-            m.overlap_ms =
-                std::max(0.0, m.compute_ms + m.comm_ms - m.epoch_ms);
-            if (obs::enabled()) {
-                obs::Registry& reg = obs::registry();
-                reg.gauge("timeline.makespan_ms").set(m.epoch_ms);
-                reg.gauge("timeline.overlap_ms").set(m.overlap_ms);
-                reg.gauge("timeline.comm_exposed_ms").set(m.comm_exposed_ms);
-                reg.gauge("timeline.queue_wait_ms").set(ts.queue_wait_s * 1e3);
-                reg.gauge("timeline.link_busy_ms").set(ts.link_busy_s * 1e3);
-                // Export the modelled schedule onto virtual trace tracks
-                // (compute: 1000+device, transfers: 2000+link) anchored at
-                // "now", so the Chrome trace shows the modelled epoch
-                // alongside the measured spans.
-                const std::uint64_t base = obs::detail::trace_now_ns();
-                for (const comm::TimelineEvent& ev : timeline.events()) {
-                    const bool is_comp = ev.kind == comm::EventKind::kCompute;
-                    const auto tid = static_cast<std::uint32_t>(
-                        is_comp ? 1000 + ev.device
-                                : 2000 + ev.device * parts.num_parts +
-                                      ev.peer);
-                    obs::record_span(
-                        is_comp ? "timeline.compute" : "timeline.send",
-                        base + static_cast<std::uint64_t>(ev.start_s * 1e9),
-                        base + static_cast<std::uint64_t>(ev.end_s * 1e9),
-                        tid);
-                }
-            }
-        } else {
-            m.epoch_ms = m.compute_ms + m.comm_ms;
-        }
-        fabric.end_epoch();
-        // After end_epoch() so the snapshot sees the fabric's per-link
-        // publish; the values are the exact doubles pushed into
-        // result.epoch_metrics below.
-        obs::epoch_snapshot(e, m.loss, m.comm_mb, m.comm_ms, m.compute_ms,
-                            m.epoch_ms, m.overlap_ms, m.comm_exposed_ms);
-
-        total_epoch_ms += m.epoch_ms;
-        total_comm_ms += m.comm_ms;
-        total_compute_ms += m.compute_ms;
-        total_overlap_ms += m.overlap_ms;
-        total_exposed_ms += m.comm_exposed_ms;
-        total_bytes += m.comm_mb;
-        loss_last = loss;
-        result.final_loss = loss;
-        ++result.epochs_run;
-        if (cfg.record_epochs) result.epoch_metrics.push_back(m);
-
-        if (cfg.lr_decay < 1.0f) opt.set_lr(opt.config().lr * cfg.lr_decay);
-        if (cfg.patience > 0) {
-            const double val = gnn::evaluate_accuracy(
-                model, eval_agg, data.features, data.labels, data.val_mask);
-            if (val > result.best_val_accuracy + 1e-12) {
-                result.best_val_accuracy = val;
-                stale = 0;
-            } else if (++stale >= cfg.patience) {
-                break;
-            }
-        }
+            epoch >= 1 ? cluster_->advance(epoch) : nullptr;
+        if (tr != nullptr) rebalance(*tr);
+        cluster_->note_epoch();
     }
-    result.mean_epoch_ms = total_epoch_ms / result.epochs_run;
-    result.mean_comm_ms = total_comm_ms / result.epochs_run;
-    result.mean_compute_ms = total_compute_ms / result.epochs_run;
-    result.mean_overlap_ms = total_overlap_ms / result.epochs_run;
-    result.mean_comm_exposed_ms = total_exposed_ms / result.epochs_run;
-    result.mean_comm_mb = total_bytes / result.epochs_run;
-    result.total_comm_mb = total_bytes;
-    if (!cfg.checkpoint_path.empty())
-        gnn::save_checkpoint(model, cfg.checkpoint_path);
 
-    result.train_accuracy = gnn::evaluate_accuracy(
-        model, eval_agg, data.features, data.labels, data.train_mask);
-    if (!data.val_mask.empty())
-        result.val_accuracy = gnn::evaluate_accuracy(
-            model, eval_agg, data.features, data.labels, data.val_mask);
-    result.best_val_accuracy =
-        std::max(result.best_val_accuracy, result.val_accuracy);
-    result.test_accuracy = gnn::evaluate_accuracy(
-        model, eval_agg, data.features, data.labels, data.test_mask);
+    [[nodiscard]] double run() override {
+        const double loss =
+            gnn::run_epoch(env_.model, env_.opt, agg_, env_.data.features,
+                           env_.data.labels, env_.data.train_mask, &env_.ws);
+        env_.sync_weights();
+        return loss;
+    }
 
-    result.fault = agg.fault_summary();
-    result.fault.fabric = fabric.fault_stats();
-    if (cluster) {
-        result.membership = cluster->summary();
+    [[nodiscard]] const runtime::Membership* membership() const override {
+        return cluster_ ? &cluster_->membership() : nullptr;
+    }
+
+    void finish(DistTrainResult& result) override {
+        result.fault = agg_.fault_summary();
+        if (!cluster_) return;
+        result.membership = cluster_->summary();
+        const runtime::MembershipSummary& ms = result.membership;
+        obs::record_final("membership.joins", static_cast<double>(ms.joins));
+        obs::record_final("membership.leaves", static_cast<double>(ms.leaves));
+        obs::record_final("membership.rebuilds",
+                          static_cast<double>(ms.rebuilds));
+        obs::record_final("membership.migrated_bytes",
+                          static_cast<double>(ms.migrated_bytes));
+        obs::record_final("membership.invalidated_halo_bytes",
+                          static_cast<double>(ms.invalidated_halo_bytes));
+        obs::record_final("membership.rebuild_ms", ms.rebuild_ms);
+        obs::record_final("membership.min_active",
+                          static_cast<double>(ms.min_active));
+    }
+
+private:
+    /// Rebalance barrier: ship every reassigned partition's rows plus its
+    /// carried compressor state, replicate the model onto joiners, and
+    /// price the whole transition through the fabric (and as one timeline
+    /// step under overlap) — recovery cost lands in the makespan, not a
+    /// hand-wave.
+    void rebalance(const runtime::Transition& tr) {
+        SCGNN_TRACE_SPAN("membership.rebuild");
+        comm::Timeline* tl = env_.overlap_timeline();
+        runtime::MembershipSummary& ms = cluster_->summary();
+        double rebuild_s = 0.0;
+        std::uint64_t tr_bytes = 0;
+        auto ship = [&](const runtime::Migration& mv, std::uint64_t bytes) {
+            const comm::SendOutcome sent =
+                env_.fabric.send(mv.from_device, mv.to_device, bytes);
+            if (tl != nullptr)
+                tl->record_send(mv.from_device, mv.to_device, sent.wire_bytes,
+                                sent.modelled_ms * 1e-3);
+            tr_bytes += bytes;
+            rebuild_s += sent.modelled_ms * 1e-3;
+        };
+        if (tl != nullptr) tl->begin_step("rebalance");
+        for (const runtime::Migration& mv : tr.moves) {
+            // A moved partition carries its compressor state along.
+            const std::uint64_t residual = env_.compressor.state_bytes(mv.part);
+            ship(mv, mv.bytes + residual);
+            ms.migrated_residual_bytes += residual;
+            ms.migrated_bytes += residual;
+        }
+        for (const runtime::Migration& rep : tr.replications)
+            ship(rep, rep.bytes);
+        if (tl != nullptr) tl->end_step();
+        ms.rebuild_ms += rebuild_s * 1e3;
+        agg_.invalidate_moved(tr.moved_parts);
+        // The weight-sync collective now spans only the survivors.
+        if (env_.cfg.comm.count_weight_sync)
+            env_.weight_sync = comm::collective::Allreduce(
+                env_.fabric.topology(), env_.cfg.comm.collective,
+                env_.param_bytes, cluster_->active_devices());
         if (obs::enabled()) {
-            const runtime::MembershipSummary& ms = result.membership;
-            obs::record_final("membership.joins",
-                              static_cast<double>(ms.joins));
-            obs::record_final("membership.leaves",
-                              static_cast<double>(ms.leaves));
-            obs::record_final("membership.rebuilds",
-                              static_cast<double>(ms.rebuilds));
-            obs::record_final("membership.migrated_bytes",
-                              static_cast<double>(ms.migrated_bytes));
-            obs::record_final("membership.invalidated_halo_bytes",
-                              static_cast<double>(ms.invalidated_halo_bytes));
-            obs::record_final("membership.rebuild_ms", ms.rebuild_ms);
-            obs::record_final("membership.min_active",
-                              static_cast<double>(ms.min_active));
+            obs::Registry& reg = obs::registry();
+            reg.counter("membership.joins").add(tr.joined.size());
+            reg.counter("membership.leaves").add(tr.left.size());
+            reg.counter("membership.moved_parts").add(tr.moved_parts.size());
+            reg.counter("membership.migrated_bytes").add(tr_bytes);
+            reg.gauge("membership.active")
+                .set(static_cast<double>(
+                    cluster_->membership().active_count()));
+            reg.gauge("membership.rebuild_ms").set(ms.rebuild_ms);
         }
-    }
-    if (obs::enabled() && cfg.comm.fault.active()) {
-        obs::record_final("fault.drops",
-                          static_cast<double>(result.fault.fabric.drops));
-        obs::record_final("fault.retries",
-                          static_cast<double>(result.fault.fabric.retries));
-        obs::record_final("fault.failures",
-                          static_cast<double>(result.fault.fabric.failures));
-        obs::record_final(
-            "fault.link_down_hits",
-            static_cast<double>(result.fault.fabric.link_down_hits));
-        obs::record_final("fault.penalty_s", result.fault.fabric.penalty_s);
-        obs::record_final("fault.stale_uses",
-                          static_cast<double>(result.fault.stale_uses));
-        obs::record_final("fault.cold_misses",
-                          static_cast<double>(result.fault.cold_misses));
-        obs::record_final("fault.max_staleness",
-                          static_cast<double>(result.fault.max_staleness));
     }
 
-    if (obs::enabled()) {
-        obs::record_final("train_accuracy", result.train_accuracy);
-        obs::record_final("val_accuracy", result.val_accuracy);
-        obs::record_final("best_val_accuracy", result.best_val_accuracy);
-        obs::record_final("test_accuracy", result.test_accuracy);
-        obs::record_final("final_loss", result.final_loss);
-        obs::record_final("epochs_run",
-                          static_cast<double>(result.epochs_run));
-        obs::record_final("mean_epoch_ms", result.mean_epoch_ms);
-        obs::record_final("mean_comm_ms", result.mean_comm_ms);
-        obs::record_final("mean_compute_ms", result.mean_compute_ms);
-        if (overlap) {
-            obs::record_final("mean_overlap_ms", result.mean_overlap_ms);
-            obs::record_final("mean_comm_exposed_ms",
-                              result.mean_comm_exposed_ms);
-        }
-        obs::record_final("mean_comm_mb", result.mean_comm_mb);
-        obs::record_final("total_comm_mb", result.total_comm_mb);
-    }
-    return result;
+    detail::EpochEnv& env_;
+    DistAggregator agg_;
+    const tensor::SparseMatrix eval_adj_;
+    std::optional<runtime::ClusterState> cluster_;
+};
+
+} // namespace
+
+DistTrainResult detail::train_full(const graph::Dataset& data,
+                                   const partition::Partitioning& parts,
+                                   const gnn::GnnConfig& model_cfg,
+                                   const DistTrainConfig& cfg,
+                                   BoundaryCompressor& compressor) {
+    EpochEnv env(data, parts, model_cfg, cfg, compressor, "train");
+    FullGraphStep step(env);
+    return run_epochs(env, step);
 }
 
 } // namespace scgnn::dist

@@ -7,14 +7,6 @@
 
 namespace scgnn::gnn {
 
-tensor::Matrix SpmmAggregator::forward(const tensor::Matrix& h, int) {
-    return tensor::spmm(*adj_, h);
-}
-
-tensor::Matrix SpmmAggregator::backward(const tensor::Matrix& g, int) {
-    return tensor::spmm_transposed(*adj_, g);
-}
-
 void SpmmAggregator::forward_into(const tensor::Matrix& h, int,
                                   tensor::Matrix& out) {
     tensor::spmm_into(*adj_, h, out);

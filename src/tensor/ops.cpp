@@ -278,6 +278,15 @@ void axpy(float alpha, const Matrix& x, Matrix& y) {
     kern::axpy(alpha, x.data(), y.data(), x.size());
 }
 
+void gather_rows(const Matrix& src, std::span<const std::uint32_t> ids,
+                 Matrix& dst) {
+    SCGNN_CHECK(dst.cols() == src.cols(), "gather_rows column mismatch");
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const auto from = src.row(ids[i]);
+        std::copy(from.begin(), from.end(), dst.row(i).begin());
+    }
+}
+
 void scale_rows(Matrix& m, std::span<const float> scale) {
     SCGNN_CHECK(scale.size() == m.rows(), "one scale per row required");
     for (std::size_t r = 0; r < m.rows(); ++r) {

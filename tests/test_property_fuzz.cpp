@@ -470,7 +470,9 @@ TEST_P(FuzzSeed, NeighborSamplerInvariants) {
                 ASSERT_LT(req.plan, ctx.plans().size());
                 const dist::PairPlan& plan = ctx.plans()[req.plan];
                 for (std::size_t i = 0; i < req.rows.size(); ++i) {
-                    if (i > 0) ASSERT_LT(req.rows[i - 1], req.rows[i]);
+                    if (i > 0) {
+                        ASSERT_LT(req.rows[i - 1], req.rows[i]);
+                    }
                     ASSERT_LT(req.rows[i], plan.dbg.num_src());
                     ASSERT_EQ(ctx.owner(plan.dbg.src_nodes[req.rows[i]]),
                               plan.src_part);

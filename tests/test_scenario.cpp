@@ -1,9 +1,11 @@
 // The Scenario API contract (runtime/scenario.hpp): the single
-// validation pass of build(), the training dispatch equivalence that
-// makes Scenario::for_training a drop-in for the deprecated
-// dist::train_distributed, the sampled-training workload, and the
-// serving workload's determinism and caching/batching behaviour, its
-// equality with a signature-keyed reference model, and concurrent run().
+// validation pass of build(), the training dispatch equivalence of
+// Scenario::for_training with the direct full-graph entry and of
+// Scenario::run with core::run_pipeline, the
+// sampled-training workload on the shared epoch driver (one report
+// schema, rate control, overlap and early stopping), and the serving
+// workload's determinism and caching/batching behaviour, its equality
+// with a signature-keyed reference model, and concurrent run().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,9 @@
 #include "scgnn/common/rng.hpp"
 #include "scgnn/common/stats.hpp"
 #include "scgnn/dist/factory.hpp"
+#include "scgnn/obs/ledger.hpp"
+#include "scgnn/obs/obs.hpp"
+#include "scgnn/obs/trace.hpp"
 #include "scgnn/runtime/scenario.hpp"
 
 namespace scgnn::runtime {
@@ -109,7 +114,7 @@ TEST(ScenarioBuild, ServeInheritsTrainingSideKnobs) {
     EXPECT_EQ(s.config().serve.compressor.grouping.kmeans_k, 7u);
 }
 
-TEST(ScenarioTrain, ForTrainingMatchesDeprecatedEntryPoint) {
+TEST(ScenarioTrain, ForTrainingMatchesDirectFullGraphEntry) {
     const graph::Dataset d = tiny_data();
     const partition::Partitioning parts = partition::make_partitioning(
         partition::PartitionAlgo::kNodeCut, d.graph, 4, 5);
@@ -134,6 +139,30 @@ TEST(ScenarioTrain, ForTrainingMatchesDeprecatedEntryPoint) {
                   via_detail.epoch_metrics[e].loss);  // bitwise
     EXPECT_EQ(via_scenario.test_accuracy, via_detail.test_accuracy);
     EXPECT_EQ(via_scenario.mean_comm_mb, via_detail.mean_comm_mb);
+}
+
+// The CLI's full-graph path (Scenario::run in train mode) and
+// core::run_pipeline (the path the goldens pin) give the same result.
+TEST(ScenarioTrain, RunMatchesRunPipeline) {
+    const graph::Dataset d = tiny_data();
+    const ScenarioConfig cfg = base_cfg(d, ScenarioMode::kTrain);
+    const core::PipelineResult a = Scenario::build(cfg).run(d).pipeline;
+    const core::PipelineResult b = core::run_pipeline(d, cfg.pipeline);
+
+    ASSERT_EQ(a.train.epoch_metrics.size(), b.train.epoch_metrics.size());
+    for (std::size_t e = 0; e < a.train.epoch_metrics.size(); ++e) {
+        EXPECT_EQ(a.train.epoch_metrics[e].loss,
+                  b.train.epoch_metrics[e].loss);  // bitwise
+        EXPECT_EQ(a.train.epoch_metrics[e].comm_mb,
+                  b.train.epoch_metrics[e].comm_mb);
+    }
+    EXPECT_EQ(a.train.test_accuracy, b.train.test_accuracy);
+    EXPECT_EQ(a.train.best_val_accuracy, b.train.best_val_accuracy);
+    EXPECT_EQ(a.partition_quality.cut_edges, b.partition_quality.cut_edges);
+    EXPECT_EQ(a.cross_edges, b.cross_edges);
+    EXPECT_EQ(a.wire_rows, b.wire_rows);
+    EXPECT_EQ(a.num_groups, b.num_groups);
+    EXPECT_EQ(a.compression_ratio, b.compression_ratio);
 }
 
 TEST(ScenarioSampleTrain, RunsAndReportsSamplingStats) {
@@ -193,6 +222,101 @@ TEST(ScenarioSampleTrain, BitwiseReproducibleAcrossThreadCounts) {
             return o.str();
         };
         EXPECT_EQ(run_at(1), run_at(4)) << "batch_size " << c.batch_size;
+    }
+}
+
+/// Keys of the flat `"<section>":{...}` object of a ledger report (the
+/// config and final sections hold only string and number values).
+std::vector<std::string> report_keys(const std::string& json,
+                                     const std::string& section) {
+    std::vector<std::string> keys;
+    const std::string head = "\"" + section + "\":{";
+    std::size_t pos = json.find(head);
+    if (pos == std::string::npos) return keys;
+    pos += head.size();
+    while (json[pos] == '"') {
+        const std::size_t close = json.find('"', pos + 1);
+        keys.push_back(json.substr(pos + 1, close - pos - 1));
+        pos = close + 2;  // past `":`
+        if (json[pos] == '"') pos = json.find('"', pos + 1) + 1;
+        pos = json.find_first_of(",}", pos);
+        if (json[pos] == '}') break;
+        ++pos;
+    }
+    return keys;
+}
+
+TEST(ScenarioReport, SampledRunEmitsTheTrainRunsKeys) {
+    // Both training modes run on one epoch driver, so a sample-train
+    // report carries every config and final key a train report does; only
+    // elastic membership (full-graph only) may add keys to the train run.
+    const graph::Dataset d = tiny_data();
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    auto run_keys = [&](ScenarioMode mode, const std::string& section) {
+        obs::reset();
+        (void)Scenario::build(base_cfg(d, mode)).run(d);
+        return report_keys(obs::ledger().to_json(), section);
+    };
+    for (const char* section : {"config", "final"}) {
+        const std::vector<std::string> train =
+            run_keys(ScenarioMode::kTrain, section);
+        const std::vector<std::string> sampled =
+            run_keys(ScenarioMode::kSampleTrain, section);
+        EXPECT_FALSE(train.empty()) << section;
+        for (const std::string& key : train) {
+            if (key.rfind("membership.", 0) == 0) continue;
+            EXPECT_TRUE(std::find(sampled.begin(), sampled.end(), key) !=
+                        sampled.end())
+                << section << " key " << key << " missing in sample-train";
+        }
+    }
+    EXPECT_NE(obs::ledger().to_json().find(
+                  "\"trainer.mode\":\"sample-train\""),
+              std::string::npos);
+    obs::reset();
+    obs::set_enabled(was_enabled);
+}
+
+TEST(ScenarioSampleTrain, SharesRateOverlapAndEarlyStopping) {
+    // Sampled mode runs the driver's rate controller, overlap schedule and
+    // early-stopping probe. The warmup ramp is a pure function of the
+    // epoch, so both modes apply the same rate sequence.
+    const graph::Dataset d = tiny_data();
+    auto run_at = [&](ScenarioMode mode, unsigned threads) {
+        ThreadCountGuard guard(threads);
+        ScenarioConfig cfg = base_cfg(d, mode);
+        dist::DistTrainConfig& t = cfg.pipeline.train;
+        t.epochs = 6;
+        t.rate.kind = dist::RateSchedule::kWarmup;
+        t.rate.warmup_epochs = 4;
+        t.comm.mode = comm::CostModel::Mode::kOverlap;
+        t.patience = 2;
+        return Scenario::build(cfg).run(d).pipeline.train;
+    };
+    const dist::DistTrainResult full = run_at(ScenarioMode::kTrain, 1);
+    const dist::DistTrainResult one = run_at(ScenarioMode::kSampleTrain, 1);
+    const dist::DistTrainResult four = run_at(ScenarioMode::kSampleTrain, 4);
+
+    ASSERT_FALSE(one.epoch_metrics.empty());
+    EXPECT_GT(one.best_val_accuracy, 0.0);
+    const std::size_t common =
+        std::min(full.epoch_metrics.size(), one.epoch_metrics.size());
+    ASSERT_GE(common, 2u);
+    for (std::size_t e = 0; e < common; ++e)
+        EXPECT_EQ(one.epoch_metrics[e].rate, full.epoch_metrics[e].rate)
+            << "epoch " << e;
+    EXPECT_LT(one.epoch_metrics.back().rate, 1.0);
+    for (const dist::EpochMetrics& m : one.epoch_metrics) {
+        EXPECT_LE(m.epoch_ms, m.compute_ms + m.comm_ms);
+        EXPECT_GE(m.overlap_ms, 0.0);
+    }
+    ASSERT_EQ(one.epoch_metrics.size(), four.epoch_metrics.size());
+    for (std::size_t e = 0; e < one.epoch_metrics.size(); ++e) {
+        EXPECT_EQ(one.epoch_metrics[e].loss, four.epoch_metrics[e].loss);
+        EXPECT_EQ(one.epoch_metrics[e].comm_mb,
+                  four.epoch_metrics[e].comm_mb);
+        EXPECT_EQ(one.epoch_metrics[e].rate, four.epoch_metrics[e].rate);
     }
 }
 

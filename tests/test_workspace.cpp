@@ -215,7 +215,7 @@ TEST(SteadyState, SingleDeviceEpochIsAllocationFree) {
     EXPECT_TRUE(std::isfinite(loss));
 }
 
-/// Distributed counterpart, measured end-to-end through train_distributed
+/// Distributed counterpart, measured end-to-end through Scenario::train
 /// (which owns its Workspace internally): the allocation count of a run
 /// must not grow with the epoch count once past warm-up — an 8-epoch run
 /// allocates exactly as many times as a 4-epoch run, the extra epochs
