@@ -13,8 +13,8 @@
 // Flags: --scale <f> (default 0.2), --epochs <n> (default 96),
 // --seed <n>, --parts <n> (default 4), --json <path> (google-benchmark
 // JSON for scripts/check_bench_regression.py; committed as
-// BENCH_adaptive_rate.json), plus the CommonFlags set — the bench presets
-// the tuned adaptive operating point (floor 0.25, drift 1.0,
+// BENCH_adaptive_rate.json), plus the shared scenario flags — the bench
+// presets the tuned adaptive operating point (floor 0.25, drift 1.0,
 // improve 0.001, hold 4), which --schedule-floor/--schedule-drift/
 // --schedule-improve still override. Everything is deterministic at any
 // thread count, so the committed snapshot diffs exactly.
@@ -100,18 +100,19 @@ void write_json(const char* path, const std::vector<Run>& runs,
 } // namespace
 
 int main(int argc, char** argv) {
-    benchutil::CommonFlags common;
+    runtime::ScenarioConfig scn;
+    dist::RateScheduleConfig& rate = scn.pipeline.train.rate;
     // Tuned operating point for the adaptive runs (pubmed, see DESIGN.md
     // §12); the --schedule-* flags still override.
-    common.schedule().floor = 0.25;
-    common.schedule().drift_threshold = 1.0;
-    common.schedule().improve_threshold = 0.001;
+    rate.floor = 0.25;
+    rate.drift_threshold = 1.0;
+    rate.improve_threshold = 0.001;
     double scale = 0.2;
     std::uint32_t epochs = 96, parts_n = 4;
     std::uint64_t seed = 2024;
     const char* json_path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (common.try_parse(argc, argv, i)) continue;
+        if (runtime::Scenario::parse_flag(argc, argv, i, scn)) continue;
         if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
             scale = std::atof(argv[++i]);
         else if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc)
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    common.activate();
+    runtime::Scenario::activate(scn);
 
     const graph::Dataset d =
         graph::make_dataset(graph::DatasetPreset::kPubMedSim, scale, seed);
@@ -139,9 +140,8 @@ int main(int argc, char** argv) {
 
     std::printf("# schedules: adaptive floor=%.3g drift=%.3g improve=%.3g, "
                 "warmup floor=%.3g over %u epochs\n",
-                common.schedule().floor, common.schedule().drift_threshold,
-                common.schedule().improve_threshold, common.schedule().floor,
-                common.schedule().warmup_epochs);
+                rate.floor, rate.drift_threshold, rate.improve_threshold,
+                rate.floor, rate.warmup_epochs);
 
     struct Plan {
         const char* stack;
@@ -164,9 +164,8 @@ int main(int argc, char** argv) {
         m.name = p.stack;
         m.semantic = benchutil::semantic_cfg();
         m.quant.bits = 16;
-        dist::DistTrainConfig cfg;
+        dist::DistTrainConfig cfg = scn.pipeline.train;
         cfg.epochs = epochs;
-        common.apply(cfg);
         cfg.rate.kind = p.schedule;
         auto comp = core::make_compressor(m);
         Run run;

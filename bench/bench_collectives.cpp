@@ -13,7 +13,7 @@
 //
 // Flags: --payload-mb <f> (default 4), --json <path> (google-benchmark
 // JSON with modelled ns as real_time, for check_bench_regression.py),
-// plus the CommonFlags set.
+// plus the shared scenario flags.
 #include <cstring>
 #include <vector>
 
@@ -100,11 +100,11 @@ void write_json(const char* path, double payload_mb) {
 } // namespace
 
 int main(int argc, char** argv) {
-    benchutil::CommonFlags common;
+    runtime::ScenarioConfig scn;
     double payload_mb = 4.0;
     const char* json_path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (common.try_parse(argc, argv, i)) continue;
+        if (runtime::Scenario::parse_flag(argc, argv, i, scn)) continue;
         if (std::strcmp(argv[i], "--payload-mb") == 0 && i + 1 < argc)
             payload_mb = std::atof(argv[++i]);
         else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    common.activate();
+    runtime::Scenario::activate(scn);
 
     const auto payload_bytes =
         static_cast<std::uint64_t>(payload_mb * 1e6);

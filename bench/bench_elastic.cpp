@@ -16,7 +16,7 @@
 //
 // Flags: --scale <f> (default 0.15), --epochs <n> (default 10),
 // --seed <n>, --json <path> (google-benchmark JSON for
-// scripts/check_bench_regression.py), plus the CommonFlags set — a
+// scripts/check_bench_regression.py), plus the shared scenario flags — a
 // --membership flag replaces the built-in churn schedule.
 #include <algorithm>
 #include <cstring>
@@ -108,13 +108,13 @@ void write_json(const char* path, const std::vector<Row>& rows, double scale,
 } // namespace
 
 int main(int argc, char** argv) {
-    benchutil::CommonFlags common;
+    runtime::ScenarioConfig scn;
     double scale = 0.15;
     std::uint32_t epochs = 10;
     std::uint64_t seed = 2024;
     const char* json_path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (common.try_parse(argc, argv, i)) continue;
+        if (runtime::Scenario::parse_flag(argc, argv, i, scn)) continue;
         if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
             scale = std::atof(argv[++i]);
         else if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc)
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    common.activate();
+    runtime::Scenario::activate(scn);
     if (epochs < 6) {
         std::fprintf(stderr, "need --epochs >= 6 for the churn schedule\n");
         return 2;
@@ -138,8 +138,9 @@ int main(int argc, char** argv) {
         graph::make_dataset(graph::DatasetPreset::kPubMedSim, scale, seed);
     benchutil::print_dataset(d);
 
+    const runtime::MembershipSchedule& flagged = scn.pipeline.train.membership;
     const runtime::MembershipSchedule churn =
-        common.membership().active() ? common.membership() : churn_for(epochs);
+        flagged.active() ? flagged : churn_for(epochs);
     std::printf("# membership: %s\n",
                 runtime::membership_name(churn).c_str());
 
@@ -149,9 +150,8 @@ int main(int argc, char** argv) {
             partition::PartitionAlgo::kNodeCut, d.graph, p, seed);
         const gnn::GnnConfig mc = benchutil::model_for(d);
         for (const bool elastic : {false, true}) {
-            dist::DistTrainConfig cfg;
+            dist::DistTrainConfig cfg = scn.pipeline.train;
             cfg.epochs = epochs;
-            common.apply(cfg);
             cfg.comm.topology = comm::TopologySpec::preset(p);
             cfg.comm.collective = comm::collective::Algo::kHier;
             cfg.comm.count_weight_sync = true;

@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
              "retries", "fails", "stale", "max stale"});
     for (const double drop : {0.05, 0.1, 0.2, 0.3}) {
         for (const std::uint32_t retries : {1u, 2u, 4u}) {
-            cfg.train.comm.fault = opt.common.fault();
+            cfg.train.comm.fault = opt.scn.pipeline.train.comm.fault;
             cfg.train.comm.fault.drop_probability = drop;
-            cfg.train.comm.retry = opt.common.retry();
+            cfg.train.comm.retry = opt.scn.pipeline.train.comm.retry;
             cfg.train.comm.retry.max_attempts = retries;
             const core::PipelineResult res = core::run_pipeline(data, cfg);
             const dist::FaultSummary& f = res.train.fault;
@@ -55,8 +55,9 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", t.str().c_str());
 
-    if (!opt.obs_out.empty() && obs::finish())
+    const std::string& obs_out = opt.scn.obs_out;
+    if (!obs_out.empty() && obs::finish())
         std::printf("observability: wrote %s.trace.json and %s.report.json\n",
-                    opt.obs_out.c_str(), opt.obs_out.c_str());
+                    obs_out.c_str(), obs_out.c_str());
     return 0;
 }

@@ -38,18 +38,6 @@ const graph::Dbg& bench_dbg() {
     return dbg;
 }
 
-void BM_Spmm(benchmark::State& state) {
-    const auto& d = bench_dataset();
-    const auto adj =
-        gnn::normalized_adjacency(d.graph, gnn::AdjNorm::kSymmetric);
-    Rng rng(1);
-    const tensor::Matrix h = tensor::Matrix::randn(
-        d.graph.num_nodes(), static_cast<std::size_t>(state.range(0)), rng);
-    for (auto _ : state) benchmark::DoNotOptimize(tensor::spmm(adj, h));
-    state.SetItemsProcessed(state.iterations() * adj.nnz());
-}
-BENCHMARK(BM_Spmm)->Arg(16)->Arg(64);
-
 void BM_SpmmParallel(benchmark::State& state) {
     const auto& d = bench_dataset();
     const auto adj =
@@ -62,16 +50,6 @@ void BM_SpmmParallel(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * adj.nnz());
 }
 BENCHMARK(BM_SpmmParallel)->Arg(2)->Arg(4);
-
-void BM_Gemm(benchmark::State& state) {
-    Rng rng(2);
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const tensor::Matrix a = tensor::Matrix::randn(n, n, rng);
-    const tensor::Matrix b = tensor::Matrix::randn(n, n, rng);
-    for (auto _ : state) benchmark::DoNotOptimize(tensor::matmul(a, b));
-    state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(256);
 
 void BM_SemanticSimilaritySet(benchmark::State& state) {
     const auto& dbg = bench_dbg();
@@ -167,32 +145,13 @@ void BM_TraditionalAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_TraditionalAggregate);
 
-// --- scalar-vs-SIMD kernel pairs ----------------------------------------
+// --- steady-state kernels ------------------------------------------------
 //
-// Each *Path bench takes the kernel path as its last argument (0 = scalar,
-// 1 = simd) so BENCH_kernels.json carries both sides of every pair and the
-// speedup is a plain ratio of two committed rows. Run single-threaded
-// (scripts/bench_snapshot.sh exports SCGNN_THREADS=1) so the ratio
-// measures the microkernels, not the pool.
+// The into-forms reuse their output, so each row times the kernel alone.
+// Run single-threaded (scripts/bench_snapshot.sh exports SCGNN_THREADS=1)
+// so the rows measure the microkernels, not the pool.
 
-/// Skip (with an explicit error, so the JSON row says why) when the SIMD
-/// side is requested on a host without AVX2+FMA.
-bool skip_unsupported(benchmark::State& state, bool simd) {
-    if (simd && !tensor::simd_supported()) {
-        state.SkipWithError("AVX2+FMA not supported on this host");
-        return true;
-    }
-    return false;
-}
-
-tensor::KernelPath path_of(const benchmark::State& state) {
-    return state.range(1) != 0 ? tensor::KernelPath::kSimd
-                               : tensor::KernelPath::kScalar;
-}
-
-void BM_GemmPath(benchmark::State& state) {
-    if (skip_unsupported(state, state.range(1) != 0)) return;
-    tensor::KernelPathGuard guard(path_of(state));
+void BM_GemmInto(benchmark::State& state) {
     Rng rng(2);
     const auto n = static_cast<std::size_t>(state.range(0));
     const tensor::Matrix a = tensor::Matrix::randn(n, n, rng);
@@ -201,17 +160,13 @@ void BM_GemmPath(benchmark::State& state) {
     for (auto _ : state) {
         tensor::matmul_into(a, b, c);
         benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_GemmPath)
-    ->ArgNames({"n", "simd"})
-    ->Args({512, 0})
-    ->Args({512, 1});
+BENCHMARK(BM_GemmInto)->ArgName("n")->Arg(512);
 
-void BM_GemmABtPath(benchmark::State& state) {
-    if (skip_unsupported(state, state.range(1) != 0)) return;
-    tensor::KernelPathGuard guard(path_of(state));
+void BM_GemmABtInto(benchmark::State& state) {
     Rng rng(3);
     const auto n = static_cast<std::size_t>(state.range(0));
     const tensor::Matrix a = tensor::Matrix::randn(n, n, rng);
@@ -220,17 +175,13 @@ void BM_GemmABtPath(benchmark::State& state) {
     for (auto _ : state) {
         tensor::matmul_a_bt_into(a, b, c);
         benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_GemmABtPath)
-    ->ArgNames({"n", "simd"})
-    ->Args({512, 0})
-    ->Args({512, 1});
+BENCHMARK(BM_GemmABtInto)->ArgName("n")->Arg(512);
 
-void BM_SpmmPath(benchmark::State& state) {
-    if (skip_unsupported(state, state.range(1) != 0)) return;
-    tensor::KernelPathGuard guard(path_of(state));
+void BM_SpmmInto(benchmark::State& state) {
     const auto& d = bench_dataset();
     const auto adj =
         gnn::normalized_adjacency(d.graph, gnn::AdjNorm::kSymmetric);
@@ -241,76 +192,39 @@ void BM_SpmmPath(benchmark::State& state) {
     for (auto _ : state) {
         tensor::spmm_into(adj, h, out);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * adj.nnz());
 }
-BENCHMARK(BM_SpmmPath)
-    ->ArgNames({"f", "simd"})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_SpmmInto)->ArgName("f")->Arg(64);
 
-void BM_SpmmBlockedPath(benchmark::State& state) {
-    if (skip_unsupported(state, state.range(1) != 0)) return;
-    tensor::KernelPathGuard guard(path_of(state));
-    const auto& d = bench_dataset();
-    const auto adj =
-        gnn::normalized_adjacency(d.graph, gnn::AdjNorm::kSymmetric);
-    const tensor::BlockedCsr blocked(adj);
-    Rng rng(1);
-    const tensor::Matrix h = tensor::Matrix::randn(
-        d.graph.num_nodes(), static_cast<std::size_t>(state.range(0)), rng);
-    tensor::Matrix out;
-    for (auto _ : state) {
-        tensor::spmm_into(blocked, h, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * adj.nnz());
-}
-BENCHMARK(BM_SpmmBlockedPath)
-    ->ArgNames({"f", "simd"})
-    ->Args({64, 0})
-    ->Args({64, 1});
-
-void BM_AxpyPath(benchmark::State& state) {
-    if (skip_unsupported(state, state.range(1) != 0)) return;
-    const bool simd = state.range(1) != 0;
+void BM_Axpy(benchmark::State& state) {
     Rng rng(4);
     const auto n = static_cast<std::size_t>(state.range(0));
     const tensor::Matrix x = tensor::Matrix::randn(1, n, rng);
     tensor::Matrix y = tensor::Matrix::randn(1, n, rng);
     for (auto _ : state) {
-        if (simd)
-            tensor::kern::axpy_avx2(1.0009765625f, x.data(), y.data(), n);
-        else
-            tensor::kern::axpy_scalar(1.0009765625f, x.data(), y.data(), n);
+        tensor::kern::axpy(1.0009765625f, x.data(), y.data(), n);
         benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_AxpyPath)
-    ->ArgNames({"n", "simd"})
-    ->Args({4096, 0})
-    ->Args({4096, 1});
+BENCHMARK(BM_Axpy)->ArgName("n")->Arg(4096);
 
-void BM_DotPath(benchmark::State& state) {
-    if (skip_unsupported(state, state.range(1) != 0)) return;
-    const bool simd = state.range(1) != 0;
+void BM_Dot(benchmark::State& state) {
     Rng rng(5);
     const auto n = static_cast<std::size_t>(state.range(0));
     const tensor::Matrix a = tensor::Matrix::randn(1, n, rng);
     const tensor::Matrix b = tensor::Matrix::randn(1, n, rng);
     float acc = 0.0f;
     for (auto _ : state) {
-        acc += simd ? tensor::kern::dot_avx2(a.data(), b.data(), n)
-                    : tensor::kern::dot_scalar(a.data(), b.data(), n);
+        acc += tensor::kern::dot(a.data(), b.data(), n);
         benchmark::DoNotOptimize(acc);
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_DotPath)
-    ->ArgNames({"n", "simd"})
-    ->Args({4096, 0})
-    ->Args({4096, 1});
+BENCHMARK(BM_Dot)->ArgName("n")->Arg(4096);
 
 } // namespace
 

@@ -24,7 +24,7 @@
 //
 // Flags: --scale <f> (default 0.1), --seed <n>, --parts <n> (default 4),
 // --json <path> (google-benchmark JSON for
-// scripts/check_bench_regression.py), plus the CommonFlags set —
+// scripts/check_bench_regression.py), plus the shared scenario flags —
 // --queries / --serve-batch / --deadline-ms reshape the base serving
 // config for both arms of the comparison.
 #include <algorithm>
@@ -97,13 +97,13 @@ void write_json(const char* path, const std::vector<Row>& rows, double scale,
 } // namespace
 
 int main(int argc, char** argv) {
-    benchutil::CommonFlags common;
+    runtime::ScenarioConfig scn;
     double scale = 0.1;
     std::uint64_t seed = 7;
     std::uint32_t parts_n = 4;
     const char* json_path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (common.try_parse(argc, argv, i)) continue;
+        if (runtime::Scenario::parse_flag(argc, argv, i, scn)) continue;
         if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
             scale = std::atof(argv[++i]);
         else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
@@ -117,29 +117,29 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    common.activate();
+    runtime::Scenario::activate(scn);
 
     const graph::Dataset d =
         graph::make_dataset(graph::DatasetPreset::kPubMedSim, scale, seed);
     benchutil::print_dataset(d);
     std::printf("# serving: %u queries, batch_max %u, deadline %.2f ms\n",
-                common.scn.serve.queries, common.scn.serve.batch_max,
-                common.scn.serve.deadline_ms);
+                scn.serve.queries, scn.serve.batch_max,
+                scn.serve.deadline_ms);
 
     const partition::Partitioning parts = partition::make_partitioning(
-        common.scn.pipeline.algo, d.graph, parts_n, seed);
+        scn.pipeline.algo, d.graph, parts_n, seed);
     std::vector<Row> rows;
     for (const double qps : kQpsSweep) {
         for (const bool cached : {false, true}) {
-            runtime::ScenarioConfig scn = common.scn;
-            scn.mode = runtime::ScenarioMode::kServe;
-            scn.pipeline.num_parts = parts_n;
-            scn.pipeline.partition_seed = seed;
-            scn.serve.qps = qps;
+            runtime::ScenarioConfig arm = scn;
+            arm.mode = runtime::ScenarioMode::kServe;
+            arm.pipeline.num_parts = parts_n;
+            arm.pipeline.partition_seed = seed;
+            arm.serve.qps = qps;
             if (!cached) {
-                scn.serve.halo_cache = false;
-                scn.serve.batch_max = 1;
-                scn.serve.deadline_ms = 0.0;
+                arm.serve.halo_cache = false;
+                arm.serve.batch_max = 1;
+                arm.serve.deadline_ms = 0.0;
             }
             Row row;
             row.qps = qps;
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
             // build() validates and inherits the training-side knobs; the
             // server is built here so only run() is timed.
             const runtime::Scenario scenario =
-                runtime::Scenario::build(std::move(scn));
+                runtime::Scenario::build(std::move(arm));
             const runtime::InferenceServer server(d, parts,
                                                   scenario.config().serve);
             row.wall_ns = time_runs(server, row.r);
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n", table.str().c_str());
 
     if (json_path != nullptr)
-        write_json(json_path, rows, scale, common.scn.serve.queries);
+        write_json(json_path, rows, scale, scn.serve.queries);
 
     // Gate 1: under load (the top of the sweep) caching + batching must
     // improve the tail over the naive per-query path.

@@ -6,10 +6,12 @@
 ///
 /// Every bench accepts optional CLI args: `--scale <f>` (dataset size
 /// multiplier, default 0.35), `--epochs <n>` (training epochs, default
-/// 30), plus the shared CommonFlags set — `--threads <n>` (worker pool
+/// 30), plus the shared scenario flags that Scenario::parse_flag reads
+/// (runtime/scenario.hpp) — among them `--threads <n>` (worker pool
 /// width, default all cores / SCGNN_THREADS), `--log-level
 /// <debug|info|warn|error>`, `--obs-out <prefix>` (enable observability;
-/// write `<prefix>.trace.json` and `<prefix>.report.json` at exit) and
+/// write `<prefix>.trace.json` and `<prefix>.report.json` at exit),
+/// `--overlap`, `--topology`, `--collective`, the rate-schedule flags and
 /// the fault-injection flags `--fault-drop/--fault-seed/
 /// --fault-link-down/--retry-max/--timeout` (see comm/fault.hpp) — so the
 /// full suite stays minutes-scale while remaining faithful in shape. All
@@ -30,19 +32,8 @@
 #include "scgnn/obs/obs.hpp"
 #include "scgnn/runtime/membership.hpp"
 #include "scgnn/runtime/scenario.hpp"
-#include "scgnn/tensor/kernels.hpp"
 
 namespace scgnn::benchutil {
-
-/// Parse a `--log-level` value; returns false on an unknown name.
-inline bool parse_log_level(const char* s, LogLevel& out) {
-    if (std::strcmp(s, "debug") == 0) out = LogLevel::kDebug;
-    else if (std::strcmp(s, "info") == 0) out = LogLevel::kInfo;
-    else if (std::strcmp(s, "warn") == 0) out = LogLevel::kWarn;
-    else if (std::strcmp(s, "error") == 0) out = LogLevel::kError;
-    else return false;
-    return true;
-}
 
 /// Printable name of a log level.
 inline const char* log_level_name(LogLevel l) {
@@ -55,119 +46,19 @@ inline const char* log_level_name(LogLevel l) {
     return "?";
 }
 
-/// The CLI flags every bench *and* scgnn_cli share, declared exactly once:
-/// `--threads <n>`, `--log-level <debug|info|warn|error>`,
-/// `--obs-out <prefix>`, `--overlap` (price epochs with the event-driven
-/// overlap timeline instead of the additive sum — see comm/timeline.hpp),
-/// `--topology <flat|hier:NxM>` (fabric shape — see comm/topology.hpp),
-/// `--collective <p2p|ring|tree|hier>` (weight-sync algorithm — see
-/// comm/collective.hpp), `--compressor-schedule <fixed|warmup|adaptive>`
-/// (per-epoch rate schedule — see dist/rate_control.hpp),
-/// `--schedule-floor <f>` (lowest fidelity any schedule may emit),
-/// `--schedule-drift <f>` (adaptive back-off threshold on the
-/// error-feedback drift signal), `--schedule-improve <f>` (per-epoch
-/// relative loss improvement the adaptive controller sustains) and
-/// `--schedule-hold <n>` (epochs each adaptive decision dwells),
-/// `--warmup-epochs <n>` (length of the warmup ramp), plus the
-/// fault-injection set
-/// `--fault-drop <p>`, `--fault-seed <n>`,
-/// `--fault-link-down <src:dst:from:to>` (repeatable),
-/// `--retry-max <n>` and `--timeout <s>`.
-///
-/// Usage: call try_parse(argc, argv, i) inside an arg loop (it consumes
-/// the flag and its value and advances `i`), then activate() once parsing
-/// is done, and apply() on every DistTrainConfig the binary trains with.
-///
-/// Thin façade over runtime::Scenario — the flags are parsed exactly once
-/// by Scenario::parse_flag into one ScenarioConfig, and the accessors
-/// below read that config (so benches and scgnn_cli share one source of
-/// truth with the Scenario workloads).
-struct CommonFlags {
-    runtime::ScenarioConfig scn{};  ///< the one parsed configuration
-
-    /// Consume argv[i] (and its value) when it is one of the shared
-    /// scenario flags; returns false for flags the caller must handle
-    /// itself. Exits with code 2 on a malformed value.
-    bool try_parse(int argc, char** argv, int& i) {
-        return runtime::Scenario::parse_flag(argc, argv, i, scn);
-    }
-
-    /// Apply the side-effectful flags (obs arming, pool width, kernel
-    /// path). Resolves threads() to the actual pool width. Exits with
-    /// code 2 when `--kernels simd` was requested on a host without
-    /// AVX2+FMA — a bench must not silently fall back and publish scalar
-    /// numbers as SIMD ones.
-    void activate() { runtime::Scenario::activate(scn); }
-
-    /// Copy the comm-facing flags (fault schedule, retry policy, cost
-    /// mode, topology shape, collective algorithm) into a train config's
-    /// CommPolicy.
-    void apply(dist::DistTrainConfig& cfg) const {
-        const dist::DistTrainConfig& t = scn.pipeline.train;
-        cfg.comm.fault = t.comm.fault;
-        cfg.comm.retry = t.comm.retry;
-        cfg.comm.mode = t.comm.mode;
-        cfg.comm.topology = t.comm.topology;
-        cfg.comm.collective = t.comm.collective;
-        cfg.rate = t.rate;
-        cfg.membership = t.membership;
-    }
-
-    // Accessors into the parsed scenario config.
-    [[nodiscard]] unsigned threads() const noexcept { return scn.threads; }
-    [[nodiscard]] const std::string& obs_out() const noexcept {
-        return scn.obs_out;
-    }
-    [[nodiscard]] bool overlap() const noexcept {
-        return scn.pipeline.train.comm.overlap();
-    }
-    [[nodiscard]] comm::FaultModel& fault() noexcept {
-        return scn.pipeline.train.comm.fault;
-    }
-    [[nodiscard]] const comm::FaultModel& fault() const noexcept {
-        return scn.pipeline.train.comm.fault;
-    }
-    [[nodiscard]] comm::RetryPolicy& retry() noexcept {
-        return scn.pipeline.train.comm.retry;
-    }
-    [[nodiscard]] const comm::RetryPolicy& retry() const noexcept {
-        return scn.pipeline.train.comm.retry;
-    }
-    [[nodiscard]] const comm::TopologySpec& topology() const noexcept {
-        return scn.pipeline.train.comm.topology;
-    }
-    [[nodiscard]] comm::collective::Algo collective() const noexcept {
-        return scn.pipeline.train.comm.collective;
-    }
-    [[nodiscard]] dist::RateScheduleConfig& schedule() noexcept {
-        return scn.pipeline.train.rate;
-    }
-    [[nodiscard]] const dist::RateScheduleConfig& schedule() const noexcept {
-        return scn.pipeline.train.rate;
-    }
-    [[nodiscard]] runtime::MembershipSchedule& membership() noexcept {
-        return scn.pipeline.train.membership;
-    }
-    [[nodiscard]] const runtime::MembershipSchedule& membership()
-        const noexcept {
-        return scn.pipeline.train.membership;
-    }
-};
-
-/// Parsed common CLI options.
+/// Parsed common CLI options: the bench-local `--scale/--epochs/--seed`
+/// plus the one shared ScenarioConfig that Scenario::parse_flag fills in.
 struct Options {
     double scale = 0.35;
     std::uint32_t epochs = 30;
     std::uint64_t seed = 2024;
-    unsigned threads = 0;   ///< 0 = SCGNN_THREADS env / all cores
-    std::string obs_out;    ///< non-empty = obs enabled, output prefix
-    CommonFlags common{};   ///< shared flags incl. fault injection
+    runtime::ScenarioConfig scn{};  ///< shared flags, already activated
 };
 
 inline Options parse_options(int argc, char** argv) {
     Options opt;
     for (int i = 1; i < argc; ++i) {
-        if (opt.common.try_parse(argc, argv, i))
+        if (runtime::Scenario::parse_flag(argc, argv, i, opt.scn))
             continue;
         if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
             opt.scale = std::atof(argv[++i]);
@@ -176,32 +67,29 @@ inline Options parse_options(int argc, char** argv) {
         else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
             opt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     }
-    opt.common.activate();
-    opt.threads = opt.common.threads();
-    opt.obs_out = opt.common.obs_out();
+    runtime::Scenario::activate(opt.scn);
+    const dist::DistTrainConfig& t = opt.scn.pipeline.train;
     std::printf(
         "# options: scale=%.2f epochs=%u seed=%llu threads=%u "
-        "log-level=%s obs=%s mode=%s kernels=%s topology=%s collective=%s "
+        "log-level=%s obs=%s mode=%s topology=%s collective=%s "
         "schedule=%s\n",
         opt.scale, opt.epochs, static_cast<unsigned long long>(opt.seed),
-        opt.threads, log_level_name(log_level()),
-        opt.obs_out.empty() ? "off" : opt.obs_out.c_str(),
-        opt.common.overlap() ? "overlap" : "additive",
-        tensor::kernel_path_name(tensor::kernel_path()),
-        comm::topology_name(opt.common.topology()).c_str(),
-        comm::collective::algo_name(opt.common.collective()),
-        dist::schedule_name(opt.common.schedule().kind));
-    if (opt.common.membership().active())
+        opt.scn.threads, log_level_name(log_level()),
+        opt.scn.obs_out.empty() ? "off" : opt.scn.obs_out.c_str(),
+        t.comm.overlap() ? "overlap" : "additive",
+        comm::topology_name(t.comm.topology).c_str(),
+        comm::collective::algo_name(t.comm.collective),
+        dist::schedule_name(t.rate.kind));
+    if (t.membership.active())
         std::printf("# membership: %s\n",
-                    runtime::membership_name(opt.common.membership()).c_str());
-    if (opt.common.fault().active())
+                    runtime::membership_name(t.membership).c_str());
+    if (t.comm.fault.active())
         std::printf("# faults: drop=%.3f seed=%llu down-windows=%zu "
                     "retry-max=%u timeout=%gs\n",
-                    opt.common.fault().drop_probability,
-                    static_cast<unsigned long long>(opt.common.fault().seed),
-                    opt.common.fault().down_windows.size(),
-                    opt.common.retry().max_attempts,
-                    opt.common.retry().timeout_s);
+                    t.comm.fault.drop_probability,
+                    static_cast<unsigned long long>(t.comm.fault.seed),
+                    t.comm.fault.down_windows.size(),
+                    t.comm.retry.max_attempts, t.comm.retry.timeout_s);
     return opt;
 }
 
@@ -215,12 +103,11 @@ inline gnn::GnnConfig model_for(const graph::Dataset& d) {
         .seed = 11};
 }
 
-/// Default distributed-train config (fault flags applied, inactive by
-/// default).
+/// Default distributed-train config: the parsed shared flags (comm,
+/// faults, rate schedule, membership) with the bench's epoch count.
 inline dist::DistTrainConfig train_cfg(const Options& opt) {
-    dist::DistTrainConfig cfg;
+    dist::DistTrainConfig cfg = opt.scn.pipeline.train;
     cfg.epochs = opt.epochs;
-    opt.common.apply(cfg);
     return cfg;
 }
 

@@ -89,10 +89,10 @@
 //             --membership leave:5@d3,join:10@d3   (one command line)
 //   scgnn_cli --dataset pubmed --save /tmp/pubmed && scgnn_cli --load /tmp/pubmed
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "bench_util.hpp"
 #include "scgnn/common/log.hpp"
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/common/table.hpp"
@@ -100,6 +100,7 @@
 #include "scgnn/dist/factory.hpp"
 #include "scgnn/graph/io.hpp"
 #include "scgnn/obs/obs.hpp"
+#include "scgnn/runtime/scenario.hpp"
 
 namespace {
 
@@ -150,17 +151,19 @@ partition::PartitionAlgo parse_partition(const std::string& s) {
 int main(int argc, char** argv) {
     std::string dataset = "pubmed", load_dir, save_dir;
     double scale = 0.35;
-    core::PipelineConfig cfg;
+    // The shared flags parse into `scn`; the CLI's own flags fill in its
+    // pipeline config through `cfg`.
+    runtime::ScenarioConfig scn;
+    core::PipelineConfig& cfg = scn.pipeline;
     cfg.num_parts = 4;
     cfg.train.epochs = 30;
     cfg.method.method = core::Method::kSemantic;
     cfg.method.semantic.grouping.kmeans_k = 20;
     std::uint64_t seed = 2024;
     std::uint32_t max_staleness = 0;
-    benchutil::CommonFlags common;
 
     for (int i = 1; i < argc; ++i) {
-        if (common.try_parse(argc, argv, i)) continue;
+        if (runtime::Scenario::parse_flag(argc, argv, i, scn)) continue;
         auto need = [&](const char* flag) -> const char* {
             if (i + 1 >= argc) usage(std::string("missing value for ")
                                          .append(flag)
@@ -208,10 +211,9 @@ int main(int argc, char** argv) {
             usage((std::string("unknown flag ") + argv[i]).c_str());
     }
 
-    common.activate();
-    common.apply(cfg.train);
-    const std::string& obs_out = common.obs_out();
-    const runtime::ScenarioMode mode = common.scn.mode;
+    runtime::Scenario::activate(scn);
+    const std::string& obs_out = scn.obs_out;
+    const runtime::ScenarioMode mode = scn.mode;
 
     graph::Dataset data = load_dir.empty()
                               ? graph::make_dataset(parse_preset(dataset),
@@ -243,13 +245,11 @@ int main(int argc, char** argv) {
     // Mount the configured workload behind the single validated builder.
     // The serving scenario picks up the model shape from the training-side
     // flags so `--layers` / hidden width mean the same thing in both.
-    runtime::ScenarioConfig scn = common.scn;
-    scn.pipeline = cfg;
     scn.serve.layers = cfg.model.num_layers;
     scn.serve.embed_dim = cfg.model.hidden_dim;
     const runtime::Scenario scenario = [&] {
         try {
-            return runtime::Scenario::build(std::move(scn));
+            return runtime::Scenario::build(scn);
         } catch (const scgnn::Error& e) {
             usage(e.what());
         }

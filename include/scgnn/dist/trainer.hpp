@@ -167,9 +167,6 @@ private:
     std::vector<tensor::Matrix> gp_;            ///< bwd gathered local grads
     std::vector<tensor::Matrix> stacked_grad_;  ///< bwd Âᵀ·gp results
     std::vector<double> part_s_;                ///< timeline compute seconds
-    /// Column-blocked copies of the local adjacencies, built lazily on the
-    /// first SIMD-path aggregation (the scalar path keeps the plain CSR).
-    std::vector<tensor::BlockedCsr> blocked_adj_;
     FaultSummary fault_;
 };
 

@@ -5,7 +5,7 @@
 ///        inference serving all mount.
 ///
 /// The config surface that grew across PRs 4–8 — nested CommPolicy, rate
-/// schedules, membership schedules, kernel/thread/obs flags — is parsed
+/// schedules, membership schedules, thread/obs flags — is parsed
 /// exactly once by Scenario::parse_flag()/from_flags() and validated
 /// exactly once by Scenario::build(). Binaries pick the workload with
 /// `--mode train|sample-train|serve`; library callers that only need the
@@ -16,7 +16,6 @@
 
 #include "scgnn/core/framework.hpp"
 #include "scgnn/runtime/inference.hpp"
-#include "scgnn/tensor/kernels.hpp"
 
 namespace scgnn::runtime {
 
@@ -45,8 +44,6 @@ struct ScenarioConfig {
     /// Process-wide side-effect knobs (applied by activate()).
     unsigned threads = 0;  ///< 0 = SCGNN_THREADS env / all cores
     std::string obs_out;   ///< non-empty = obs enabled, output prefix
-    bool kernels_set = false;
-    tensor::KernelPath kernels = tensor::KernelPath::kScalar;
 };
 
 /// Result of Scenario::run(): the training-side pipeline outcome and/or
@@ -62,8 +59,8 @@ struct ScenarioResult {
 class Scenario {
 public:
     /// Consume argv[i] (and its value) when it is one of the shared
-    /// scenario flags — the whole historical CommonFlags set
-    /// (--threads/--log-level/--obs-out/--overlap/--kernels/--topology/
+    /// scenario flags — the set every bench and scgnn_cli accept
+    /// (--threads/--log-level/--obs-out/--overlap/--topology/
     /// --collective/--compressor-schedule/--schedule-*/--warmup-epochs/
     /// --membership/--fault-*/--retry-max/--timeout) plus the workload
     /// flags (--mode/--batch-size/--fanout/--qps/--deadline-ms/--queries/
@@ -77,9 +74,8 @@ public:
     /// their own.
     [[nodiscard]] static ScenarioConfig from_flags(int argc, char** argv);
 
-    /// Apply the side-effectful knobs (obs arming, kernel path, pool
-    /// width; resolves cfg.threads to the actual width). Exits with code
-    /// 2 when `--kernels simd` was requested on a host without AVX2+FMA.
+    /// Apply the side-effectful knobs (obs arming, pool width; resolves
+    /// cfg.threads to the actual width).
     static void activate(ScenarioConfig& cfg);
 
     /// The single validation pass: throws scgnn::Error on any invalid

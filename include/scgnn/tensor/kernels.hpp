@@ -1,106 +1,25 @@
 #pragma once
 /// \file kernels.hpp
-/// \brief Runtime-dispatched microkernels behind the dense/sparse tensor
-///        ops: row-major AXPY, dot product and squared distance, each with
-///        a portable scalar form and an AVX2/FMA form.
+/// \brief The microkernels behind the dense/sparse tensor ops: row-major
+///        AXPY, dot product and squared distance.
 ///
-/// Dispatch policy (DESIGN.md §10): the process-wide kernel path defaults
-/// to `kScalar`, whose loops are line-for-line the historical kernels —
-/// bitwise identical to the golden-pinned results at every thread count.
-/// The `kSimd` path is opt-in (`--kernels=simd` or `SCGNN_KERNELS=simd`)
-/// and is only numerically equivalent up to an ulp contract: per-element
-/// FMA fusion for AXPY-shaped loops, and a reordered multi-accumulator
-/// reduction for dot products. Tests pin both contracts
-/// (tests/test_kernels.cpp).
-///
-/// The SIMD forms are compiled with per-function target attributes, so no
-/// global `-mavx2` is needed; callers must consult simd_supported() (the
-/// dispatched entry points do this once per process via the path setter).
+/// Numeric contract (DESIGN.md §10): each kernel is one plain loop with a
+/// fixed accumulation order, so every result is the same bit for bit at
+/// every thread count. Multiply and add round separately (never FMA).
 
 #include <cstddef>
-#include <cstdint>
-#include <string_view>
 
-namespace scgnn::tensor {
+namespace scgnn::tensor::kern {
 
-/// Which microkernel implementations the tensor ops run on.
-enum class KernelPath : std::uint8_t {
-    kScalar = 0,  ///< portable loops, bitwise-pinned (default)
-    kSimd = 1,    ///< AVX2/FMA, ulp-bounded vs scalar
-};
-
-/// True when this host can execute the AVX2/FMA kernels.
-[[nodiscard]] bool simd_supported() noexcept;
-
-/// The kernel path currently in force. First call resolves the
-/// SCGNN_KERNELS environment variable ("scalar" | "simd"); unset or
-/// unrecognised values — and "simd" on a host without AVX2+FMA — fall
-/// back to kScalar.
-[[nodiscard]] KernelPath kernel_path() noexcept;
-
-/// Select the kernel path. Throws scgnn::Error when kSimd is requested on
-/// a host without AVX2+FMA support.
-void set_kernel_path(KernelPath path);
-
-/// Parse "scalar"/"simd" into a path; returns false on any other name.
-[[nodiscard]] bool parse_kernel_path(std::string_view name,
-                                     KernelPath& out) noexcept;
-
-/// Printable name of a path ("scalar" or "simd").
-[[nodiscard]] const char* kernel_path_name(KernelPath path) noexcept;
-
-/// RAII path override for benches and tests; restores the previous path.
-class KernelPathGuard {
-public:
-    explicit KernelPathGuard(KernelPath path) : prev_(kernel_path()) {
-        set_kernel_path(path);
-    }
-    ~KernelPathGuard() { set_kernel_path(prev_); }
-    KernelPathGuard(const KernelPathGuard&) = delete;
-    KernelPathGuard& operator=(const KernelPathGuard&) = delete;
-
-private:
-    KernelPath prev_;
-};
-
-namespace kern {
-
-// --- scalar forms: bitwise-pinned reference loops ---
-
-/// y[j] += a * x[j] for j in [0, n) — the historical GEMM/SpMM inner loop.
-void axpy_scalar(float a, const float* x, float* y, std::size_t n) noexcept;
-
-/// Ascending-index accumulation Σ a[p]·b[p] — the historical dot loop.
-[[nodiscard]] float dot_scalar(const float* a, const float* b,
-                               std::size_t n) noexcept;
-
-/// Double-accumulated Σ (a[i]−b[i])² — the historical k-means distance.
-[[nodiscard]] double sq_dist_scalar(const float* a, const float* b,
-                                    std::size_t n) noexcept;
-
-// --- AVX2/FMA forms (call only when simd_supported()) ---
-
-void axpy_avx2(float a, const float* x, float* y, std::size_t n) noexcept;
-[[nodiscard]] float dot_avx2(const float* a, const float* b,
-                             std::size_t n) noexcept;
-[[nodiscard]] double sq_dist_avx2(const float* a, const float* b,
-                                  std::size_t n) noexcept;
-
-// --- dispatched entry points (branch on kernel_path() per call) ---
-
+/// y[j] += a * x[j] for j in [0, n) — the GEMM/SpMM inner loop.
 void axpy(float a, const float* x, float* y, std::size_t n) noexcept;
+
+/// Ascending-index accumulation Σ a[p]·b[p].
 [[nodiscard]] float dot(const float* a, const float* b,
                         std::size_t n) noexcept;
+
+/// Double-accumulated Σ (a[i]−b[i])² — the k-means distance.
 [[nodiscard]] double sq_dist(const float* a, const float* b,
                              std::size_t n) noexcept;
 
-/// One relaxed read of the path, hoisted out of kernel loops: callers
-/// read this once per op and branch per row/nonzero, keeping the hot
-/// loops free of atomic loads.
-[[nodiscard]] inline bool use_simd() noexcept {
-    return kernel_path() == KernelPath::kSimd;
-}
-
-} // namespace kern
-
-} // namespace scgnn::tensor
+} // namespace scgnn::tensor::kern

@@ -90,63 +90,6 @@ private:
     std::vector<float> val_;
 };
 
-/// CSR with blocked columns: the nonzeros of each row are segmented into
-/// column blocks of `block_cols` columns, stored block-major (all rows of
-/// block 0, then block 1, ...). SpMM over this layout sweeps one block of
-/// the dense operand's rows at a time, so the gathered x rows stay inside
-/// the L2 cache instead of striding the whole operand per CSR row — the
-/// cache-blocked boundary-row aggregate of DESIGN.md §10.
-///
-/// Because blocks are processed in ascending order and columns ascend
-/// within a block, every output element accumulates its terms in exactly
-/// the plain-CSR order: scalar blocked SpMM is bitwise identical to
-/// spmm().
-class BlockedCsr {
-public:
-    /// x-operand rows per block sized so a block of a 64-wide operand
-    /// (~256 KiB) fits in a typical L2.
-    static constexpr std::size_t kDefaultBlockCols = 1024;
-
-    /// Empty 0×0 matrix.
-    BlockedCsr() = default;
-
-    /// Re-layout `s` with the given column-block width.
-    explicit BlockedCsr(const SparseMatrix& s,
-                        std::size_t block_cols = kDefaultBlockCols);
-
-    [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-    [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-    [[nodiscard]] std::size_t nnz() const noexcept { return col_.size(); }
-    [[nodiscard]] std::size_t block_cols() const noexcept { return block_cols_; }
-    [[nodiscard]] std::size_t num_blocks() const noexcept { return blocks_; }
-    [[nodiscard]] bool empty() const noexcept { return rows_ == 0; }
-
-    /// Row pointers of block `b` (size rows()+1, offsets into col_/val_).
-    [[nodiscard]] std::span<const std::uint64_t> block_ptr(std::size_t b) const {
-        SCGNN_CHECK(b < blocks_, "block index out of range");
-        return {ptr_.data() + b * (rows_ + 1), rows_ + 1};
-    }
-
-    /// Column indices (global) of all nonzeros, block-major.
-    [[nodiscard]] std::span<const std::uint32_t> col_idx() const noexcept {
-        return col_;
-    }
-
-    /// Values parallel to col_idx().
-    [[nodiscard]] std::span<const float> values() const noexcept { return val_; }
-
-private:
-    friend void spmm_into(const BlockedCsr&, const Matrix&, Matrix&);
-
-    std::size_t rows_ = 0;
-    std::size_t cols_ = 0;
-    std::size_t block_cols_ = kDefaultBlockCols;
-    std::size_t blocks_ = 0;
-    std::vector<std::uint64_t> ptr_;  ///< blocks_ × (rows_+1) row pointers
-    std::vector<std::uint32_t> col_;
-    std::vector<float> val_;
-};
-
 /// y = S · x, the SpMM aggregate: (rows×cols)·(cols×f) → (rows×f).
 /// Runs row-parallel on the global thread pool (see common/parallel.hpp);
 /// each output row is owned by one worker, so the result is bitwise
@@ -155,13 +98,6 @@ private:
 
 /// spmm() into a reused destination (must not alias `x`).
 void spmm_into(const SparseMatrix& s, const Matrix& x, Matrix& y);
-
-/// Cache-blocked SpMM over the blocked layout; scalar path bitwise
-/// identical to spmm() on the source matrix.
-void spmm_into(const BlockedCsr& s, const Matrix& x, Matrix& y);
-
-/// Allocating form of the blocked SpMM.
-[[nodiscard]] Matrix spmm(const BlockedCsr& s, const Matrix& x);
 
 /// y = Sᵀ · x without materialising the transpose: (cols×f) output.
 /// Used by the backward pass of the aggregation.

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate the committed kernel-benchmark baselines:
 #
-#   BENCH_kernels.json         — google-benchmark JSON of the paired
-#                                scalar/simd *Path microbenchmarks
-#                                (bench/bench_kernels.cpp), pinned to one
-#                                worker thread so the simd/scalar ratio
-#                                isolates the vectorisation win;
+#   BENCH_kernels.json         — google-benchmark JSON of the kernel
+#                                microbenchmarks (bench/bench_kernels.cpp),
+#                                pinned to one worker thread so the rows
+#                                time the kernels, not the pool;
 #   BENCH_threads_scaling.json — the 1/2/4/8-thread sweep with bitwise
 #                                identity checks (bench_threads_scaling);
 #   BENCH_collectives.json     — the collective-algorithm × P sweep over
@@ -32,7 +31,7 @@
 #                                are modelled and diff exactly.
 #
 # Everything is pinned: fixed seeds, fixed scale, SCGNN_THREADS=1 for the
-# microkernels, scalar kernel default. Run from anywhere:
+# microkernels. Run from anywhere:
 #
 #   scripts/bench_snapshot.sh [build-dir] [bench ...]
 #
@@ -63,9 +62,8 @@ for bin in "${benches[@]}"; do
 done
 
 if want bench_kernels; then
-    echo "== kernel microbenchmarks (1 thread, scalar vs simd pairs) =="
+    echo "== kernel microbenchmarks (1 thread) =="
     SCGNN_THREADS=1 "$build_dir/bench/bench_kernels" \
-        --benchmark_filter='Path' \
         --benchmark_min_time=0.2 \
         --benchmark_out="$repo_root/BENCH_kernels.json" \
         --benchmark_out_format=json

@@ -10,11 +10,6 @@ Two checks, both derived from the google-benchmark JSON:
     than --threshold x its baseline is flagged. Always warn-only —
     absolute times move with hardware and CI load, so even --strict
     never fails on a timing ratio.
-  * simd speedup floors: for each paired *Path benchmark family the
-    scalar/simd ratio is recomputed from FRESH and checked against the
-    acceptance floors (>=2x dense GEMM at n>=512, >=1.5x SpMM). These are
-    ratios on the same host at the same moment, so they are stable; they
-    fail even without --strict when the host supports AVX2+FMA.
   * modelled-field drift: benchmarks that carry deterministic modelled
     fields (final_loss / total_mb / mean_rate / migrated_mb /
     peak_comm_ms / active_min — e.g. BENCH_adaptive_rate or
@@ -34,29 +29,21 @@ DETERMINISTIC_KEYS = ("final_loss", "total_mb", "mean_rate",
                       "migrated_mb", "peak_comm_ms", "active_min",
                       "p50_ms", "p99_ms", "p999_ms", "hit_rate", "halo_mb")
 
-# (benchmark-name prefix, minimum simd speedup) — the acceptance floors.
-SPEEDUP_FLOORS = [
-    ("BM_GemmPath/n:512", 2.0),
-    ("BM_SpmmPath/f:64", 1.5),
-]
-
-
 def load_times(path):
-    """(name -> real_time, name -> deterministic fields, skipped names)."""
+    """(name -> real_time, name -> deterministic fields); errored rows
+    are left out."""
     with open(path) as f:
         doc = json.load(f)
     times = {}
     extras = {}
-    skipped = []
     for b in doc.get("benchmarks", []):
         if b.get("error_occurred"):
-            skipped.append(b["name"])
             continue
         times[b["name"]] = float(b["real_time"])
         fields = {k: b[k] for k in DETERMINISTIC_KEYS if k in b}
         if fields:
             extras[b["name"]] = fields
-    return times, extras, skipped
+    return times, extras
 
 
 def main():
@@ -70,8 +57,8 @@ def main():
                          "ratios stay warn-only even here)")
     args = ap.parse_args()
 
-    base, base_extras, _ = load_times(args.baseline)
-    fresh, fresh_extras, fresh_skipped = load_times(args.fresh)
+    base, base_extras = load_times(args.baseline)
+    fresh, fresh_extras = load_times(args.fresh)
 
     regressions = []
     for name, t in sorted(fresh.items()):
@@ -95,24 +82,6 @@ def main():
                 print(f"  DRIFT    {name}.{key}: "
                       f"{base_extras[name][key]} -> {val}")
 
-    # simd floors, recomputed within the fresh run (same host, same moment).
-    floor_failures = []
-    simd_ran = not any("simd" in s or "Path" in s for s in fresh_skipped)
-    for prefix, floor in SPEEDUP_FLOORS:
-        scalar = fresh.get(f"{prefix}/simd:0")
-        simd = fresh.get(f"{prefix}/simd:1")
-        if scalar is None or simd is None or simd <= 0:
-            status = ("skipped (simd benches errored — host lacks AVX2+FMA)"
-                      if not simd_ran else "skipped (pair not in fresh run)")
-            print(f"  floor    {prefix}: {status}")
-            continue
-        speedup = scalar / simd
-        ok = speedup >= floor
-        print(f"  floor    {prefix}: simd speedup {speedup:.2f}x "
-              f"(floor {floor}x) {'ok' if ok else 'FAIL'}")
-        if not ok:
-            floor_failures.append((prefix, speedup, floor))
-
     if regressions:
         print(f"\n{len(regressions)} benchmark(s) exceeded the "
               f"{args.threshold:.2f}x threshold (warn-only)")
@@ -120,9 +89,6 @@ def main():
         print(f"\n{len(drift)} deterministic modelled field(s) drifted "
               "from the baseline"
               + ("" if args.strict else " (warn-only)"))
-    if floor_failures:
-        print(f"\n{len(floor_failures)} simd speedup floor(s) missed")
-        return 1
     if args.strict and drift:
         return 1
     return 0

@@ -142,15 +142,6 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
         out.obs_out = value("--obs-out");
     } else if (std::strcmp(argv[i], "--overlap") == 0) {
         train.comm.mode = comm::CostModel::Mode::kOverlap;  // flag only
-    } else if (std::strcmp(argv[i], "--kernels") == 0) {
-        const char* s = value("--kernels");
-        if (!tensor::parse_kernel_path(s, out.kernels)) {
-            std::fprintf(stderr,
-                         "unknown --kernels '%s' (expected scalar|simd)\n",
-                         s);
-            std::exit(2);
-        }
-        out.kernels_set = true;
     } else if (std::strcmp(argv[i], "--topology") == 0) {
         const char* s = value("--topology");
         if (!comm::parse_topology(s, train.comm.topology)) {
@@ -250,15 +241,6 @@ void Scenario::activate(ScenarioConfig& cfg) {
     if (!cfg.obs_out.empty()) {
         obs::set_enabled(true);
         obs::set_output_prefix(cfg.obs_out);  // arms write-at-exit
-    }
-    if (cfg.kernels_set) {
-        if (cfg.kernels == tensor::KernelPath::kSimd &&
-            !tensor::simd_supported()) {
-            std::fprintf(stderr,
-                         "--kernels simd: host lacks AVX2+FMA support\n");
-            std::exit(2);
-        }
-        tensor::set_kernel_path(cfg.kernels);
     }
     set_num_threads(cfg.threads);
     cfg.threads = num_threads();

@@ -11,7 +11,6 @@
 #include "scgnn/obs/ledger.hpp"
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/trace.hpp"
-#include "scgnn/tensor/kernels.hpp"
 #include "scgnn/tensor/ops.hpp"
 
 namespace scgnn::dist {
@@ -161,18 +160,6 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
     if (tl) timeline_->begin_step("fwd");
     part_s_.assign(tl ? parts : 0, 0.0);
 
-    // The SIMD path aggregates through the column-blocked CSR layout
-    // (built once, on first use); the scalar path keeps the plain CSR the
-    // golden runs were pinned on. Both orders are bitwise identical — the
-    // blocking only changes the cache footprint of the column walk.
-    const bool blocked =
-        tensor::kernel_path() == tensor::KernelPath::kSimd;
-    if (blocked && blocked_adj_.empty()) {
-        blocked_adj_.reserve(parts);
-        for (std::uint32_t p = 0; p < parts; ++p)
-            blocked_adj_.emplace_back(ctx.local_adj(p));
-    }
-
     // Per-partition stacked inputs [local ; halo]. The P simulated devices
     // are independent, so partitions fan out across the pool (each owns
     // its stacked matrix) — the halo exchange below stays serial because
@@ -222,11 +209,7 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
         for (std::size_t p = lo; p < hi; ++p) {
             WallTimer t;
             const auto part = static_cast<std::uint32_t>(p);
-            if (blocked)
-                tensor::spmm_into(blocked_adj_[p], stacked_[p], spmm_out_[p]);
-            else
-                tensor::spmm_into(ctx.local_adj(part), stacked_[p],
-                                  spmm_out_[p]);
+            tensor::spmm_into(ctx.local_adj(part), stacked_[p], spmm_out_[p]);
             const auto locals = ctx.local_nodes(part);
             for (std::size_t i = 0; i < locals.size(); ++i) {
                 const auto srow = spmm_out_[p].row(i);

@@ -1,94 +1,18 @@
 #include "scgnn/tensor/kernels.hpp"
 
-#include <atomic>
-#include <cstdlib>
+namespace scgnn::tensor::kern {
 
-#include "scgnn/common/error.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define SCGNN_KERNELS_X86 1
-#include <immintrin.h>
-#else
-#define SCGNN_KERNELS_X86 0
-#endif
-
-namespace scgnn::tensor {
-
-namespace {
-
-// 0/1 = resolved KernelPath, kUnset = resolve SCGNN_KERNELS on first read.
-constexpr std::uint8_t kUnset = 0xff;
-std::atomic<std::uint8_t> g_path{kUnset};
-
-std::uint8_t resolve_from_env() noexcept {
-    KernelPath p = KernelPath::kScalar;
-    if (const char* env = std::getenv("SCGNN_KERNELS")) {
-        KernelPath parsed;
-        if (parse_kernel_path(env, parsed) && (parsed == KernelPath::kScalar ||
-                                               simd_supported()))
-            p = parsed;
-    }
-    return static_cast<std::uint8_t>(p);
-}
-
-} // namespace
-
-bool simd_supported() noexcept {
-#if SCGNN_KERNELS_X86
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-    return false;
-#endif
-}
-
-KernelPath kernel_path() noexcept {
-    std::uint8_t v = g_path.load(std::memory_order_relaxed);
-    if (v == kUnset) {
-        v = resolve_from_env();
-        std::uint8_t expected = kUnset;
-        // Lost races only mean another thread resolved the same env value.
-        g_path.compare_exchange_strong(expected, v,
-                                       std::memory_order_relaxed);
-    }
-    return static_cast<KernelPath>(v);
-}
-
-void set_kernel_path(KernelPath path) {
-    SCGNN_CHECK(path == KernelPath::kScalar || simd_supported(),
-                "simd kernel path requires AVX2+FMA support on this host");
-    g_path.store(static_cast<std::uint8_t>(path), std::memory_order_relaxed);
-}
-
-bool parse_kernel_path(std::string_view name, KernelPath& out) noexcept {
-    if (name == "scalar") {
-        out = KernelPath::kScalar;
-        return true;
-    }
-    if (name == "simd") {
-        out = KernelPath::kSimd;
-        return true;
-    }
-    return false;
-}
-
-const char* kernel_path_name(KernelPath path) noexcept {
-    return path == KernelPath::kSimd ? "simd" : "scalar";
-}
-
-namespace kern {
-
-void axpy_scalar(float a, const float* x, float* y, std::size_t n) noexcept {
+void axpy(float a, const float* x, float* y, std::size_t n) noexcept {
     for (std::size_t j = 0; j < n; ++j) y[j] += a * x[j];
 }
 
-float dot_scalar(const float* a, const float* b, std::size_t n) noexcept {
+float dot(const float* a, const float* b, std::size_t n) noexcept {
     float acc = 0.0f;
     for (std::size_t p = 0; p < n; ++p) acc += a[p] * b[p];
     return acc;
 }
 
-double sq_dist_scalar(const float* a, const float* b,
-                      std::size_t n) noexcept {
+double sq_dist(const float* a, const float* b, std::size_t n) noexcept {
     double acc = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         const double d = static_cast<double>(a[i]) - b[i];
@@ -97,125 +21,4 @@ double sq_dist_scalar(const float* a, const float* b,
     return acc;
 }
 
-#if SCGNN_KERNELS_X86
-
-// Per-element order matches the scalar loop; only mul+add fuse into one
-// rounding, so |simd − scalar| ≤ ½ulp of each product term.
-__attribute__((target("avx2,fma"))) void axpy_avx2(float a, const float* x,
-                                                   float* y,
-                                                   std::size_t n) noexcept {
-    const __m256 va = _mm256_set1_ps(a);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        __m256 vy = _mm256_loadu_ps(y + j);
-        vy = _mm256_fmadd_ps(va, _mm256_loadu_ps(x + j), vy);
-        _mm256_storeu_ps(y + j, vy);
-    }
-    for (; j < n; ++j) y[j] += a * x[j];
-}
-
-namespace {
-
-__attribute__((target("avx2"))) inline float hsum8(__m256 v) noexcept {
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_movehdup_ps(s));
-    return _mm_cvtss_f32(s);
-}
-
-} // namespace
-
-// Four independent FMA accumulators — the reduction order differs from
-// the scalar loop, so the result carries the looser dot-product ulp bound.
-__attribute__((target("avx2,fma"))) float dot_avx2(const float* a,
-                                                   const float* b,
-                                                   std::size_t n) noexcept {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    std::size_t p = 0;
-    for (; p + 32 <= n; p += 32) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p),
-                               _mm256_loadu_ps(b + p), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 8),
-                               _mm256_loadu_ps(b + p + 8), acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 16),
-                               _mm256_loadu_ps(b + p + 16), acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 24),
-                               _mm256_loadu_ps(b + p + 24), acc3);
-    }
-    for (; p + 8 <= n; p += 8)
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p),
-                               _mm256_loadu_ps(b + p), acc0);
-    acc0 = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                         _mm256_add_ps(acc2, acc3));
-    float acc = hsum8(acc0);
-    for (; p < n; ++p) acc += a[p] * b[p];
-    return acc;
-}
-
-__attribute__((target("avx2,fma"))) double sq_dist_avx2(
-    const float* a, const float* b, std::size_t n) noexcept {
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256d da =
-            _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i)),
-                          _mm256_cvtps_pd(_mm_loadu_ps(b + i)));
-        const __m256d db =
-            _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i + 4)),
-                          _mm256_cvtps_pd(_mm_loadu_ps(b + i + 4)));
-        acc0 = _mm256_fmadd_pd(da, da, acc0);
-        acc1 = _mm256_fmadd_pd(db, db, acc1);
-    }
-    acc0 = _mm256_add_pd(acc0, acc1);
-    const __m128d lo = _mm256_castpd256_pd128(acc0);
-    const __m128d hi = _mm256_extractf128_pd(acc0, 1);
-    __m128d s = _mm_add_pd(lo, hi);
-    s = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-    double acc = _mm_cvtsd_f64(s);
-    for (; i < n; ++i) {
-        const double d = static_cast<double>(a[i]) - b[i];
-        acc += d * d;
-    }
-    return acc;
-}
-
-#else // !SCGNN_KERNELS_X86
-
-void axpy_avx2(float a, const float* x, float* y, std::size_t n) noexcept {
-    axpy_scalar(a, x, y, n);
-}
-
-float dot_avx2(const float* a, const float* b, std::size_t n) noexcept {
-    return dot_scalar(a, b, n);
-}
-
-double sq_dist_avx2(const float* a, const float* b, std::size_t n) noexcept {
-    return sq_dist_scalar(a, b, n);
-}
-
-#endif // SCGNN_KERNELS_X86
-
-void axpy(float a, const float* x, float* y, std::size_t n) noexcept {
-    if (use_simd())
-        axpy_avx2(a, x, y, n);
-    else
-        axpy_scalar(a, x, y, n);
-}
-
-float dot(const float* a, const float* b, std::size_t n) noexcept {
-    return use_simd() ? dot_avx2(a, b, n) : dot_scalar(a, b, n);
-}
-
-double sq_dist(const float* a, const float* b, std::size_t n) noexcept {
-    return use_simd() ? sq_dist_avx2(a, b, n) : sq_dist_scalar(a, b, n);
-}
-
-} // namespace kern
-
-} // namespace scgnn::tensor
+} // namespace scgnn::tensor::kern

@@ -16,11 +16,9 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
     // chunk the k dimension is tiled (mirroring matmul_at_b) so a block
     // of B rows stays cache-hot while the chunk's C rows are swept. Each
     // C(i,j) still accumulates over p in ascending order with the same
-    // zero-skip, so the scalar result is bitwise identical to the
-    // historical kernel at every thread count; the simd path differs only
-    // by per-element FMA fusion.
+    // zero-skip, so the result is bitwise identical to the historical
+    // kernel at every thread count.
     constexpr std::size_t kTile = 128;
-    const bool simd = kern::use_simd();
     parallel_for(0, m, grain_for(k * n), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t p0 = 0; p0 < k; p0 += kTile) {
             const std::size_t p1 = std::min(k, p0 + kTile);
@@ -31,10 +29,7 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
                     const float aip = ai[p];
                     if (aip == 0.0f) continue;
                     const float* bp = b.data() + p * n;
-                    if (simd)
-                        kern::axpy_avx2(aip, bp, ci, n);
-                    else
-                        kern::axpy_scalar(aip, bp, ci, n);
+                    kern::axpy(aip, bp, ci, n);
                 }
             }
         }
@@ -58,7 +53,6 @@ void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
     // C(i,j) still accumulates over p in ascending order with the same
     // zero-skip, so the result is bitwise identical to the serial kernel.
     constexpr std::size_t kTile = 128;
-    const bool simd = kern::use_simd();
     parallel_for(0, m, grain_for(k * n), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t p0 = 0; p0 < k; p0 += kTile) {
             const std::size_t p1 = std::min(k, p0 + kTile);
@@ -68,10 +62,7 @@ void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
                     const float api = a.data()[p * m + i];
                     if (api == 0.0f) continue;
                     const float* bp = b.data() + p * n;
-                    if (simd)
-                        kern::axpy_avx2(api, bp, ci, n);
-                    else
-                        kern::axpy_scalar(api, bp, ci, n);
+                    kern::axpy(api, bp, ci, n);
                 }
             }
         }
@@ -90,11 +81,9 @@ void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
     const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
     // j is tiled so a block of B rows (the dot-product right operands)
     // stays resident across the chunk's A rows. Every C(i,j) is one
-    // ascending-p dot product exactly as before, so scalar results stay
-    // bitwise identical; the simd dot uses multiple accumulators and
-    // carries the looser reduction ulp bound.
+    // ascending-p dot product exactly as before, so results stay bitwise
+    // identical.
     constexpr std::size_t jTile = 64;
-    const bool simd = kern::use_simd();
     parallel_for(0, m, grain_for(k * n), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t j0 = 0; j0 < n; j0 += jTile) {
             const std::size_t j1 = std::min(n, j0 + jTile);
@@ -103,8 +92,7 @@ void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
                 float* ci = c.data() + i * n;
                 for (std::size_t j = j0; j < j1; ++j) {
                     const float* bj = b.data() + j * k;
-                    ci[j] = simd ? kern::dot_avx2(ai, bj, k)
-                                 : kern::dot_scalar(ai, bj, k);
+                    ci[j] = kern::dot(ai, bj, k);
                 }
             }
         }

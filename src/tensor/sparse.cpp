@@ -122,7 +122,6 @@ void spmm_into(const SparseMatrix& s, const Matrix& x, Matrix& y) {
     // dynamic chunk hand-out.
     const std::size_t avg_row_work =
         s.rows() == 0 ? 0 : (s.nnz() / s.rows() + 1) * f;
-    const bool simd = kern::use_simd();
     parallel_for(0, s.rows(), grain_for(avg_row_work),
                  [&](std::size_t lo, std::size_t hi) {
         for (std::size_t r = lo; r < hi; ++r) {
@@ -132,94 +131,13 @@ void spmm_into(const SparseMatrix& s, const Matrix& x, Matrix& y) {
             for (std::size_t i = 0; i < cols.size(); ++i) {
                 const float* xr =
                     x.data() + static_cast<std::size_t>(cols[i]) * f;
-                if (simd)
-                    kern::axpy_avx2(vals[i], xr, yr, f);
-                else
-                    kern::axpy_scalar(vals[i], xr, yr, f);
+                kern::axpy(vals[i], xr, yr, f);
             }
         }
     });
 }
 
 Matrix spmm(const SparseMatrix& s, const Matrix& x) {
-    Matrix y;
-    spmm_into(s, x, y);
-    return y;
-}
-
-BlockedCsr::BlockedCsr(const SparseMatrix& s, std::size_t block_cols)
-    : rows_(s.rows()), cols_(s.cols()), block_cols_(block_cols) {
-    SCGNN_CHECK(block_cols_ > 0, "block_cols must be positive");
-    blocks_ = cols_ == 0 ? 0 : (cols_ + block_cols_ - 1) / block_cols_;
-    ptr_.assign(blocks_ * (rows_ + 1), 0);
-    col_.resize(s.nnz());
-    val_.resize(s.nnz());
-    if (blocks_ == 0) return;
-
-    // Pass 1: count nonzeros per (block, row). A CSR row's columns ascend,
-    // so its block ids are monotone and pass 2's sequential fill keeps the
-    // within-(block,row) column order ascending.
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (const std::uint32_t c : s.row_cols(r))
-            ++ptr_[(c / block_cols_) * (rows_ + 1) + r + 1];
-    std::uint64_t running = 0;
-    for (std::size_t b = 0; b < blocks_; ++b) {
-        std::uint64_t* bp = ptr_.data() + b * (rows_ + 1);
-        bp[0] = running;
-        for (std::size_t r = 0; r < rows_; ++r) {
-            running += bp[r + 1];
-            bp[r + 1] = running;
-        }
-    }
-
-    // Pass 2: scatter through per-(block,row) cursors derived in place.
-    std::vector<std::uint64_t> cursor(ptr_.size());
-    for (std::size_t b = 0; b < blocks_; ++b)
-        for (std::size_t r = 0; r < rows_; ++r)
-            cursor[b * (rows_ + 1) + r] = ptr_[b * (rows_ + 1) + r];
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const auto cols = s.row_cols(r);
-        const auto vals = s.row_vals(r);
-        for (std::size_t i = 0; i < cols.size(); ++i) {
-            const std::size_t b = cols[i] / block_cols_;
-            const std::uint64_t pos = cursor[b * (rows_ + 1) + r]++;
-            col_[pos] = cols[i];
-            val_[pos] = vals[i];
-        }
-    }
-}
-
-void spmm_into(const BlockedCsr& s, const Matrix& x, Matrix& y) {
-    SCGNN_CHECK(s.cols() == x.rows(), "spmm inner dimensions must agree");
-    y.reshape_zero(s.rows(), x.cols());
-    const std::size_t f = x.cols();
-    const std::size_t avg_row_work =
-        s.rows() == 0 ? 0 : (s.nnz() / s.rows() + 1) * f;
-    const bool simd = kern::use_simd();
-    // Blocks ascend serially; rows fan out within a block. Per output
-    // element the accumulation order is ascending column — identical to
-    // the plain-CSR kernel — while each block's slice of x stays resident
-    // across all the rows that touch it.
-    for (std::size_t b = 0; b < s.num_blocks(); ++b) {
-        const std::uint64_t* bp = s.ptr_.data() + b * (s.rows_ + 1);
-        parallel_for(0, s.rows(), grain_for(avg_row_work),
-                     [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t r = lo; r < hi; ++r) {
-                float* yr = y.data() + r * f;
-                for (std::uint64_t i = bp[r]; i < bp[r + 1]; ++i) {
-                    const float* xr =
-                        x.data() + static_cast<std::size_t>(s.col_[i]) * f;
-                    if (simd)
-                        kern::axpy_avx2(s.val_[i], xr, yr, f);
-                    else
-                        kern::axpy_scalar(s.val_[i], xr, yr, f);
-                }
-            }
-        });
-    }
-}
-
-Matrix spmm(const BlockedCsr& s, const Matrix& x) {
     Matrix y;
     spmm_into(s, x, y);
     return y;
@@ -240,17 +158,13 @@ void spmm_transposed_into(const SparseMatrix& s, const Matrix& x, Matrix& y) {
                 "spmm_transposed requires x rows == s rows");
     y.reshape_zero(s.cols(), x.cols());
     const std::size_t f = x.cols();
-    const bool simd = kern::use_simd();
     for (std::size_t r = 0; r < s.rows(); ++r) {
         const auto cols = s.row_cols(r);
         const auto vals = s.row_vals(r);
         const float* xr = x.data() + r * f;
         for (std::size_t i = 0; i < cols.size(); ++i) {
             float* yr = y.data() + static_cast<std::size_t>(cols[i]) * f;
-            if (simd)
-                kern::axpy_avx2(vals[i], xr, yr, f);
-            else
-                kern::axpy_scalar(vals[i], xr, yr, f);
+            kern::axpy(vals[i], xr, yr, f);
         }
     }
 }

@@ -1,5 +1,5 @@
-// Table-driven exit-code contract for the CommonFlags validators (and the
-// scgnn_cli-local flag parser): every malformed value must terminate the
+// Table-driven exit-code contract for the Scenario::parse_flag validators
+// (and the scgnn_cli-local flag parser): every malformed value must end the
 // process with exit code 2 — the documented "bad usage" code — before any
 // training work starts. The binary under test is the installed scgnn_cli
 // (path injected by tests/CMakeLists.txt as SCGNN_CLI_PATH); when the
@@ -16,14 +16,13 @@ struct Case {
     const char* args;    ///< flag + bad value as passed on the command line
 };
 
-// Every CommonFlags validator with a representative malformed value, plus
+// Every shared-flag validator with a representative malformed value, plus
 // the cli-local bad-usage paths (unknown flag, missing value).
 const Case kCases[] = {
     {"topology", "--topology hier:3x"},
     {"topology-mismatch", "--topology lattice"},
     {"collective", "--collective butterfly"},
     {"compressor-schedule", "--compressor-schedule sometimes"},
-    {"kernels", "--kernels gpu"},
     {"membership-syntax", "--membership leave:5"},
     {"membership-trailing", "--membership leave:5@d3,"},
     {"membership-kind", "--membership evict:5@d3"},
