@@ -10,10 +10,8 @@
 //             [--qps <f>] [--deadline-ms <f>] [--queries <n>]
 //             [--serve-batch <n>] [--no-serve-cache]
 //             [--method vanilla|sampling|quant|delay|ours|<stack>]
-//             [--compressor-schedule fixed|warmup|adaptive]
-//             [--schedule-floor <f>] [--schedule-drift <f>]
-//             [--schedule-improve <f>] [--schedule-hold <n>]
-//             [--warmup-epochs <n>]
+//             [--compressor-schedule fixed|warmup]
+//             [--schedule-floor <f>] [--warmup-epochs <n>]
 //             [--partition node|edge|multilevel|random]
 //             [--rate <f>] [--bits <4|8|16>] [--tau <n>] [--groups <k>]
 //             [--ef-flush <theta>]
@@ -39,11 +37,9 @@
 // `--method` also accepts any compressor-factory stack name ("ours+quant",
 // "ef+ours", "ef+ours+quant", …): "+" joins stages and a leading "ef+"
 // wraps the stack in error feedback (see dist/error_feedback.hpp).
-// `--compressor-schedule warmup|adaptive` varies the compression rate per
-// epoch (see dist/rate_control.hpp); the default `fixed` never touches it.
-// `--schedule-floor/-drift/-improve/-hold` tune the controller: the lowest
-// fidelity it may emit, the EF-drift back-off threshold, the per-epoch
-// improvement bar for tightening, and the dwell between decisions.
+// `--compressor-schedule warmup` ramps the compression fidelity from 1
+// down to `--schedule-floor` over `--warmup-epochs` epochs (see
+// dist/rate_control.hpp); the default `fixed` never touches it.
 // `--ef-flush` sets the error-feedback resync threshold (≤ 0 disables
 // resyncing).
 //
@@ -82,7 +78,7 @@
 //   scgnn_cli --dataset yelp --method sampling --rate 0.1
 //   scgnn_cli --dataset reddit --method vanilla --overlap
 //   scgnn_cli --dataset reddit --parts 16 --topology hier:4x4 --collective hier
-//   scgnn_cli --dataset pubmed --method ef+ours --compressor-schedule adaptive
+//   scgnn_cli --dataset pubmed --method ef+ours --compressor-schedule warmup
 //   scgnn_cli --dataset pubmed --method ours --obs-out run
 //   scgnn_cli --dataset pubmed --fault-drop 0.2 --retry-max 3 --max-staleness 4
 //   scgnn_cli --parts 16 --topology hier:4x4 --collective hier

@@ -83,7 +83,7 @@ struct Grouping {
 /// so sink-local groups merge together, then folded into `target_groups`
 /// contiguous buckets and re-derived from the DBG, so the merged L-SALSA
 /// weights are exact. Deterministic; returns `fine` unchanged when it
-/// already fits the budget. This is the semantic rate knob the adaptive
+/// already fits the budget. This is the semantic rate knob the warmup
 /// schedule drives: wire rows scale ~linearly with the group budget where
 /// the k-means k only reaches the M2M pool (dist/rate_control.hpp).
 [[nodiscard]] Grouping coarsen_grouping(const graph::Dbg& dbg,

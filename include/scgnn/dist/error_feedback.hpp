@@ -109,15 +109,6 @@ public:
     /// still-undelivered error after resyncs took their share.
     [[nodiscard]] double epoch_residual_norm() const;
 
-    /// ‖raw residual‖ / ‖payload‖ over this epoch's exchanges, *before*
-    /// the resync rule zeroes flushed rows — the drift signal the adaptive
-    /// RateController consumes (0 when nothing was exchanged yet).
-    /// Pre-flush on purpose: resyncs repair the receiver but each one
-    /// costs a verbatim row, so a flush-heavy epoch must still read as
-    /// drift or the controller would happily pin an over-compressed rate
-    /// and pay the flush traffic forever.
-    [[nodiscard]] double epoch_relative_residual() const;
-
     /// Rows delivered verbatim by the resync rule so far (cumulative).
     [[nodiscard]] std::uint64_t recovered_rows() const noexcept {
         return recovered_rows_;
@@ -177,12 +168,9 @@ private:
     // (violation ratio, row) list the resync budget is drawn from.
     std::vector<double> row_sq_residual_;
     std::vector<std::pair<double, std::uint32_t>> flush_candidates_;
-    // Per-epoch drift accumulators (squared norms, reset by begin_epoch).
-    // `raw` counts every row's projection error before the resync rule
-    // zeroes flushed rows; plain `residual` is what stays undelivered.
+    // Squared norm of this epoch's undelivered residual (reset by
+    // begin_epoch).
     double epoch_sq_residual_ = 0.0;
-    double epoch_sq_raw_residual_ = 0.0;
-    double epoch_sq_payload_ = 0.0;
     // Cumulative resync telemetry.
     std::uint64_t recovered_rows_ = 0;
     std::uint64_t recovered_bytes_ = 0;

@@ -4,34 +4,23 @@
 ///
 /// The paper runs semantic compression at one fixed rate for the whole
 /// training run; Cerviño et al. ("Variable Communication Rates", PAPERS.md)
-/// show the ratio should instead evolve with training. RateController turns
-/// that observation into a policy layer: every epoch it emits a *fidelity*
-/// in (0, 1] — 1 is the configured base rate, smaller is more aggressive —
-/// and the trainer hands it to BoundaryCompressor::apply_rate(), which each
-/// method maps onto its own knob (semantic ⇒ group count, quant ⇒ bit
-/// width, sampling ⇒ keep rate).
+/// show the ratio may instead evolve with training. A schedule maps each
+/// epoch to a *fidelity* in (0, 1] — 1 is the configured base rate,
+/// smaller is more aggressive — and the trainer hands it to
+/// BoundaryCompressor::apply_rate(), which each method maps onto its own
+/// knob (semantic ⇒ group count, quant ⇒ bit width, sampling ⇒ keep rate).
 ///
-/// Three schedules:
-///   * kFixed   — fidelity is always 1 and the trainer never even calls
-///                apply_rate(), so fixed-rate runs stay bitwise identical
-///                to the pre-scheduling golden pins;
-///   * kWarmup  — train at high fidelity first, compress harder as the
-///                model stabilises: fidelity(e) = 1 − (1 − floor) ·
-///                min(e, W) / W over W warmup epochs;
-///   * kAdaptive — closed loop on the signals the obs ledger already
-///                records: compress harder while the loss keeps improving
-///                faster than improve_threshold per epoch, spend fidelity
-///                back once improvement stalls or the error-feedback
-///                residual drifts past drift_threshold. The controller
-///                self-regulates to the most aggressive rate that
-///                sustains the demanded descent pace — aggressive while
-///                the learning signal is strong, conservative when the
-///                gradients turn subtle — instead of parking on the floor
-///                and flooring the final loss with it.
+/// Two schedules:
+///   * kFixed  — fidelity is always 1 and the trainer never even calls
+///               apply_rate(), so fixed-rate runs stay bitwise identical
+///               to the pre-scheduling golden pins;
+///   * kWarmup — train at high fidelity first, compress harder as the
+///               model stabilises: fidelity(e) = 1 − (1 − floor) ·
+///               min(e, W) / W over W warmup epochs.
 ///
-/// The controller is pure scalar arithmetic on loss values that are
-/// themselves bitwise deterministic at any thread count, so the emitted
-/// rate sequence (and everything downstream of it) is too.
+/// The schedule is a pure function of the epoch: no state, no feedback
+/// signals, so the emitted rate sequence is bitwise deterministic at any
+/// thread count.
 
 #include <cstdint>
 #include <string>
@@ -40,12 +29,11 @@ namespace scgnn::dist {
 
 /// Which schedule drives the per-epoch fidelity.
 enum class RateSchedule : std::uint8_t {
-    kFixed = 0,    ///< never touch the compressor (bitwise-pinned default)
-    kWarmup = 1,   ///< linear high→low fidelity ramp over warmup_epochs
-    kAdaptive = 2, ///< loss/drift feedback loop
+    kFixed = 0,   ///< never touch the compressor (bitwise-pinned default)
+    kWarmup = 1,  ///< linear high→low fidelity ramp over warmup_epochs
 };
 
-/// Printable schedule name ("fixed" | "warmup" | "adaptive").
+/// Printable schedule name ("fixed" | "warmup").
 [[nodiscard]] const char* schedule_name(RateSchedule s) noexcept;
 
 /// Parse a schedule name; false on an unknown one.
@@ -55,75 +43,22 @@ enum class RateSchedule : std::uint8_t {
 /// Rate-schedule configuration (DistTrainConfig::rate).
 struct RateScheduleConfig {
     RateSchedule kind = RateSchedule::kFixed;
-    /// Lowest fidelity any schedule may emit.
+    /// Fidelity the warmup ramp ends on; must lie in (0, 1].
     double floor = 0.25;
     /// kWarmup: epochs to ramp from 1 down to `floor`.
     std::uint32_t warmup_epochs = 8;
-    /// kAdaptive: the per-epoch relative loss improvement the controller
-    /// must sustain. Improving faster than this reads as "the learning
-    /// signal survives the current rate — compress harder"; improving
-    /// slower (or regressing) spends fidelity back. The equilibrium is
-    /// therefore the most aggressive rate that keeps the loss falling at
-    /// ~this pace, which is what makes an adaptive run land at the
-    /// fixed-rate final loss instead of parking on the floor.
-    double improve_threshold = 0.005;
-    /// kAdaptive: error-feedback residual-to-payload ratio past which the
-    /// controller backs off even if the loss still improves.
-    double drift_threshold = 0.75;
-    /// kAdaptive: epochs each emitted fidelity is held before the
-    /// controller re-decides, with the improvement averaged over the held
-    /// window. Every fidelity change regroups the semantic stage, so a
-    /// twitchy controller would churn the reconstruction the model trains
-    /// against faster than the optimiser can track it — dwelling keeps
-    /// the wire format stable between decisions and integrates the noisy
-    /// per-epoch loss signal into a trustworthy one. 1 = decide every
-    /// epoch.
-    std::uint32_t hold_epochs = 4;
 
     [[nodiscard]] bool scheduled() const noexcept {
         return kind != RateSchedule::kFixed;
     }
 };
 
-/// Emits one fidelity per epoch. The adaptive schedule walks a
-/// multiplicative ladder: a healthy decision multiplies the fidelity by
-/// kStep (= 3/4), a regressing or drifting one divides by it, always
-/// clamped to [floor, 1] — and each decision is held for
-/// `hold_epochs` epochs, judged on the mean per-epoch improvement across
-/// the held window. Epoch 0 has no signals and always returns the
-/// schedule's starting fidelity (1 for fixed/adaptive, warmup's e = 0
-/// point for warmup).
-class RateController {
-public:
-    /// The adaptive ladder's multiplicative step.
-    static constexpr double kStep = 0.75;
+/// Throws scgnn::Error unless `floor` lies in (0, 1] and a warmup
+/// schedule ramps over at least one epoch.
+void validate(const RateScheduleConfig& cfg);
 
-    explicit RateController(RateScheduleConfig cfg);
-
-    /// Fidelity for epoch `epoch`, fed with the loss of the last
-    /// completed epoch (ignored for epoch 0 and by non-adaptive
-    /// schedules) and the error-feedback drift ‖residual‖/‖payload‖ of
-    /// the previous epoch (0 when no EF wrapper is in the stack). The
-    /// controller anchors the loss at each decision and compares against
-    /// it at the next, so callers just feed the epoch stream in order.
-    [[nodiscard]] double next(std::uint32_t epoch, double loss,
-                              double drift);
-
-    /// The last fidelity emitted by next().
-    [[nodiscard]] double rate() const noexcept { return rate_; }
-
-    [[nodiscard]] const RateScheduleConfig& config() const noexcept {
-        return cfg_;
-    }
-
-private:
-    RateScheduleConfig cfg_;
-    double rate_ = 1.0;
-    // Adaptive dwell state: the loss anchored at the last decision, the
-    // epoch it was taken at, and whether one has been taken yet.
-    double anchor_loss_ = 0.0;
-    std::uint32_t anchor_epoch_ = 0;
-    bool has_anchor_ = false;
-};
+/// Fidelity of epoch `epoch`: 1 for kFixed, the warmup ramp for kWarmup.
+[[nodiscard]] double fidelity(const RateScheduleConfig& cfg,
+                              std::uint32_t epoch) noexcept;
 
 } // namespace scgnn::dist

@@ -61,7 +61,7 @@ public:
     /// Consume argv[i] (and its value) when it is one of the shared
     /// scenario flags — the set every bench and scgnn_cli accept
     /// (--threads/--log-level/--obs-out/--overlap/--topology/
-    /// --collective/--compressor-schedule/--schedule-*/--warmup-epochs/
+    /// --collective/--compressor-schedule/--schedule-floor/--warmup-epochs/
     /// --membership/--fault-*/--retry-max/--timeout) plus the workload
     /// flags (--mode/--batch-size/--fanout/--qps/--deadline-ms/--queries/
     /// --serve-batch/--no-serve-cache). Returns false for flags the

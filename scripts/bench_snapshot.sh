@@ -13,8 +13,9 @@
 #                                any host.
 #   BENCH_adaptive_rate.json   — the compression-schedule Pareto sweep
 #                                (bench_adaptive_rate): ef stacks under
-#                                fixed/warmup/adaptive schedules, with the
-#                                bytes-to-target-loss gate. final_loss,
+#                                fixed/warmup schedules, with the Pareto
+#                                gate. real_time is the measured wall
+#                                time of one training run; final_loss,
 #                                total_mb and mean_rate are modelled and
 #                                deterministic, so they diff exactly too.
 #   BENCH_elastic.json         — the elastic-membership sweep
@@ -39,8 +40,9 @@
 # regenerates only their snapshots.
 #
 # CI's bench-smoke job re-runs the same benches and diffs against these
-# files with scripts/check_bench_regression.py (warn-only — absolute times
-# shift with hardware; the committed numbers document one pinned host).
+# files with scripts/check_bench_regression.py --strict: absolute times are
+# warn-only (they shift with hardware; the committed numbers document one
+# pinned host), while a drifted modelled field or a missing row fails.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -91,7 +93,7 @@ fi
 
 if want bench_adaptive_rate; then
     echo
-    echo "== adaptive-rate schedule sweep (ef stacks x fixed/warmup/adaptive) =="
+    echo "== rate-schedule sweep (ef stacks x fixed/warmup) =="
     "$build_dir/bench/bench_adaptive_rate" \
         --json "$repo_root/BENCH_adaptive_rate.json"
 fi

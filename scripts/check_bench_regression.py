@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Diff a fresh bench_kernels JSON against the committed baseline.
+"""Diff a fresh bench JSON against its committed BENCH_*.json baseline.
 
 Usage:
     check_bench_regression.py BASELINE.json FRESH.json [--threshold 1.30]
+                              [--strict]
 
-Two checks, both derived from the google-benchmark JSON:
+Works on any google-benchmark-shaped JSON: bench_kernels' own output and
+the JSON that bench_collectives, bench_adaptive_rate, bench_elastic and
+bench_serving write with --json. Three checks:
 
   * per-benchmark regression: a benchmark whose real_time grew by more
     than --threshold x its baseline is flagged. Always warn-only —
@@ -12,11 +15,14 @@ Two checks, both derived from the google-benchmark JSON:
     never fails on a timing ratio.
   * modelled-field drift: benchmarks that carry deterministic modelled
     fields (final_loss / total_mb / mean_rate / migrated_mb /
-    peak_comm_ms / active_min — e.g. BENCH_adaptive_rate or
-    BENCH_elastic entries) are pipeline outputs, not wall times — they
-    must diff exactly on any host. A mismatch is printed as DRIFT and is
-    the one thing --strict turns into a failure: drifted numerics mean
-    the model moved, not the clock.
+    peak_comm_ms / active_min / latency quantiles / hit_rate /
+    halo_mb) are pipeline outputs, not wall times — they must diff
+    exactly on any host. A mismatch is printed as DRIFT.
+  * missing rows: a baseline benchmark absent from the fresh run is
+    printed as MISSING, so a bench that silently drops a row cannot pass.
+
+--strict turns DRIFT and MISSING into a failure (exit 1): drifted
+numerics mean the model moved, not the clock.
 """
 
 import argparse
@@ -53,8 +59,9 @@ def main():
     ap.add_argument("--threshold", type=float, default=1.30,
                     help="flag fresh/baseline time ratios above this")
     ap.add_argument("--strict", action="store_true",
-                    help="exit 1 on deterministic-field DRIFT (timing "
-                         "ratios stay warn-only even here)")
+                    help="exit 1 on deterministic-field DRIFT or a MISSING "
+                         "baseline row (timing ratios stay warn-only even "
+                         "here)")
     args = ap.parse_args()
 
     base, base_extras = load_times(args.baseline)
@@ -71,6 +78,11 @@ def main():
               f"({ratio:.2f}x)")
         if ratio > args.threshold:
             regressions.append((name, ratio))
+
+    # Every baseline row must still be produced.
+    missing = sorted(set(base) - set(fresh))
+    for name in missing:
+        print(f"  MISSING  {name}: in the baseline, not in the fresh run")
 
     # Deterministic modelled fields must match the baseline exactly.
     drift = []
@@ -89,7 +101,10 @@ def main():
         print(f"\n{len(drift)} deterministic modelled field(s) drifted "
               "from the baseline"
               + ("" if args.strict else " (warn-only)"))
-    if args.strict and drift:
+    if missing:
+        print(f"\n{len(missing)} baseline benchmark(s) missing from the "
+              "fresh run" + ("" if args.strict else " (warn-only)"))
+    if args.strict and (drift or missing):
         return 1
     return 0
 

@@ -162,7 +162,7 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
         if (!dist::parse_schedule(s, train.rate.kind)) {
             std::fprintf(stderr,
                          "unknown --compressor-schedule '%s' "
-                         "(expected fixed|warmup|adaptive)\n", s);
+                         "(expected fixed|warmup)\n", s);
             std::exit(2);
         }
     } else if (std::strcmp(argv[i], "--schedule-floor") == 0) {
@@ -172,24 +172,13 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
                          train.rate.floor);
             std::exit(2);
         }
-    } else if (std::strcmp(argv[i], "--schedule-drift") == 0) {
-        train.rate.drift_threshold = std::atof(value("--schedule-drift"));
-    } else if (std::strcmp(argv[i], "--schedule-improve") == 0) {
-        train.rate.improve_threshold = std::atof(value("--schedule-improve"));
-    } else if (std::strcmp(argv[i], "--schedule-hold") == 0) {
-        train.rate.hold_epochs =
-            static_cast<std::uint32_t>(std::atoi(value("--schedule-hold")));
-        if (train.rate.hold_epochs < 1) {
-            std::fprintf(stderr, "bad --schedule-hold (expected >= 1)\n");
-            std::exit(2);
-        }
     } else if (std::strcmp(argv[i], "--warmup-epochs") == 0) {
-        train.rate.warmup_epochs =
-            static_cast<std::uint32_t>(std::atoi(value("--warmup-epochs")));
-        if (train.rate.warmup_epochs < 1) {
+        const int v = std::atoi(value("--warmup-epochs"));
+        if (v < 1) {
             std::fprintf(stderr, "bad --warmup-epochs (expected >= 1)\n");
             std::exit(2);
         }
+        train.rate.warmup_epochs = static_cast<std::uint32_t>(v);
     } else if (std::strcmp(argv[i], "--membership") == 0) {
         const char* s = value("--membership");
         if (!runtime::parse_membership(s, train.membership)) {
@@ -255,9 +244,7 @@ Scenario Scenario::build(ScenarioConfig cfg) {
     SCGNN_CHECK(cfg.pipeline.train.lr_decay > 0.0f &&
                     cfg.pipeline.train.lr_decay <= 1.0f,
                 "lr_decay must be in (0, 1]");
-    SCGNN_CHECK(cfg.pipeline.train.rate.floor > 0.0 &&
-                    cfg.pipeline.train.rate.floor <= 1.0,
-                "schedule floor must be in (0, 1]");
+    dist::validate(cfg.pipeline.train.rate);
     if (cfg.mode == ScenarioMode::kSampleTrain) {
         SCGNN_CHECK(!cfg.pipeline.train.membership.active(),
                     "membership schedules are not supported in "

@@ -9,7 +9,6 @@
 
 #include "scgnn/common/log.hpp"
 #include "scgnn/common/timer.hpp"
-#include "scgnn/dist/error_feedback.hpp"
 #include "scgnn/gnn/checkpoint.hpp"
 #include "scgnn/obs/ledger.hpp"
 #include "scgnn/obs/metrics.hpp"
@@ -46,6 +45,7 @@ EpochEnv::EpochEnv(const graph::Dataset& dataset,
                 "lr_decay must be in (0, 1]");
     SCGNN_CHECK(cfg.patience == 0 || !data.val_mask.empty(),
                 "early stopping needs a validation split");
+    validate(cfg.rate);
     fabric.set_fault_model(cfg.comm.fault);
     fabric.set_retry_policy(cfg.comm.retry);
     for (const tensor::Matrix* p : model.parameters())
@@ -119,12 +119,8 @@ DistTrainResult run_epochs(EpochEnv& env, EpochStep& step) {
 
     // Rate scheduling: only a non-fixed schedule ever touches the
     // compressor (or the ledger), so the fixed default remains bitwise
-    // identical to the pre-scheduling golden pins. The drift signal is
-    // read off the error-feedback wrapper when one heads the stack.
-    RateController rate_ctl(cfg.rate);
+    // identical to the pre-scheduling golden pins.
     const bool scheduled = cfg.rate.scheduled();
-    auto* ef = scheduled ? dynamic_cast<ErrorFeedbackCompressor*>(&compressor)
-                         : nullptr;
 
     DistTrainResult result;
     if (cfg.record_epochs) result.epoch_metrics.reserve(cfg.epochs);
@@ -133,23 +129,15 @@ DistTrainResult run_epochs(EpochEnv& env, EpochStep& step) {
     std::uint32_t stale = 0;
     for (std::uint32_t e = 0; e < cfg.epochs; ++e) {
         SCGNN_TRACE_SPAN("dist.epoch");
-        double epoch_rate = 1.0;
+        const double epoch_rate = fidelity(cfg.rate, e);
         if (scheduled) {
-            // Signals describe the *completed* epochs: the loss of e−1
-            // and the residual drift accumulated during e−1 (read before
-            // begin_epoch resets the accumulators). The controller keeps
-            // its own loss anchor across its dwell window.
-            const double drift =
-                (e > 0 && ef != nullptr) ? ef->epoch_relative_residual() : 0.0;
-            epoch_rate = rate_ctl.next(e, result.final_loss, drift);
             compressor.apply_rate(epoch_rate);
             if (obs::enabled())
                 obs::registry().gauge("compress.rate").set(epoch_rate);
             if (log_level() == LogLevel::kDebug) {
-                char buf[96];
-                std::snprintf(buf, sizeof buf,
-                              "rate[%u] fidelity=%.4f drift=%.4f", e,
-                              epoch_rate, drift);
+                char buf[64];
+                std::snprintf(buf, sizeof buf, "rate[%u] fidelity=%.4f", e,
+                              epoch_rate);
                 log_debug(buf);
             }
         }

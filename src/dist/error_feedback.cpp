@@ -35,8 +35,6 @@ void ErrorFeedbackCompressor::setup(const DistContext& ctx) {
         plan_dst_.push_back(plan.dst_part);
     }
     epoch_sq_residual_ = 0.0;
-    epoch_sq_raw_residual_ = 0.0;
-    epoch_sq_payload_ = 0.0;
     recovered_rows_ = 0;
     recovered_bytes_ = 0;
     inner_->setup(ctx);
@@ -54,8 +52,6 @@ void ErrorFeedbackCompressor::begin_epoch(std::uint64_t epoch) {
                     s.has_next = false;
                 }
     epoch_sq_residual_ = 0.0;
-    epoch_sq_raw_residual_ = 0.0;
-    epoch_sq_payload_ = 0.0;
     inner_->begin_epoch(epoch);
 }
 
@@ -138,7 +134,6 @@ std::uint64_t ErrorFeedbackCompressor::exchange(
     const double theta2 = theta > 0.0 ? theta * theta : -1.0;
     row_sq_residual_.resize(rows);
     flush_candidates_.clear();
-    double sum_sq_raw = 0.0, sum_sq_p = 0.0;
     for (std::size_t i = 0; i < rows; ++i) {
         const auto pr = payload.row(i);
         const auto orow = out.row(i);
@@ -151,8 +146,6 @@ std::uint64_t ErrorFeedbackCompressor::exchange(
             sq_p += static_cast<double>(pr[c]) * pr[c];
         }
         row_sq_residual_[i] = sq_r;
-        sum_sq_raw += sq_r;
-        sum_sq_p += sq_p;
         if (theta2 >= 0.0 && sq_r > theta2 * sq_p) {
             const double ratio = sq_p > 0.0
                                      ? sq_r / sq_p
@@ -189,8 +182,6 @@ std::uint64_t ErrorFeedbackCompressor::exchange(
     for (std::size_t i = 0; i < rows; ++i) sum_sq_r += row_sq_residual_[i];
     s.has_next = true;
     epoch_sq_residual_ += sum_sq_r;
-    epoch_sq_raw_residual_ += sum_sq_raw;
-    epoch_sq_payload_ += sum_sq_p;
     if (flushed > 0) {
         const std::uint64_t extra = flushed * f * sizeof(float);
         bytes += extra;
@@ -249,7 +240,6 @@ std::uint64_t ErrorFeedbackCompressor::exchange_subset(
     const double theta2 = theta > 0.0 ? theta * theta : -1.0;
     row_sq_residual_.resize(n);
     flush_candidates_.clear();
-    double sum_sq_raw = 0.0, sum_sq_p = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         const auto pr = payload.row(i);
         const auto orow = out.row(i);
@@ -262,8 +252,6 @@ std::uint64_t ErrorFeedbackCompressor::exchange_subset(
             sq_p += static_cast<double>(pr[c]) * pr[c];
         }
         row_sq_residual_[i] = sq_r;
-        sum_sq_raw += sq_r;
-        sum_sq_p += sq_p;
         if (theta2 >= 0.0 && sq_r > theta2 * sq_p) {
             const double ratio = sq_p > 0.0
                                      ? sq_r / sq_p
@@ -298,8 +286,6 @@ std::uint64_t ErrorFeedbackCompressor::exchange_subset(
     for (std::size_t i = 0; i < n; ++i) sum_sq_r += row_sq_residual_[i];
     s.has_next = true;
     epoch_sq_residual_ += sum_sq_r;
-    epoch_sq_raw_residual_ += sum_sq_raw;
-    epoch_sq_payload_ += sum_sq_p;
     if (flushed > 0) {
         const std::uint64_t extra = flushed * f * sizeof(float);
         bytes += extra;
@@ -349,11 +335,6 @@ std::uint64_t ErrorFeedbackCompressor::backward_subset(
 
 double ErrorFeedbackCompressor::epoch_residual_norm() const {
     return std::sqrt(epoch_sq_residual_);
-}
-
-double ErrorFeedbackCompressor::epoch_relative_residual() const {
-    if (epoch_sq_payload_ <= 0.0) return 0.0;
-    return std::sqrt(epoch_sq_raw_residual_ / epoch_sq_payload_);
 }
 
 const Matrix* ErrorFeedbackCompressor::pending_residual(

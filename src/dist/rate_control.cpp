@@ -1,7 +1,6 @@
 #include "scgnn/dist/rate_control.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "scgnn/common/error.hpp"
 
@@ -11,7 +10,6 @@ const char* schedule_name(RateSchedule s) noexcept {
     switch (s) {
         case RateSchedule::kFixed: return "fixed";
         case RateSchedule::kWarmup: return "warmup";
-        case RateSchedule::kAdaptive: return "adaptive";
     }
     return "?";
 }
@@ -25,72 +23,23 @@ bool parse_schedule(const std::string& key, RateSchedule& out) noexcept {
         out = RateSchedule::kWarmup;
         return true;
     }
-    if (key == "adaptive") {
-        out = RateSchedule::kAdaptive;
-        return true;
-    }
     return false;
 }
 
-RateController::RateController(RateScheduleConfig cfg) : cfg_(cfg) {
-    SCGNN_CHECK(cfg_.floor > 0.0 && cfg_.floor <= 1.0,
+void validate(const RateScheduleConfig& cfg) {
+    SCGNN_CHECK(cfg.floor > 0.0 && cfg.floor <= 1.0,
                 "rate floor must be in (0, 1]");
-    SCGNN_CHECK(cfg_.kind != RateSchedule::kWarmup || cfg_.warmup_epochs >= 1,
+    SCGNN_CHECK(cfg.kind != RateSchedule::kWarmup || cfg.warmup_epochs >= 1,
                 "warmup schedule needs at least one warmup epoch");
-    SCGNN_CHECK(cfg_.kind != RateSchedule::kAdaptive || cfg_.hold_epochs >= 1,
-                "adaptive schedule needs a dwell of at least one epoch");
 }
 
-double RateController::next(std::uint32_t epoch, double loss, double drift) {
-    switch (cfg_.kind) {
-        case RateSchedule::kFixed:
-            rate_ = 1.0;
-            break;
-        case RateSchedule::kWarmup: {
-            // fidelity(e) = 1 − (1 − floor) · min(e, W) / W — exactly the
-            // documented ramp, pinned by test_rate_control.
-            const double w = static_cast<double>(cfg_.warmup_epochs);
-            const double t =
-                std::min(static_cast<double>(epoch), w) / w;
-            rate_ = 1.0 - (1.0 - cfg_.floor) * t;
-            break;
-        }
-        case RateSchedule::kAdaptive: {
-            if (epoch == 0) {
-                rate_ = 1.0;
-                break;
-            }
-            if (!has_anchor_) {
-                // First completed epoch: anchor its loss, decide later.
-                anchor_loss_ = loss;
-                anchor_epoch_ = epoch;
-                has_anchor_ = true;
-                break;
-            }
-            const std::uint32_t window = epoch - anchor_epoch_;
-            if (window < cfg_.hold_epochs) break;  // dwell: hold the rate
-            // Mean per-epoch relative improvement across the held window.
-            // A non-finite loss counts as a regression, so a diverging run
-            // drives the fidelity back up instead of feeding NaNs through
-            // the ladder.
-            const double denom = std::max(std::abs(anchor_loss_), 1e-12);
-            const double improve =
-                (std::isfinite(loss) && std::isfinite(anchor_loss_))
-                    ? (anchor_loss_ - loss) /
-                          (denom * static_cast<double>(window))
-                    : -1.0;
-            if (drift > cfg_.drift_threshold ||
-                improve < cfg_.improve_threshold)
-                rate_ /= kStep;  // spend fidelity: descent stalled or drifting
-            else
-                rate_ *= kStep;  // descent sustained: compress harder
-            rate_ = std::clamp(rate_, cfg_.floor, 1.0);
-            anchor_loss_ = loss;
-            anchor_epoch_ = epoch;
-            break;
-        }
-    }
-    return rate_;
+double fidelity(const RateScheduleConfig& cfg, std::uint32_t epoch) noexcept {
+    if (cfg.kind == RateSchedule::kFixed) return 1.0;
+    // fidelity(e) = 1 − (1 − floor) · min(e, W) / W — exactly the
+    // documented ramp, pinned by test_rate_control.
+    const double w = static_cast<double>(cfg.warmup_epochs);
+    const double t = std::min(static_cast<double>(epoch), w) / w;
+    return 1.0 - (1.0 - cfg.floor) * t;
 }
 
 } // namespace scgnn::dist

@@ -23,13 +23,15 @@ const Case kCases[] = {
     {"topology-mismatch", "--topology lattice"},
     {"collective", "--collective butterfly"},
     {"compressor-schedule", "--compressor-schedule sometimes"},
+    {"compressor-schedule-adaptive", "--compressor-schedule adaptive"},
     {"membership-syntax", "--membership leave:5"},
     {"membership-trailing", "--membership leave:5@d3,"},
     {"membership-kind", "--membership evict:5@d3"},
     {"log-level", "--log-level loud"},
     {"schedule-floor", "--schedule-floor 1.5"},
-    {"schedule-hold", "--schedule-hold 0"},
+    {"schedule-hold", "--schedule-hold 4"},
     {"warmup-epochs", "--warmup-epochs 0"},
+    {"warmup-epochs-negative", "--warmup-epochs -3"},
     {"unknown-flag", "--frobnicate"},
     {"missing-value", "--membership"},
     // The Scenario workload flags (runtime/scenario.hpp).

@@ -281,7 +281,6 @@ TEST_P(FuzzSeed, ErrorFeedbackResyncBudgetNeverExceeded) {
             EXPECT_TRUE(std::isfinite(tensor::frobenius_norm(out)));
         }
         EXPECT_TRUE(std::isfinite(ef->epoch_residual_norm()));
-        EXPECT_TRUE(std::isfinite(ef->epoch_relative_residual()));
     }
 }
 

@@ -1,13 +1,11 @@
-// RateController policy pins (dist/rate_control.hpp): the exact warmup
-// ramp, the adaptive tighten/relax/drift-backoff ladder with its dwell
-// window and clamps, and the trainer-side wiring — EpochMetrics::rate,
-// the compress.rate ledger gauge, and bitwise-identical rate sequences at
-// any pool width.
+// Rate-schedule pins (dist/rate_control.hpp): the exact warmup ramp, the
+// config checks, and the trainer-side wiring — EpochMetrics::rate, the
+// compress.rate ledger gauge, and bitwise-identical rate sequences at any
+// pool width.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/core/framework.hpp"
@@ -18,146 +16,47 @@
 namespace scgnn::dist {
 namespace {
 
-/// Adaptive schedule deciding every epoch — the dwell-free base policy
-/// most ladder tests pin; the dwell itself gets its own test.
-RateScheduleConfig adaptive_cfg() {
-    RateScheduleConfig cfg;
-    cfg.kind = RateSchedule::kAdaptive;
-    cfg.hold_epochs = 1;
-    return cfg;
+TEST(RateFidelity, FixedAlwaysFullFidelity) {
+    for (std::uint32_t e = 0; e < 5; ++e) EXPECT_EQ(fidelity({}, e), 1.0);
 }
 
-TEST(RateController, FixedAlwaysFullFidelity) {
-    RateController ctl({});
-    for (std::uint32_t e = 0; e < 5; ++e)
-        // Even wildly regressing signals must not move a fixed schedule.
-        EXPECT_EQ(ctl.next(e, 9.0, 100.0), 1.0);
-}
-
-TEST(RateController, WarmupRampExactSequence) {
+TEST(RateFidelity, WarmupRampExactSequence) {
     RateScheduleConfig cfg;
     cfg.kind = RateSchedule::kWarmup;
     cfg.floor = 0.25;
     cfg.warmup_epochs = 8;
-    RateController ctl(cfg);
-    // fidelity(e) = 1 − (1 − floor) · min(e, W) / W, exactly.
+    // fidelity(e) = 1 − (1 − floor) · min(e, W) / W, exactly, parked on
+    // the floor after the ramp.
     for (std::uint32_t e = 0; e < 12; ++e) {
         const double t = std::min<double>(e, 8.0) / 8.0;
-        EXPECT_EQ(ctl.next(e, 1.0, 0.0), 1.0 - 0.75 * t) << "epoch " << e;
+        EXPECT_EQ(fidelity(cfg, e), 1.0 - 0.75 * t) << "epoch " << e;
     }
-    EXPECT_EQ(ctl.rate(), 0.25);  // parked on the floor after the ramp
+    EXPECT_EQ(fidelity(cfg, 1000), 0.25);
 }
 
-TEST(RateController, AdaptiveEpochZeroIsFullFidelity) {
-    RateController ctl(adaptive_cfg());
-    EXPECT_EQ(ctl.next(0, 0.0, 0.0), 1.0);
-}
-
-TEST(RateController, AdaptiveTightensWhileImproving) {
-    RateController ctl(adaptive_cfg());
-    (void)ctl.next(0, 0.0, 0.0);
-    // Epoch 1 carries the first completed loss: it only anchors — no
-    // improvement is measurable from a single point.
-    EXPECT_EQ(ctl.next(1, 1.0, 0.0), 1.0);
-    // 10% per-epoch improvement, no drift: one kStep down per decision.
-    EXPECT_EQ(ctl.next(2, 0.9, 0.0), RateController::kStep);
-    EXPECT_EQ(ctl.next(3, 0.81, 0.0),
-              RateController::kStep * RateController::kStep);
-}
-
-TEST(RateController, AdaptiveRelaxesOnStall) {
-    RateController ctl(adaptive_cfg());
-    (void)ctl.next(0, 0.0, 0.0);
-    (void)ctl.next(1, 1.0, 0.0);
-    (void)ctl.next(2, 0.9, 0.0);  // tighten to 0.75 first
-    // Improvement below the threshold (and an outright regression) both
-    // spend fidelity back; the ladder divides by kStep and clamps at 1.
-    EXPECT_EQ(ctl.next(3, 0.8999, 0.0), 1.0);
-    EXPECT_EQ(ctl.next(4, 0.95, 0.0), 1.0);
-}
-
-TEST(RateController, AdaptiveBacksOffOnDrift) {
-    RateScheduleConfig cfg = adaptive_cfg();
-    cfg.drift_threshold = 0.5;
-    RateController ctl(cfg);
-    (void)ctl.next(0, 0.0, 0.0);
-    (void)ctl.next(1, 1.0, 0.0);
-    (void)ctl.next(2, 0.9, 0.0);
-    ASSERT_EQ(ctl.rate(), RateController::kStep);
-    // The loss still improves fast, but the EF residual drifted past the
-    // threshold: the controller must spend fidelity anyway.
-    EXPECT_EQ(ctl.next(3, 0.8, 0.6), 1.0);
-}
-
-TEST(RateController, AdaptiveDwellHoldsBetweenDecisions) {
-    RateScheduleConfig cfg;
-    cfg.kind = RateSchedule::kAdaptive;
-    cfg.hold_epochs = 3;
-    RateController ctl(cfg);
-    (void)ctl.next(0, 0.0, 0.0);
-    EXPECT_EQ(ctl.next(1, 1.0, 0.0), 1.0);  // anchor
-    // Two dwell epochs: the rate must not move whatever the loss does.
-    EXPECT_EQ(ctl.next(2, 0.5, 0.0), 1.0);
-    EXPECT_EQ(ctl.next(3, 0.25, 0.0), 1.0);
-    // Decision epoch: mean improvement over the 3-epoch window is
-    // (1.0 − 0.7)/3 = 10%/epoch — healthy, tighten one step.
-    EXPECT_EQ(ctl.next(4, 0.7, 0.0), RateController::kStep);
-    // And the dwell restarts from the decision epoch.
-    EXPECT_EQ(ctl.next(5, 0.1, 0.0), RateController::kStep);
-    EXPECT_EQ(ctl.next(6, 0.1, 0.0), RateController::kStep);
-}
-
-TEST(RateController, AdaptiveClampsToFloorAndCeiling) {
-    RateScheduleConfig cfg = adaptive_cfg();
-    cfg.floor = 0.4;
-    RateController ctl(cfg);
-    double loss = 2.0;
-    for (std::uint32_t e = 0; e < 20; ++e) {
-        const double r = ctl.next(e, loss, 0.0);
-        EXPECT_GE(r, 0.4);
-        loss *= 0.9;
-    }
-    EXPECT_EQ(ctl.rate(), 0.4);  // tightening saturates at the floor
-    for (std::uint32_t e = 20; e < 40; ++e)
-        (void)ctl.next(e, 1.0, 0.0);  // stalled: relax every decision
-    EXPECT_EQ(ctl.rate(), 1.0);  // relaxing saturates at full fidelity
-}
-
-TEST(RateController, NonFiniteLossReadsAsRegression) {
-    RateController ctl(adaptive_cfg());
-    (void)ctl.next(0, 0.0, 0.0);
-    (void)ctl.next(1, 1.0, 0.0);
-    (void)ctl.next(2, 0.9, 0.0);
-    ASSERT_LT(ctl.rate(), 1.0);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_EQ(ctl.next(3, nan, 0.0), 1.0);  // diverging run → fidelity up
-}
-
-TEST(RateController, RejectsBadConfig) {
+TEST(RateFidelity, RejectsBadConfig) {
     RateScheduleConfig bad;
     bad.floor = 0.0;
-    EXPECT_THROW(RateController{bad}, Error);
+    EXPECT_THROW(validate(bad), Error);
     bad.floor = 1.5;
-    EXPECT_THROW(RateController{bad}, Error);
+    EXPECT_THROW(validate(bad), Error);
     RateScheduleConfig warm;
     warm.kind = RateSchedule::kWarmup;
     warm.warmup_epochs = 0;
-    EXPECT_THROW(RateController{warm}, Error);
-    RateScheduleConfig twitchy;
-    twitchy.kind = RateSchedule::kAdaptive;
-    twitchy.hold_epochs = 0;
-    EXPECT_THROW(RateController{twitchy}, Error);
+    EXPECT_THROW(validate(warm), Error);
+    warm.warmup_epochs = 1;
+    EXPECT_NO_THROW(validate(warm));
 }
 
-TEST(RateController, ScheduleNamesRoundTrip) {
-    for (const RateSchedule s : {RateSchedule::kFixed, RateSchedule::kWarmup,
-                                 RateSchedule::kAdaptive}) {
+TEST(RateFidelity, ScheduleNamesRoundTrip) {
+    for (const RateSchedule s : {RateSchedule::kFixed, RateSchedule::kWarmup}) {
         RateSchedule back{};
         ASSERT_TRUE(parse_schedule(schedule_name(s), back));
         EXPECT_EQ(back, s);
     }
     RateSchedule out{};
     EXPECT_FALSE(parse_schedule("linear", out));
+    EXPECT_FALSE(parse_schedule("adaptive", out));
 }
 
 // ------------------------------------------------ trainer-side wiring
@@ -169,8 +68,8 @@ core::PipelineConfig scheduled_cfg(const graph::Dataset& d) {
     cfg.model.hidden_dim = 32;
     cfg.model.out_dim = d.num_classes;
     cfg.train.epochs = 8;
-    cfg.train.rate.kind = RateSchedule::kAdaptive;
-    cfg.train.rate.hold_epochs = 2;
+    cfg.train.rate.kind = RateSchedule::kWarmup;
+    cfg.train.rate.warmup_epochs = 4;
     cfg.method.name = "ef+ours";
     cfg.method.semantic.grouping.kmeans_k = 12;
     return cfg;
@@ -179,13 +78,13 @@ core::PipelineConfig scheduled_cfg(const graph::Dataset& d) {
 TEST(RateScheduleTrainer, EpochMetricsCarryTheEmittedRates) {
     const graph::Dataset d =
         graph::make_dataset(graph::DatasetPreset::kPubMedSim, 0.15, 7);
-    const core::PipelineResult r = core::run_pipeline(d, scheduled_cfg(d));
+    const core::PipelineConfig cfg = scheduled_cfg(d);
+    const core::PipelineResult r = core::run_pipeline(d, cfg);
     ASSERT_EQ(r.train.epoch_metrics.size(), 8u);
-    EXPECT_EQ(r.train.epoch_metrics[0].rate, 1.0);  // epoch 0 has no signals
-    for (const auto& m : r.train.epoch_metrics) {
-        EXPECT_GT(m.rate, 0.0);
-        EXPECT_LE(m.rate, 1.0);
-    }
+    for (std::uint32_t e = 0; e < 8; ++e)
+        EXPECT_EQ(r.train.epoch_metrics[e].rate, fidelity(cfg.train.rate, e))
+            << "epoch " << e;
+    EXPECT_EQ(r.train.epoch_metrics.back().rate, cfg.train.rate.floor);
 }
 
 TEST(RateScheduleTrainer, FixedScheduleKeepsRateAtOne) {
@@ -198,9 +97,9 @@ TEST(RateScheduleTrainer, FixedScheduleKeepsRateAtOne) {
 }
 
 TEST(RateScheduleTrainer, RateSequenceIsThreadCountInvariant) {
-    // The controller feeds on losses and the EF drift signal, both bitwise
-    // deterministic at any pool width — so the emitted fidelity sequence
-    // (and the traffic downstream of it) must be too.
+    // The schedule is a pure function of the epoch, and the coarsened
+    // grouping and budgeted resync it drives are bitwise deterministic at
+    // any pool width — so the losses downstream of it must be too.
     const graph::Dataset d =
         graph::make_dataset(graph::DatasetPreset::kPubMedSim, 0.15, 7);
     const core::PipelineConfig cfg = scheduled_cfg(d);
