@@ -181,6 +181,23 @@ void BM_GemmABtInto(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmABtInto)->ArgName("n")->Arg(512);
 
+void BM_GemmAtBInto(benchmark::State& state) {
+    // The weight gradient at the dense full-graph hotspot shape:
+    // (18000×64)ᵀ·(18000×8), a long reduction into a small output.
+    Rng rng(5);
+    const auto k = static_cast<std::size_t>(state.range(0));
+    const tensor::Matrix a = tensor::Matrix::randn(k, 64, rng);
+    const tensor::Matrix b = tensor::Matrix::randn(k, 8, rng);
+    tensor::Matrix c;
+    for (auto _ : state) {
+        tensor::matmul_at_b_into(a, b, c);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * k * 64 * 8);
+}
+BENCHMARK(BM_GemmAtBInto)->ArgName("k")->Arg(18000);
+
 void BM_SpmmInto(benchmark::State& state) {
     const auto& d = bench_dataset();
     const auto adj =
@@ -211,20 +228,6 @@ void BM_Axpy(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Axpy)->ArgName("n")->Arg(4096);
-
-void BM_Dot(benchmark::State& state) {
-    Rng rng(5);
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const tensor::Matrix a = tensor::Matrix::randn(1, n, rng);
-    const tensor::Matrix b = tensor::Matrix::randn(1, n, rng);
-    float acc = 0.0f;
-    for (auto _ : state) {
-        acc += tensor::kern::dot(a.data(), b.data(), n);
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_Dot)->ArgName("n")->Arg(4096);
 
 } // namespace
 

@@ -163,9 +163,9 @@ private:
     // slot, so the vectors are sized once and the matrices keep their
     // capacity across epochs (allocation-free steady state).
     std::vector<tensor::Matrix> stacked_;       ///< fwd [local ; halo] stacks
-    std::vector<tensor::Matrix> spmm_out_;      ///< fwd per-partition Â·stack
     std::vector<tensor::Matrix> gp_;            ///< bwd gathered local grads
     std::vector<tensor::Matrix> stacked_grad_;  ///< bwd Âᵀ·gp results
+    std::vector<tensor::SparseMatrix> adj_t_;   ///< local_adj(p) transposed
     std::vector<double> part_s_;                ///< timeline compute seconds
     FaultSummary fault_;
 };

@@ -99,6 +99,14 @@ private:
 /// spmm() into a reused destination (must not alias `x`).
 void spmm_into(const SparseMatrix& s, const Matrix& x, Matrix& y);
 
+/// Row r of S · x into y.row(dst[r]) for every r, leaving y's other rows
+/// as they are — a partition's aggregate written straight into the
+/// global output. `y` must already have x.cols() columns, and `dst`
+/// holds s.rows() distinct rows of `y` (must not alias `x`). Each row is
+/// bitwise equal to the same row of spmm().
+void spmm_rows_into(const SparseMatrix& s, const Matrix& x,
+                    std::span<const std::uint32_t> dst, Matrix& y);
+
 /// y = Sᵀ · x without materialising the transpose: (cols×f) output.
 /// Used by the backward pass of the aggregation.
 [[nodiscard]] Matrix spmm_transposed(const SparseMatrix& s, const Matrix& x);

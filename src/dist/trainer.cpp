@@ -55,9 +55,16 @@ DistAggregator::DistAggregator(const DistContext& ctx, comm::Fabric& fabric,
     // partition, so sizing here keeps the regions allocation-free after
     // the first epoch warms each matrix's capacity.
     stacked_.resize(ctx.num_parts());
-    spmm_out_.resize(ctx.num_parts());
     gp_.resize(ctx.num_parts());
     stacked_grad_.resize(ctx.num_parts());
+    // The backward aggregate gathers over each local adjacency's
+    // transpose, built once here.
+    adj_t_.resize(ctx.num_parts());
+    parallel_for(0, ctx.num_parts(), 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t p = lo; p < hi; ++p)
+            adj_t_[p] =
+                ctx.local_adj(static_cast<std::uint32_t>(p)).transposed();
+    });
 }
 
 const Matrix& DistAggregator::resolve(
@@ -201,21 +208,16 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
         if (obs::enabled() && !plans.empty()) tally.publish("forward");
     }
 
-    // Per-partition local SpMM, results written back in global order.
-    // Partitions own disjoint local-node sets, so the write-back rows
+    // Per-partition local SpMM, each row written straight to its global
+    // row. Partitions own disjoint local-node sets, so the written rows
     // never overlap; the inner spmm runs serially inside the region.
     out.reshape_zero(h.rows(), f);
     parallel_for(0, parts, 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t p = lo; p < hi; ++p) {
             WallTimer t;
             const auto part = static_cast<std::uint32_t>(p);
-            tensor::spmm_into(ctx.local_adj(part), stacked_[p], spmm_out_[p]);
-            const auto locals = ctx.local_nodes(part);
-            for (std::size_t i = 0; i < locals.size(); ++i) {
-                const auto srow = spmm_out_[p].row(i);
-                auto drow = out.row(locals[i]);
-                std::copy(srow.begin(), srow.end(), drow.begin());
-            }
+            tensor::spmm_rows_into(ctx.local_adj(part), stacked_[p],
+                                   ctx.local_nodes(part), out);
             if (tl) part_s_[p] += t.seconds();
         }
     });
@@ -233,8 +235,11 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
     part_s_.assign(tl ? parts : 0, 0.0);
 
     out.reshape_zero(g.rows(), f);
-    // Per-partition transposed SpMM; the halo block of the result is the
-    // gradient that must travel back to the owners. Partitions fan out
+    // Per-partition Âᵀ·g as a gather over the stored transpose: its rows
+    // list their entries in ascending source row, the order the scatter
+    // form of spmm_transposed() adds them in, so the result is bitwise
+    // the same. The halo block of the result is the gradient that must
+    // travel back to the owners. Partitions fan out
     // across the pool — each owns stacked_grad_[p] and its disjoint local
     // rows of `out`; the cross-partition gradient exchange below stays
     // serial (compressor/fabric state, overlapping destination rows).
@@ -245,8 +250,7 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
             const auto locals = ctx.local_nodes(part);
             gp_[p].reshape_zero(locals.size(), f);
             tensor::gather_rows(g, locals, gp_[p]);
-            tensor::spmm_transposed_into(ctx.local_adj(part), gp_[p],
-                                         stacked_grad_[p]);
+            tensor::spmm_into(adj_t_[p], gp_[p], stacked_grad_[p]);
             // Local block accumulates directly.
             for (std::size_t i = 0; i < locals.size(); ++i) {
                 const auto srow = stacked_grad_[p].row(i);

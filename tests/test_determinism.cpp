@@ -43,7 +43,9 @@ TEST(Determinism, ThreadCountDoesNotChangeAnyResult) {
     // The threading substrate's core promise: every parallelised kernel
     // (dense matmuls, SpMM, k-means grouping, the per-partition
     // distributed loops) decomposes work identically at every pool width,
-    // so the whole pipeline is bitwise reproducible at 1, 2 and 4 threads.
+    // so the whole pipeline is bitwise reproducible at 1, 2, 3 and 4
+    // threads (3 leaves a tile or row count that does not divide evenly
+    // across the pool).
     const graph::Dataset d =
         graph::make_dataset(graph::DatasetPreset::kYelpSim, 0.15, 7);
     PipelineConfig cfg = cfg_for(d);
@@ -54,7 +56,7 @@ TEST(Determinism, ThreadCountDoesNotChangeAnyResult) {
         return run_pipeline(d, cfg);
     };
     const PipelineResult base = run_at(1);
-    for (const unsigned threads : {2u, 4u}) {
+    for (const unsigned threads : {2u, 3u, 4u}) {
         const PipelineResult r = run_at(threads);
         EXPECT_EQ(base.train.final_loss, r.train.final_loss);
         EXPECT_EQ(base.train.test_accuracy, r.train.test_accuracy);

@@ -4,6 +4,8 @@
 // golden-pinned contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -77,12 +79,38 @@ bool bitwise_equal(const Matrix& a, const Matrix& b) {
                        a.rows() * a.cols() * sizeof(float)) == 0;
 }
 
+/// bitwise_equal(), except that any NaN matches any NaN: which NaN an add
+/// of two NaNs returns depends on its operand order, which the compiler
+/// may swap.
+bool same_values(const Matrix& a, const Matrix& b) {
+    if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const float x = a.data()[i], y = b.data()[i];
+        if (std::isnan(x) && std::isnan(y)) continue;
+        if (std::memcmp(&x, &y, sizeof(float)) != 0) return false;
+    }
+    return true;
+}
+
+/// Random entries with about 15% drawn from signed zeros, ±inf and NaN.
+Matrix special_randn(std::size_t rows, std::size_t cols, Rng& rng) {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float specials[] = {0.0f, -0.0f, kInf, -kInf,
+                              std::numeric_limits<float>::quiet_NaN()};
+    Matrix m = Matrix::randn(rows, cols, rng);
+    for (float& v : m.flat())
+        if (rng.bernoulli(0.15)) v = specials[rng.index(std::size(specials))];
+    return m;
+}
+
+/// Random CSR whose every `empty_every`-th row (0 = none) has no entries.
 SparseMatrix random_sparse(std::size_t rows, std::size_t cols, double density,
-                           Rng& rng) {
+                           Rng& rng, std::size_t empty_every = 0) {
     std::vector<Triplet> trips;
     for (std::size_t r = 0; r < rows; ++r)
         for (std::size_t c = 0; c < cols; ++c)
-            if (rng.uniform() < density)
+            if (rng.uniform() < density &&
+                (empty_every == 0 || r % empty_every != 0))
                 trips.push_back({static_cast<std::uint32_t>(r),
                                  static_cast<std::uint32_t>(c),
                                  static_cast<float>(rng.uniform() * 2 - 1)});
@@ -93,8 +121,8 @@ SparseMatrix random_sparse(std::size_t rows, std::size_t cols, double density,
 
 TEST(Kernels, MatmulBitwiseEqualsReferenceSweep) {
     Rng rng(11);
-    // Shapes straddling the 128-wide k tiles and 64-wide j tiles, plus
-    // degenerate 1-sized edges.
+    // Shapes straddling the 16- and 8-float row tiles and the Aᵀ·B
+    // tiles, plus degenerate 1-sized edges.
     const std::size_t dims[] = {1, 2, 3, 7, 17, 64, 65, 129, 200};
     for (std::size_t m : dims)
         for (std::size_t k : dims)
@@ -128,26 +156,74 @@ TEST(Kernels, MatmulVariantsBitwiseEqualReference) {
         }
 }
 
+TEST(Kernels, GemmVariantsBitwiseAtTileEdges) {
+    // Widths around the 16- and 8-float tiles of the row kernels and the
+    // 4×8 / 2×16 tiles of Aᵀ·B, with signed zeros, ±inf and NaN in both
+    // operands: matmul and matmul_at_b skip zero entries of A, so 0·inf
+    // never enters a sum; matmul_a_bt is a plain dot and yields NaN.
+    Rng rng(19);
+    const std::size_t ms[] = {1, 3, 4, 5, 8, 9, 33};
+    const std::size_t ns[] = {1, 7, 8, 9, 16, 17, 64, 65};
+    for (std::size_t m : ms)
+        for (std::size_t n : ns)
+            for (std::size_t k : {1ul, 6ul, 33ul}) {
+                const Matrix a = special_randn(m, k, rng);
+                const Matrix b = special_randn(k, n, rng);
+                ASSERT_TRUE(same_values(matmul(a, b), ref_matmul(a, b)))
+                    << "matmul " << m << "x" << k << "x" << n;
+                const Matrix at = special_randn(k, m, rng);
+                ASSERT_TRUE(
+                    same_values(matmul_at_b(at, b), ref_matmul_at_b(at, b)))
+                    << "matmul_at_b " << m << "x" << k << "x" << n;
+                const Matrix bt = special_randn(n, k, rng);
+                ASSERT_TRUE(
+                    same_values(matmul_a_bt(a, bt), ref_matmul_a_bt(a, bt)))
+                    << "matmul_a_bt " << m << "x" << k << "x" << n;
+            }
+}
+
 TEST(Kernels, SpmmBitwiseEqualsReference) {
     Rng rng(13);
-    for (const double density : {0.02, 0.2, 0.9}) {
-        const SparseMatrix s = random_sparse(37, 53, density, rng);
-        const Matrix x = Matrix::randn(53, 9, rng);
-        ASSERT_TRUE(bitwise_equal(spmm(s, x), ref_spmm(s, x)));
+    for (const std::size_t f :
+         {1ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 31ul, 32ul, 33ul, 64ul, 65ul})
+        for (const double density : {0.02, 0.2, 0.9}) {
+            // Every fourth row is empty.
+            const SparseMatrix s = random_sparse(37, 53, density, rng, 4);
+            const Matrix x = Matrix::randn(53, f, rng);
+            ASSERT_TRUE(bitwise_equal(spmm(s, x), ref_spmm(s, x)))
+                << "f=" << f << " density=" << density;
+        }
+}
+
+TEST(Kernels, SpmmRowsIntoWritesOnlyTheNamedRows) {
+    Rng rng(20);
+    const SparseMatrix s = random_sparse(6, 11, 0.4, rng, 3);
+    const Matrix x = Matrix::randn(11, 19, rng);
+    const Matrix full = spmm(s, x);
+    const std::vector<std::uint32_t> dst = {7, 0, 3, 9, 2, 5};
+    Matrix y(10, 19);
+    y.fill(-2.5f);
+    spmm_rows_into(s, x, dst, y);
+    for (std::size_t r = 0; r < y.rows(); ++r) {
+        const auto it = std::find(dst.begin(), dst.end(), r);
+        const auto got = y.row(r);
+        for (std::size_t c = 0; c < y.cols(); ++c) {
+            if (it == dst.end()) {
+                ASSERT_EQ(got[c], -2.5f) << "row " << r << " was written";
+            } else {
+                const float want =
+                    full(static_cast<std::size_t>(it - dst.begin()), c);
+                ASSERT_EQ(std::memcmp(&got[c], &want, sizeof(float)), 0);
+            }
+        }
     }
 }
 
-TEST(Kernels, DotAndSqDistMatchHistoricalLoops) {
+TEST(Kernels, SqDistMatchesHistoricalLoop) {
     Rng rng(15);
     for (const std::size_t n : {1ul, 7ul, 8ul, 31ul, 32ul, 100ul}) {
         const Matrix x = Matrix::randn(1, n, rng);
         const Matrix y = Matrix::randn(1, n, rng);
-
-        float dot_ref = 0.0f;
-        for (std::size_t j = 0; j < n; ++j)
-            dot_ref += x.data()[j] * y.data()[j];
-        ASSERT_EQ(kern::dot(x.data(), y.data(), n), dot_ref);
-
         double sq_ref = 0.0;
         for (std::size_t j = 0; j < n; ++j) {
             const double d =
@@ -179,6 +255,31 @@ TEST(SparseTranspose, MatchesDenseTransposeAndOrdering) {
         // An involution: transposing twice restores the exact CSR.
         ASSERT_TRUE(bitwise_equal(t.transposed().to_dense(), s.to_dense()));
     }
+}
+
+TEST(SparseTranspose, GatherOverTransposeEqualsScatter) {
+    // The distributed backward aggregate runs spmm() over a stored
+    // transpose in place of spmm_transposed()'s scatter. Pin that the two
+    // are bitwise equal on rectangular matrices with empty rows and empty
+    // columns, at widths around the row-kernel tiles.
+    Rng rng(17);
+    for (const std::size_t f : {1ul, 8ul, 13ul, 16ul, 33ul, 64ul})
+        for (const auto& shape : {std::pair{23ul, 41ul}, std::pair{41ul, 23ul}}) {
+            const auto [rows, cols] = shape;
+            std::vector<Triplet> trips;
+            for (std::size_t r = 0; r < rows; ++r)
+                for (std::size_t c = 0; c < cols; ++c)
+                    if (r % 5 != 1 && c % 7 != 2 && rng.uniform() < 0.3)
+                        trips.push_back(
+                            {static_cast<std::uint32_t>(r),
+                             static_cast<std::uint32_t>(c),
+                             static_cast<float>(rng.normal())});
+            const SparseMatrix s(rows, cols, std::move(trips));
+            const Matrix x = Matrix::randn(rows, f, rng);
+            ASSERT_TRUE(
+                bitwise_equal(spmm(s.transposed(), x), spmm_transposed(s, x)))
+                << rows << "x" << cols << " f=" << f;
+        }
 }
 
 // ------------------------------- AXPY: bitwise vs y[j] += a * x[j]
