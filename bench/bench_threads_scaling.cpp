@@ -5,7 +5,6 @@
 // run: the pool's determinism contract says all of them must match
 // bit-for-bit, so the "identical" column doubles as a live regression
 // check. `--threads` is ignored here (the sweep pins its own widths).
-#include <cstring>
 #include <functional>
 
 #include "bench_util.hpp"
@@ -79,10 +78,11 @@ void add_row(Table& table, const char* name, const Sweep& s) {
 
 /// Machine-readable sweep snapshot (scripts/bench_snapshot.sh commits it
 /// as BENCH_threads_scaling.json; CI diffs future runs against it).
-void write_json(const char* path, const benchutil::Options& opt) {
-    std::FILE* f = std::fopen(path, "w");
+void write_json(const benchutil::Options& opt) {
+    std::FILE* f = std::fopen(opt.json.c_str(), "w");
     if (f == nullptr) {
-        std::fprintf(stderr, "cannot open --json output '%s'\n", path);
+        std::fprintf(stderr, "cannot open --json output '%s'\n",
+                     opt.json.c_str());
         std::exit(1);
     }
     std::fprintf(f,
@@ -107,9 +107,6 @@ void write_json(const char* path, const benchutil::Options& opt) {
 } // namespace
 
 int main(int argc, char** argv) {
-    const char* json_path = nullptr;
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
     const auto opt = benchutil::parse_options(argc, argv);
     const int reps = 3;
 
@@ -178,6 +175,6 @@ int main(int argc, char** argv) {
                 "are bitwise equal at every width. Speedups require real "
                 "cores; on a 1-core host the sweep only verifies "
                 "determinism.\n");
-    if (json_path != nullptr) write_json(json_path, opt);
+    if (!opt.json.empty()) write_json(opt);
     return 0;
 }

@@ -1,26 +1,25 @@
 #pragma once
 /// \file bench_util.hpp
-/// \brief Shared plumbing for the paper-reproduction bench binaries: scaled
-///        dataset construction, standard model/train configs, and the
-///        traffic-equalisation solver of §5.2.
+/// \brief Shared plumbing for the bench binaries: checked flag parsing,
+///        scaled dataset construction and the standard model/train
+///        configs.
 ///
-/// Every bench accepts optional CLI args: `--scale <f>` (dataset size
-/// multiplier, default 0.35), `--epochs <n>` (training epochs, default
-/// 30), plus the shared scenario flags that Scenario::parse_flag reads
-/// (runtime/scenario.hpp) — among them `--threads <n>` (worker pool
-/// width, default all cores / SCGNN_THREADS), `--log-level
-/// <debug|info|warn|error>`, `--obs-out <prefix>` (enable observability;
-/// write `<prefix>.trace.json` and `<prefix>.report.json` at exit),
+/// parse_options reads `--scale <f>` (dataset size multiplier, default
+/// 0.35), `--epochs <n>` (default 30), `--seed <n>` (default 2024),
+/// `--json <path>` and the shared scenario flags of Scenario::parse_flag
+/// (runtime/scenario.hpp): `--threads`, `--log-level`, `--obs-out`,
 /// `--overlap`, `--topology`, `--collective`, the rate-schedule flags and
-/// the fault-injection flags `--fault-drop/--fault-seed/
-/// --fault-link-down/--retry-max/--timeout` (see comm/fault.hpp) — so the
-/// full suite stays minutes-scale while remaining faithful in shape. All
-/// seeds are fixed and printed.
+/// the fault-injection flags (comm/fault.hpp). An unknown flag or a
+/// malformed value exits 2. All seeds are fixed and printed.
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scgnn/comm/collective.hpp"
@@ -46,26 +45,72 @@ inline const char* log_level_name(LogLevel l) {
     return "?";
 }
 
-/// Parsed common CLI options: the bench-local `--scale/--epochs/--seed`
-/// plus the one shared ScenarioConfig that Scenario::parse_flag fills in.
+/// Parsed common CLI options: the bench-local `--scale/--epochs/--seed/
+/// --json` plus the one shared ScenarioConfig that Scenario::parse_flag
+/// fills in.
 struct Options {
     double scale = 0.35;
     std::uint32_t epochs = 30;
     std::uint64_t seed = 2024;
+    std::string json;               ///< --json output path; empty = none
     runtime::ScenarioConfig scn{};  ///< shared flags, already activated
 };
 
-inline Options parse_options(int argc, char** argv) {
+/// A bench-specific string-valued flag parsed next to the common ones.
+struct ExtraFlag {
+    const char* name;
+    std::string* value;
+};
+
+/// Parse the whole of `s` as a number in [lo, hi], a whole one when
+/// `integral`; exit 2 otherwise, as Scenario::parse_flag does.
+inline double parse_number(const char* flag, const char* s, double lo,
+                           double hi, bool integral) {
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno != 0 || !(v >= lo && v <= hi) ||
+        (integral && v != std::floor(v))) {
+        std::fprintf(stderr, "bad %s '%s' (expected a %s in [%g, %g])\n",
+                     flag, s, integral ? "whole number" : "number", lo, hi);
+        std::exit(2);
+    }
+    return v;
+}
+
+/// Parse argv: the shared scenario flags, the common bench flags and
+/// `extra`. An unknown flag, a missing value or a malformed value exits 2
+/// before any work starts.
+inline Options parse_options(int argc, char** argv,
+                             std::initializer_list<ExtraFlag> extra = {}) {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         if (runtime::Scenario::parse_flag(argc, argv, i, opt.scn))
             continue;
-        if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
-            opt.scale = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc)
-            opt.epochs = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-            opt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+        const char* flag = argv[i];
+        const std::string_view f = flag;
+        std::string* text = f == "--json" ? &opt.json : nullptr;
+        for (const ExtraFlag& e : extra)
+            if (f == e.name) text = e.value;
+        if (!text && f != "--scale" && f != "--epochs" && f != "--seed") {
+            std::fprintf(stderr, "unknown flag '%s'\n", flag);
+            std::exit(2);
+        }
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "missing value for %s\n", flag);
+            std::exit(2);
+        }
+        const char* v = argv[++i];
+        if (text)
+            *text = v;
+        else if (f == "--scale")
+            opt.scale = parse_number(flag, v, 1e-3, 100.0, false);
+        else if (f == "--epochs")
+            opt.epochs = static_cast<std::uint32_t>(
+                parse_number(flag, v, 1.0, 1e6, true));
+        else  // seeds up to 2^53, the doubles that hold every integer
+            opt.seed = static_cast<std::uint64_t>(
+                parse_number(flag, v, 0.0, 0x1p53, true));
     }
     runtime::Scenario::activate(opt.scn);
     const dist::DistTrainConfig& t = opt.scn.pipeline.train;
@@ -116,29 +161,6 @@ inline core::SemanticCompressorConfig semantic_cfg() {
     core::SemanticCompressorConfig cfg;
     cfg.grouping.kmeans_k = 20;
     return cfg;
-}
-
-/// Solve the §5.2 traffic equalisation: pick each baseline's knob so its
-/// per-epoch volume roughly matches SC-GNN's. `target_fraction` is
-/// (ours bytes) / (vanilla bytes).
-struct EqualizedKnobs {
-    double sampling_rate = 1.0;
-    int quant_bits = 32;             ///< 32 = leave uncompressed
-    std::uint32_t delay_period = 1;
-};
-
-inline EqualizedKnobs equalize(double target_fraction) {
-    EqualizedKnobs k;
-    // Sampling drops whole boundary rows: rate ≈ fraction, floored so the
-    // model still sees some fresh data.
-    k.sampling_rate = std::max(0.02, std::min(1.0, target_fraction));
-    // Quant can shrink at most 8× (32 → 4 bits): pick the nearest width.
-    const double bits = 32.0 * target_fraction;
-    k.quant_bits = bits <= 4.0 ? 4 : (bits <= 8.0 ? 8 : 16);
-    // Delay transmits every τ-th epoch: τ ≈ 1/fraction, capped.
-    k.delay_period = static_cast<std::uint32_t>(
-        std::min(64.0, std::max(1.0, 1.0 / std::max(1e-3, target_fraction))));
-    return k;
 }
 
 /// One-line dataset banner.

@@ -3,7 +3,10 @@
 // process with exit code 2 — the documented "bad usage" code — before any
 // training work starts. The binary under test is the installed scgnn_cli
 // (path injected by tests/CMakeLists.txt as SCGNN_CLI_PATH); when the
-// examples are not built the whole suite skips.
+// examples are not built the whole suite skips. The same contract holds
+// for the bench flag parser (bench_util.hpp), driven through bench_paper
+// (SCGNN_BENCH_PAPER_PATH); those rows skip when the benches are not
+// built.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -49,32 +52,60 @@ const Case kCases[] = {
      "--mode sample-train --membership leave:1@d1,join:2@d1"},
 };
 
+/// Run `binary` with the row's arguments and expect the bad-usage exit 2.
+[[maybe_unused]] void expect_exit_2(const std::string& binary,
+                                    const Case& c) {
+    const std::string cmd =
+        binary + " " + c.args + " >/dev/null 2>/dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_NE(status, -1) << "system() failed for " << cmd;
+    ASSERT_TRUE(WIFEXITED(status)) << c.label << " did not exit normally";
+    EXPECT_EQ(WEXITSTATUS(status), 2)
+        << c.label << ": `" << cmd << "` must exit 2 on bad usage";
+}
+
 class CliExitCode : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CliExitCode, MalformedValueExitsWithCode2) {
 #ifndef SCGNN_CLI_PATH
     GTEST_SKIP() << "scgnn_cli not built (SCGNN_BUILD_EXAMPLES=OFF)";
 #else
-    const Case& c = GetParam();
-    const std::string cmd = std::string(SCGNN_CLI_PATH) + " " + c.args +
-                            " >/dev/null 2>/dev/null";
-    const int status = std::system(cmd.c_str());
-    ASSERT_NE(status, -1) << "system() failed for " << cmd;
-    ASSERT_TRUE(WIFEXITED(status)) << c.label << " did not exit normally";
-    EXPECT_EQ(WEXITSTATUS(status), 2)
-        << c.label << ": `scgnn_cli " << c.args
-        << "` must exit 2 on bad usage";
+    expect_exit_2(SCGNN_CLI_PATH, GetParam());
 #endif
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Validators, CliExitCode, ::testing::ValuesIn(kCases),
-    [](const ::testing::TestParamInfo<Case>& pi) {
-        std::string name = pi.param.label;
-        for (char& ch : name)
-            if (ch == '-') ch = '_';
-        return name;
-    });
+/// gtest-safe test name from a row label.
+std::string case_name(const ::testing::TestParamInfo<Case>& pi) {
+    std::string name = pi.param.label;
+    for (char& ch : name)
+        if (ch == '-') ch = '_';
+    return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Validators, CliExitCode, ::testing::ValuesIn(kCases),
+                         case_name);
+
+// The bench flag parser: a misspelt flag, an out-of-range or unparsable
+// value and an unknown figure id all exit 2 before any figure runs.
+const Case kBenchCases[] = {
+    {"misspelt-flag", "--scal 0.1"},
+    {"negative-epochs", "--epochs -3"},
+    {"unparsable-scale", "--scale abc"},
+    {"unknown-figure", "--figure fig99"},
+};
+
+class BenchPaperExitCode : public ::testing::TestWithParam<Case> {};
+
+TEST_P(BenchPaperExitCode, MalformedValueExitsWithCode2) {
+#ifndef SCGNN_BENCH_PAPER_PATH
+    GTEST_SKIP() << "bench_paper not built (SCGNN_BUILD_BENCH=OFF)";
+#else
+    expect_exit_2(SCGNN_BENCH_PAPER_PATH, GetParam());
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(BenchFlags, BenchPaperExitCode,
+                         ::testing::ValuesIn(kBenchCases), case_name);
 
 #ifdef SCGNN_CLI_PATH
 TEST(CliExitCode, WellFormedFlagsParse) {
