@@ -1,16 +1,21 @@
 // The paper-reproduction bench: every table and figure of the evaluation
 // (Tables 1-2, Figs. 1(b), 2, 4, 6, 9-12), the ablations, setup
-// amortisation, overlap pricing and fault resilience, each an entry of one
-// figure table (`--figure <id>[,<id>...]`, default all), with the paper's
-// headline claims as predicates. Stdout: markdown tables, then `claim
-// <id>: holds|FAILS — <text>`. --json: one google-benchmark row per
-// (figure, dataset, series, metric), e.g. `fig9/reddit-sim/ours/
-// volume_fraction`, whose `real_time` is the wall time (ns) of the run
-// behind it; `value` holds a figure that is bitwise equal at any thread
-// count (MB from bytes, modelled comm ms, accuracy, counts, ratios) and
-// `measured` a host-measured one (epoch and compute ms, shares, setup,
-// the overlap makespan). `claim/<id>` rows hold 1 (holds) or 0. No claim
-// rests on epoch time, which is wall time ÷ P and so host-dependent.
+// amortisation, overlap pricing and fault resilience, and the system
+// sweeps the paper's tables leave out (weight-sync collectives, rate
+// schedules, elastic churn, serving, thread scaling), each an entry of one
+// figure table (`--figure <id>[,<id>...]`, default all). Stdout: markdown
+// tables, then `claim <id>: holds|FAILS — <text>` per headline claim of the
+// paper and `gate <id>: ...` per system gate. --json: one
+// google-benchmark row per (figure, dataset, series, metric), e.g.
+// `fig9/reddit-sim/ours/volume_fraction`, whose `real_time` is the wall
+// time (ns) of the run behind it; `value` holds a figure that is bitwise
+// equal at any thread count (MB from bytes, modelled comm ms, accuracy,
+// counts, ratios) and `measured` a host-measured one (epoch and compute
+// ms, shares, setup, the overlap makespan, run walls). `claim/<id>` rows
+// hold 1 (holds) or 0, for claims and gates alike. No claim rests on
+// epoch time, which is wall time ÷ P and so host-dependent. Exit code: 1
+// if any gate fails (after printing and writing the JSON), 2 on bad
+// flags, else 0; a failing paper claim never changes it.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -18,6 +23,7 @@
 #include <map>
 #include <numeric>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <variant>
 
@@ -25,15 +31,19 @@
 
 #include "scgnn/common/stats.hpp"
 #include "scgnn/common/timer.hpp"
+#include "scgnn/comm/collective.hpp"
 #include "scgnn/core/analysis.hpp"
 #include "scgnn/core/elbow.hpp"
 #include "scgnn/core/grouping.hpp"
 #include "scgnn/core/kmeans.hpp"
 #include "scgnn/core/pca.hpp"
 #include "scgnn/core/semantic_aggregate.hpp"
+#include "scgnn/dist/rate_control.hpp"
+#include "scgnn/gnn/adjacency.hpp"
 #include "scgnn/graph/bipartite.hpp"
 #include "scgnn/obs/json.hpp"
 #include "scgnn/partition/partition.hpp"
+#include "scgnn/tensor/ops.hpp"
 
 namespace {
 
@@ -216,13 +226,20 @@ public:
     WallTimer figure_time;  ///< restarted as each figure starts
     std::vector<Row> rows;
     std::vector<std::string> claims;  ///< printed after every figure
+    std::vector<std::string> failed_gates;
 
     /// The preset at the run's scale and seed, built once.
     const Dataset& dataset(DatasetPreset preset) {
-        auto it = datasets_.find(preset);
+        return dataset(preset, opt.scale, opt.seed);
+    }
+    /// The preset at a figure's own fixed scale and seed, built once.
+    const Dataset& dataset(DatasetPreset preset, double scale,
+                           std::uint64_t seed) {
+        const auto key = std::tuple{preset, scale, seed};
+        auto it = datasets_.find(key);
         if (it == datasets_.end())
-            it = datasets_.emplace(preset, graph::make_dataset(
-                                               preset, opt.scale, opt.seed))
+            it = datasets_
+                     .emplace(key, graph::make_dataset(preset, scale, seed))
                      .first;
         return it->second;
     }
@@ -253,10 +270,13 @@ public:
     /// Record a headline claim's verdict as the row `claim/<id>` (value
     /// 1 if it holds), timed by its figure so far.
     void claim(const char* id, const char* text, bool holds) {
-        rows.push_back({std::string("claim/") + id, ns_since(figure_time),
-                        true, holds ? 1.0 : 0.0});
-        claims.push_back("claim " + std::string(id) + ": " +
-                         (holds ? "holds" : "FAILS") + " — " + text);
+        verdict("claim", id, text, holds);
+    }
+    /// Record a system gate like a claim; a failing one also makes the
+    /// run exit 1 once everything is printed and written.
+    void gate(const char* id, const char* text, bool holds) {
+        verdict("gate", id, text, holds);
+        if (!holds) failed_gates.emplace_back(id);
     }
 
     /// Train once; record comm_mb, comm_ms and test_acc (modelled) and
@@ -283,7 +303,16 @@ public:
     }
 
 private:
-    std::map<DatasetPreset, Dataset> datasets_;
+    void verdict(const char* kind, const char* id, const char* text,
+                 bool holds) {
+        rows.push_back({std::string("claim/") + id, ns_since(figure_time),
+                        true, holds ? 1.0 : 0.0});
+        claims.push_back(std::string(kind) + " " + id + ": " +
+                         (holds ? "holds" : "FAILS") + " — " + text);
+    }
+
+    std::map<std::tuple<DatasetPreset, double, std::uint64_t>, Dataset>
+        datasets_;
 };
 
 // ---- figures -------------------------------------------------------------
@@ -1126,6 +1155,397 @@ void fault(Paper& p) {
     std::printf("%s", table.str().c_str());
 }
 
+// ---- system sweeps -------------------------------------------------------
+// What the paper's tables leave out. Each sweep keeps its own fixed
+// workload (only `threads` follows --scale/--seed), and each check it
+// makes is a gate: a failing one fails the run.
+
+// A 4 MB gradient allreduce priced for every algorithm on the flat fabric
+// and on the hierarchical preset of each P (DESIGN.md §11).
+void collectives(Paper& p) {
+    using comm::collective::Algo;
+    using comm::collective::algo_name;
+    constexpr std::uint64_t kPayloadBytes = 4'000'000;
+    std::printf("== Collectives: 4 MB allreduce, flat vs hier presets 4x4 "
+                "(x2) / 8x8 (x4) / 16x8 (x8 oversubscribed) ==\n");
+    Sheet table({{"P", nullptr, Fmt::kCount}, {"topology"}, {"algo"},
+                 {"rounds", "rounds", Fmt::kCount},
+                 {"wire MB", "wire_mb", Fmt::kNum, 1},
+                 {"modelled ms", "makespan_ms", Fmt::kNum, 3},
+                 {"vs p2p", nullptr, Fmt::kX}});
+    double hier64_ms = 0.0, p2p64_ms = 0.0;
+    for (const std::uint32_t n : {16u, 64u, 128u}) {
+        const comm::Topology flat = comm::Topology::flat(n);
+        const comm::Topology hier =
+            comm::Topology::build(comm::TopologySpec::preset(n), n);
+        for (const auto& [topology, topo] :
+             {std::pair{"flat", &flat}, std::pair{"hier", &hier}}) {
+            double p2p_ms = 0.0;  // p2p runs first
+            for (const Algo a :
+                 {Algo::kP2P, Algo::kRing, Algo::kTree, Algo::kHier}) {
+                const WallTimer t;
+                comm::Fabric fabric(*topo);
+                comm::collective::Allreduce plan(*topo, a, kPayloadBytes);
+                const comm::collective::Outcome o = plan.run(fabric);
+                const double ms = o.modelled_s * 1e3;
+                if (a == Algo::kP2P) p2p_ms = ms;
+                if (n == 64 && a == Algo::kP2P && topo == &flat)
+                    p2p64_ms = ms;
+                if (n == 64 && a == Algo::kHier && topo == &hier)
+                    hier64_ms = ms;
+                table.row(p.series(topology,
+                                   std::string(algo_name(a)) +
+                                       "@P=" + std::to_string(n),
+                                   ns_since(t)),
+                          {double(n), topology, algo_name(a),
+                           double(o.rounds), double(o.wire_bytes) / 1e6, ms,
+                           p2p_ms / std::max(1e-9, ms)});
+            }
+        }
+    }
+    std::printf("\n%s\n", table.str().c_str());
+    std::printf("# P=64: hier %.3f ms vs flat p2p %.3f ms\n", hier64_ms,
+                p2p64_ms);
+    p.gate("collectives_hier_beats_p2p_p64",
+           "the hier allreduce on the P=64 preset is priced below flat p2p",
+           hier64_ms < p2p64_ms);
+}
+
+// The rate schedules of dist/rate_control.hpp on the error-feedback
+// stacks they serve (DESIGN.md §12). A schedule trades bytes for loss, so
+// neither axis alone ranks it: the gate is Pareto dominance per stack.
+void schedule(Paper& p) {
+    constexpr std::uint64_t kSeed = 2024;
+    const Dataset& d = p.dataset(DatasetPreset::kPubMedSim, 0.2, kSeed);
+    benchutil::print_dataset(d);
+    const auto parts = partition::make_partitioning(
+        PartitionAlgo::kNodeCut, d.graph, 4, kSeed);
+    gnn::GnnConfig mc = benchutil::model_for(d);
+    mc.num_layers = 3;
+    dist::DistTrainConfig cfg = benchutil::train_cfg(p.opt);
+    cfg.epochs = 96;  // per-epoch records on: they carry the rate
+    std::printf("== Rate schedules: final loss vs wire MB (pubmed-sim x0.2, "
+                "4 partitions, 3 layers, 96 epochs; warmup floor=%.3g over "
+                "%u epochs) ==\n",
+                cfg.rate.floor, cfg.rate.warmup_epochs);
+    Sheet table({{"stack"}, {"schedule"},
+                 {"final loss", "final_loss", Fmt::kNum, 4},
+                 {"MB/epoch", "comm_mb", Fmt::kNum, 3},
+                 {"total MB", "total_mb", Fmt::kNum, 2},
+                 {"mean rate", "mean_rate", Fmt::kNum, 3}});
+    using dist::RateSchedule;
+    const std::pair<const char*, RateSchedule> plans[] = {
+        {"vanilla", RateSchedule::kFixed},
+        {"ours", RateSchedule::kFixed},
+        {"ef+ours", RateSchedule::kFixed},
+        {"ef+ours", RateSchedule::kWarmup},
+        {"ef+ours+quant", RateSchedule::kFixed},
+        {"ef+ours+quant", RateSchedule::kWarmup},
+    };
+    std::vector<std::tuple<std::string, RateSchedule, double, double>> runs;
+    for (const auto& [stack, kind] : plans) {
+        core::MethodConfig m;
+        m.name = stack;
+        m.semantic = benchutil::semantic_cfg();
+        m.quant.bits = 16;
+        cfg.rate.kind = kind;
+        const WallTimer t;
+        const dist::DistTrainResult r =
+            runtime::Scenario::for_training(cfg).train(
+                d, parts, mc, *core::make_compressor(m));
+        double rate = 0.0;
+        for (const auto& e : r.epoch_metrics) rate += e.rate;
+        rate = r.epoch_metrics.empty()
+                   ? 1.0
+                   : rate / static_cast<double>(r.epoch_metrics.size());
+        table.row(p.series(d.name,
+                           std::string(stack) + "@" + dist::schedule_name(kind),
+                           ns_since(t)),
+                  {stack, dist::schedule_name(kind), r.final_loss,
+                   r.mean_comm_mb, r.total_comm_mb, rate});
+        runs.emplace_back(stack, kind, r.final_loss, r.total_comm_mb);
+    }
+    std::printf("\n%s\n", table.str().c_str());
+    bool undominated = true;
+    for (const auto& [stack_a, kind_a, loss_a, mb_a] : runs)
+        for (const auto& [stack_b, kind_b, loss_b, mb_b] : runs)
+            if (stack_a == stack_b && kind_a != kind_b && loss_b <= loss_a &&
+                mb_b <= mb_a && (loss_b < loss_a || mb_b < mb_a)) {
+                std::printf("# %s@%s is dominated by %s\n", stack_a.c_str(),
+                            dist::schedule_name(kind_a),
+                            dist::schedule_name(kind_b));
+                undominated = false;
+            }
+    p.gate("schedule_undominated",
+           "within each stack, no rate schedule's (final loss, total MB) is "
+           "Pareto-dominated by another's",
+           undominated);
+}
+
+// Mid-training leaves and rejoins on the hierarchical presets (DESIGN.md
+// §13): the same run static and under churn — one early leave, a second
+// mid-run, both rejoining by the last epoch. A --membership flag replaces
+// the built-in churn.
+void elastic(Paper& p) {
+    constexpr std::uint64_t kSeed = 2024;
+    constexpr std::uint32_t kEpochs = 10;
+    const Dataset& d = p.dataset(DatasetPreset::kPubMedSim, 0.15, kSeed);
+    benchutil::print_dataset(d);
+    using runtime::MembershipEventKind;
+    runtime::MembershipSchedule churn = p.opt.scn.pipeline.train.membership;
+    if (!churn.active())
+        churn.events = {{MembershipEventKind::kLeave, 2, 3},
+                        {MembershipEventKind::kLeave, kEpochs / 2, 7},
+                        {MembershipEventKind::kJoin, kEpochs - 2, 3},
+                        {MembershipEventKind::kJoin, kEpochs - 1, 7}};
+    std::printf("== Elastic membership: static vs churn (pubmed-sim x0.15, "
+                "hier presets, vanilla, %u epochs; %s) ==\n",
+                kEpochs, runtime::membership_name(churn).c_str());
+    Sheet table({{"P", nullptr, Fmt::kCount}, {"mode"},
+                 {"final loss", "final_loss", Fmt::kNum, 4},
+                 {"total MB", "total_mb", Fmt::kNum, 2},
+                 {"migrated MB", "migrated_mb", Fmt::kNum, 3},
+                 {"peak comm ms", "peak_comm_ms", Fmt::kNum, 3},
+                 {"total comm ms", "total_comm_ms", Fmt::kNum, 3},
+                 {"rebuild ms", "rebuild_ms", Fmt::kNum, 3},
+                 {"min active", "min_active", Fmt::kCount}});
+    bool loss_equal = true, full_strength = true;
+    for (const std::uint32_t n : {16u, 64u}) {
+        const auto parts = partition::make_partitioning(
+            PartitionAlgo::kNodeCut, d.graph, n, kSeed);
+        double static_loss = 0.0;
+        for (const bool churned : {false, true}) {
+            dist::DistTrainConfig cfg = benchutil::train_cfg(p.opt);
+            cfg.epochs = kEpochs;  // per-epoch records on: they carry comm ms
+            cfg.comm.topology = comm::TopologySpec::preset(n);
+            cfg.comm.collective = comm::collective::Algo::kHier;
+            cfg.comm.count_weight_sync = true;
+            cfg.membership = churned ? churn : runtime::MembershipSchedule{};
+            const WallTimer t;
+            const dist::DistTrainResult r =
+                runtime::Scenario::for_training(cfg).train(
+                    d, parts, benchutil::model_for(d),
+                    *core::make_compressor(method_cfg(Method::kVanilla)));
+            double peak = 0.0, total = 0.0;
+            for (const auto& e : r.epoch_metrics) {
+                peak = std::max(peak, e.comm_ms);
+                total += e.comm_ms;
+            }
+            const runtime::MembershipSummary& mem = r.membership;
+            const char* mode = churned ? "elastic" : "static";
+            table.row(p.series(d.name,
+                               std::string(mode) + "@P=" + std::to_string(n),
+                               ns_since(t)),
+                      {double(n), mode, r.final_loss, r.total_comm_mb,
+                       double(mem.migrated_bytes) / 1e6, peak, total,
+                       mem.rebuild_ms,
+                       double(mem.changed() ? mem.min_active : n)});
+            if (!churned) static_loss = r.final_loss;
+            else {
+                loss_equal = loss_equal && r.final_loss == static_loss;
+                full_strength = full_strength &&
+                                !mem.active_per_epoch.empty() &&
+                                mem.active_per_epoch.back() == n;
+            }
+        }
+    }
+    std::printf("\n%s\n", table.str().c_str());
+    p.gate("elastic_loss_bitwise_static",
+           "the elastic run's final loss equals the static run's bit for bit "
+           "at P = 16 and 64",
+           loss_equal);
+    p.gate("elastic_full_strength",
+           "every elastic run ends with all P devices active", full_strength);
+}
+
+// Open-loop serving (DESIGN.md §14) at rising QPS, each rate served twice:
+// naive (no halo cache, one query per dispatch) and the default cached +
+// micro-batched path. --queries, --serve-batch and --deadline-ms reshape
+// both arms. The modelled figures are the median run's; the run wall is
+// the median of five.
+void serving(Paper& p) {
+    constexpr std::uint64_t kSeed = 7;
+    constexpr std::uint32_t kParts = 4;
+    constexpr int kTimedRuns = 5;
+    const Dataset& d = p.dataset(DatasetPreset::kPubMedSim, 0.1, kSeed);
+    benchutil::print_dataset(d);
+    const runtime::ScenarioConfig& scn = p.opt.scn;
+    std::printf("== Serving: naive vs cached+batched (pubmed-sim x0.1, 4 "
+                "partitions, %u queries, batch_max %u, deadline %.2f ms) "
+                "==\n",
+                scn.serve.queries, scn.serve.batch_max, scn.serve.deadline_ms);
+    const auto parts = partition::make_partitioning(
+        scn.pipeline.algo, d.graph, kParts, kSeed);
+    Sheet table({{"QPS", nullptr, Fmt::kCount}, {"mode"},
+                 {"batches", "batches", Fmt::kCount},
+                 {"mean batch", "mean_batch"},
+                 {"p50 ms", "p50_ms", Fmt::kNum, 3},
+                 {"p99 ms", "p99_ms", Fmt::kNum, 3},
+                 {"p99.9 ms", "p999_ms", Fmt::kNum, 3},
+                 {"hit rate", "hit_rate", Fmt::kNum, 4},
+                 {"halo MB", "halo_mb", Fmt::kNum, 3},
+                 {"run wall ms", "run_wall_ms", Fmt::kNum, 3, true}});
+    bool tail_wins = false, saves_bytes = true;
+    for (const std::uint32_t qps : {1000u, 4000u, 16000u}) {
+        runtime::ServeResult naive;
+        for (const bool cached : {false, true}) {
+            runtime::ScenarioConfig arm = scn;
+            arm.mode = runtime::ScenarioMode::kServe;
+            arm.pipeline.num_parts = kParts;
+            arm.pipeline.partition_seed = kSeed;
+            arm.serve.qps = qps;
+            if (!cached) {
+                arm.serve.halo_cache = false;
+                arm.serve.batch_max = 1;
+                arm.serve.deadline_ms = 0.0;
+            }
+            // build() validates and inherits the training-side knobs; the
+            // server is built here so only run() is timed.
+            const runtime::Scenario scenario =
+                runtime::Scenario::build(std::move(arm));
+            const runtime::InferenceServer server(d, parts,
+                                                  scenario.config().serve);
+            runtime::ServeResult r;
+            std::vector<double> wall_ns;
+            for (int i = 0; i < kTimedRuns; ++i) {
+                const WallTimer t;
+                r = server.run();
+                wall_ns.push_back(ns_since(t));
+            }
+            std::nth_element(wall_ns.begin(), wall_ns.begin() + kTimedRuns / 2,
+                             wall_ns.end());
+            const double wall = wall_ns[kTimedRuns / 2];
+            const char* mode = cached ? "cached" : "naive";
+            table.row(p.series(d.name,
+                               std::string(mode) + "@qps=" +
+                                   std::to_string(qps),
+                               wall),
+                      {double(qps), mode, double(r.batches), r.mean_batch,
+                       r.p50_ms, r.p99_ms, r.p999_ms, r.hit_rate, r.halo_mb,
+                       wall * 1e-6});
+            if (!cached) {
+                naive = r;
+                continue;
+            }
+            // The last rate is past the naive path's service capacity.
+            tail_wins = r.p99_ms < naive.p99_ms;
+            saves_bytes = saves_bytes && r.hit_rate > 0.0 &&
+                          r.halo_mb < naive.halo_mb;
+        }
+    }
+    std::printf("\n%s\n", table.str().c_str());
+    p.gate("serving_p99_under_load",
+           "at 16k QPS the cached+batched p99 beats the naive p99",
+           tail_wins);
+    p.gate("serving_cache_saves_bytes",
+           "at every QPS the halo cache hits and fetches fewer MB than naive",
+           saves_bytes);
+}
+
+/// FNV-1a over raw bytes: an exact, order-sensitive fingerprint.
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 1469598103934665603ull) {
+    const auto* b = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= b[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::uint64_t checksum(const tensor::Matrix& m) {
+    return fnv1a(m.data(), m.rows() * m.cols() * sizeof(float));
+}
+
+// The pool's determinism contract (DESIGN.md §5), live: the four
+// parallelised layers at 1/2/4/8 threads (best of 3), each width's result
+// checksummed against 1 thread. The sweep pins its own widths, so
+// --threads does not reach it; speedups need the cores that the JSON
+// context records as `hardware_threads`.
+void threads(Paper& p) {
+    constexpr unsigned kWidths[] = {1, 2, 4, 8};
+    constexpr int kReps = 3;
+    const Dataset& d = p.dataset(DatasetPreset::kRedditSim);
+    benchutil::print_dataset(d);
+    std::printf("== Thread scaling: 1/2/4/8 pool threads, best of %d (%u "
+                "hardware threads) ==\n",
+                kReps, std::thread::hardware_concurrency());
+    Sheet table({{"kernel"}, {"1T ms", "ms_1t", Fmt::kNum, 1, true},
+                 {"2T ms", "ms_2t", Fmt::kNum, 1, true},
+                 {"4T ms", "ms_4t", Fmt::kNum, 1, true},
+                 {"8T ms", "ms_8t", Fmt::kNum, 1, true},
+                 {"speedup@8", nullptr, Fmt::kX}, {"identical"}});
+    bool bitwise = true;
+    auto sweep = [&](const char* kernel,
+                     const std::function<std::uint64_t()>& work) {
+        const WallTimer sweep_t;
+        std::vector<Cell> cells{kernel};
+        std::uint64_t base = 0;
+        bool identical = true;
+        for (const unsigned width : kWidths) {
+            const ThreadCountGuard guard(width);
+            double best = INFINITY;
+            std::uint64_t sum = 0;
+            for (int r = 0; r < kReps; ++r) {
+                const WallTimer t;
+                sum = work();
+                best = std::min(best, t.millis());
+            }
+            cells.emplace_back(best);
+            if (width == 1) base = sum;
+            identical = identical && sum == base;
+        }
+        cells.emplace_back(std::get<double>(cells[1]) /
+                           std::max(1e-9, std::get<double>(cells[4])));
+        cells.emplace_back(identical ? "yes" : "NO");
+        bitwise = bitwise && identical;
+        table.row(p.series(d.name, kernel, ns_since(sweep_t)), cells);
+    };
+
+    {   // Dense GEMM at the trainer's layer shape (hidden width 64).
+        Rng rng(1);
+        const std::size_t n = std::max<std::size_t>(
+            64, static_cast<std::size_t>(384 * p.opt.scale));
+        const tensor::Matrix a = tensor::Matrix::randn(n, n, rng);
+        const tensor::Matrix b = tensor::Matrix::randn(n, n, rng);
+        sweep("matmul", [&] { return checksum(tensor::matmul(a, b)); });
+    }
+    {   // SpMM: the per-layer aggregation over the whole graph.
+        const auto adj =
+            gnn::normalized_adjacency(d.graph, gnn::AdjNorm::kSymmetric);
+        Rng rng(2);
+        const tensor::Matrix h =
+            tensor::Matrix::randn(d.graph.num_nodes(), 64, rng);
+        sweep("spmm", [&] { return checksum(tensor::spmm(adj, h)); });
+    }
+    const auto parts = p.partition(d.graph, 4);
+    {   // k-means over one boundary plan's M2M pool (the grouping step).
+        const graph::Dbg dbg = graph::extract_dbg(d.graph, parts.part_of, 0, 1);
+        const auto pool = m2m_pool(dbg);
+        const core::KMeansConfig km{.k = 20, .max_iters = 20, .seed = 5};
+        sweep("kmeans", [&] {
+            const auto res = core::kmeans_dbg_rows(dbg, pool, km);
+            return fnv1a(res.assignment.data(),
+                         res.assignment.size() * sizeof(res.assignment[0]));
+        });
+    }
+    {   // One full distributed epoch (semantic method, 4 partitions).
+        const auto cfg = p.train_cfg(1);
+        sweep("dist epoch", [&] {
+            core::SemanticCompressor comp(benchutil::semantic_cfg());
+            const auto r = runtime::Scenario::for_training(cfg).train(
+                d, parts, benchutil::model_for(d), comp);
+            return fnv1a(&r.test_accuracy, sizeof(r.test_accuracy),
+                         fnv1a(&r.final_loss, sizeof(r.final_loss)));
+        });
+    }
+    std::printf("\n%s\n", table.str().c_str());
+    p.gate("threads_bitwise",
+           "matmul, spmm, kmeans and one distributed epoch are bitwise "
+           "equal at 1/2/4/8 threads",
+           bitwise);
+}
+
 /// The figure table: `--figure` picks rows of it by id.
 struct Figure {
     const char* id;
@@ -1139,6 +1559,8 @@ constexpr Figure kFigures[] = {
     {"table2", table2},   {"abl_cohesion", abl_cohesion},
     {"abl_group_k", abl_group_k},   {"abl_similarity", abl_similarity},
     {"setup", setup},     {"overlap", overlap}, {"fault", fault},
+    {"collectives", collectives},   {"schedule", schedule},
+    {"elastic", elastic}, {"serving", serving}, {"threads", threads},
 };
 
 /// Google-benchmark-shaped JSON of every row.
@@ -1148,7 +1570,9 @@ void write_json(const Paper& p) {
     w.kv("library", "scgnn.bench.paper")
         .kv("scale", p.opt.scale)
         .kv("epochs", std::uint64_t{p.opt.epochs})
-        .kv("seed", std::uint64_t{p.opt.seed});
+        .kv("seed", std::uint64_t{p.opt.seed})
+        .kv("hardware_threads",
+            std::uint64_t{std::thread::hardware_concurrency()});
     w.end_object().key("benchmarks").begin_array();
     for (const Row& row : p.rows)
         w.begin_object()
@@ -1206,5 +1630,7 @@ int main(int argc, char** argv) {
     if (!obs_out.empty() && obs::finish())
         std::printf("observability: wrote %s.trace.json and %s.report.json\n",
                     obs_out.c_str(), obs_out.c_str());
-    return 0;
+    for (const std::string& id : p.failed_gates)
+        std::fprintf(stderr, "FAIL: gate %s\n", id.c_str());
+    return p.failed_gates.empty() ? 0 : 1;
 }

@@ -12,8 +12,6 @@
 /// the fault-injection flags (comm/fault.hpp). An unknown flag or a
 /// malformed value exits 2. All seeds are fixed and printed.
 
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +22,7 @@
 
 #include "scgnn/comm/collective.hpp"
 #include "scgnn/comm/topology.hpp"
+#include "scgnn/common/error.hpp"
 #include "scgnn/common/log.hpp"
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/common/table.hpp"
@@ -62,25 +61,9 @@ struct ExtraFlag {
     std::string* value;
 };
 
-/// Parse the whole of `s` as a number in [lo, hi], a whole one when
-/// `integral`; exit 2 otherwise, as Scenario::parse_flag does.
-inline double parse_number(const char* flag, const char* s, double lo,
-                           double hi, bool integral) {
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno != 0 || !(v >= lo && v <= hi) ||
-        (integral && v != std::floor(v))) {
-        std::fprintf(stderr, "bad %s '%s' (expected a %s in [%g, %g])\n",
-                     flag, s, integral ? "whole number" : "number", lo, hi);
-        std::exit(2);
-    }
-    return v;
-}
-
 /// Parse argv: the shared scenario flags, the common bench flags and
-/// `extra`. An unknown flag, a missing value or a malformed value exits 2
-/// before any work starts.
+/// `extra`. An unknown flag, a missing or malformed value, or flags that
+/// Scenario::build rejects together exit 2 before any work starts.
 inline Options parse_options(int argc, char** argv,
                              std::initializer_list<ExtraFlag> extra = {}) {
     Options opt;
@@ -104,13 +87,19 @@ inline Options parse_options(int argc, char** argv,
         if (text)
             *text = v;
         else if (f == "--scale")
-            opt.scale = parse_number(flag, v, 1e-3, 100.0, false);
+            opt.scale = runtime::parse_number(flag, v, 1e-3, 100.0);
         else if (f == "--epochs")
             opt.epochs = static_cast<std::uint32_t>(
-                parse_number(flag, v, 1.0, 1e6, true));
+                runtime::parse_number(flag, v, 1.0, 1e6, true));
         else  // seeds up to 2^53, the doubles that hold every integer
             opt.seed = static_cast<std::uint64_t>(
-                parse_number(flag, v, 0.0, 0x1p53, true));
+                runtime::parse_number(flag, v, 0.0, 0x1p53, true));
+    }
+    try {
+        (void)runtime::Scenario::build(opt.scn);
+    } catch (const Error& e) {
+        std::fprintf(stderr, "bad flags: %s\n", e.what());
+        std::exit(2);
     }
     runtime::Scenario::activate(opt.scn);
     const dist::DistTrainConfig& t = opt.scn.pipeline.train;

@@ -52,8 +52,10 @@
 // The `--fault-*`/`--retry-max`/`--timeout` flags inject a deterministic
 // fault schedule into the fabric (see comm/fault.hpp). Exit codes: 0 on
 // success — including a degraded run that stayed within `--max-staleness`
-// (default 0) consecutive stale epochs — and 3 when fault recovery left
-// any halo block staler than that threshold.
+// (default 0) consecutive stale epochs — 2 on bad usage (an unknown flag,
+// a malformed or out-of-range value, or flags that make an invalid
+// scenario together), and 3 when fault recovery left any halo block
+// staler than that threshold.
 //
 // `--mode` picks the workload (see runtime/scenario.hpp): `train` is the
 // default full-batch distributed run, `sample-train` switches the trainer
@@ -166,30 +168,42 @@ int main(int argc, char** argv) {
                                          .c_str());
             return argv[++i];
         };
+        // A malformed or out-of-range number exits 2.
+        auto number = [&](const char* flag, double lo, double hi,
+                          bool integral = false) {
+            return runtime::parse_number(flag, need(flag), lo, hi, integral);
+        };
+        auto whole = [&](const char* flag, double lo, double hi) {
+            return static_cast<std::uint32_t>(number(flag, lo, hi, true));
+        };
         if (!std::strcmp(argv[i], "--dataset")) dataset = need("--dataset");
         else if (!std::strcmp(argv[i], "--load")) load_dir = need("--load");
         else if (!std::strcmp(argv[i], "--save")) save_dir = need("--save");
-        else if (!std::strcmp(argv[i], "--scale")) scale = std::atof(need("--scale"));
+        else if (!std::strcmp(argv[i], "--scale"))
+            scale = number("--scale", 1e-3, 100.0);
         else if (!std::strcmp(argv[i], "--parts"))
-            cfg.num_parts = std::atoi(need("--parts"));
+            cfg.num_parts = whole("--parts", 1, 4096);
         else if (!std::strcmp(argv[i], "--epochs"))
-            cfg.train.epochs = std::atoi(need("--epochs"));
+            cfg.train.epochs = whole("--epochs", 1, 1e6);
         else if (!std::strcmp(argv[i], "--layers"))
-            cfg.model.num_layers = std::atoi(need("--layers"));
+            cfg.model.num_layers = whole("--layers", 1, 64);
         else if (!std::strcmp(argv[i], "--method"))
             set_method(cfg.method, need("--method"));
         else if (!std::strcmp(argv[i], "--partition"))
             cfg.algo = parse_partition(need("--partition"));
         else if (!std::strcmp(argv[i], "--rate"))
-            cfg.method.sampling.rate = std::atof(need("--rate"));
-        else if (!std::strcmp(argv[i], "--bits"))
-            cfg.method.quant.bits = std::atoi(need("--bits"));
-        else if (!std::strcmp(argv[i], "--tau"))
-            cfg.method.delay.period = std::atoi(need("--tau"));
+            cfg.method.sampling.rate = number("--rate", 1e-6, 1.0);
+        else if (!std::strcmp(argv[i], "--bits")) {
+            const int bits = static_cast<int>(whole("--bits", 4, 16));
+            if (bits != 4 && bits != 8 && bits != 16)
+                usage("--bits must be 4, 8 or 16");
+            cfg.method.quant.bits = bits;
+        } else if (!std::strcmp(argv[i], "--tau"))
+            cfg.method.delay.period = whole("--tau", 1, 1e6);
         else if (!std::strcmp(argv[i], "--groups"))
-            cfg.method.semantic.grouping.kmeans_k = std::atoi(need("--groups"));
+            cfg.method.semantic.grouping.kmeans_k = whole("--groups", 1, 1e6);
         else if (!std::strcmp(argv[i], "--ef-flush"))
-            cfg.method.ef.flush_threshold = std::atof(need("--ef-flush"));
+            cfg.method.ef.flush_threshold = number("--ef-flush", -1e9, 1e9);
         else if (!std::strcmp(argv[i], "--drop-o2o"))
             cfg.method.semantic.drop = scgnn::core::DropMask::without_o2o();
         else if (!std::strcmp(argv[i], "--sage"))
@@ -197,12 +211,13 @@ int main(int argc, char** argv) {
         else if (!std::strcmp(argv[i], "--gin"))
             cfg.model.kind = gnn::LayerKind::kGin;
         else if (!std::strcmp(argv[i], "--dropout"))
-            cfg.model.dropout = static_cast<float>(std::atof(need("--dropout")));
+            cfg.model.dropout =
+                static_cast<float>(number("--dropout", 0.0, 0.99));
         else if (!std::strcmp(argv[i], "--seed"))
-            seed = std::atoll(need("--seed"));
+            seed = static_cast<std::uint64_t>(
+                number("--seed", 0.0, 0x1p53, true));
         else if (!std::strcmp(argv[i], "--max-staleness"))
-            max_staleness =
-                static_cast<std::uint32_t>(std::atoi(need("--max-staleness")));
+            max_staleness = whole("--max-staleness", 0, 4294967295.0);
         else
             usage((std::string("unknown flag ") + argv[i]).c_str());
     }

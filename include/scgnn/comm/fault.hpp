@@ -63,6 +63,17 @@ struct RetryPolicy {
     double backoff_multiplier = 2.0;  ///< growth per further retry
 };
 
+/// Throw scgnn::Error unless `model` is well-formed on any fabric: drop
+/// probability in [0, 1), straggler probability in [0, 1], straggler
+/// multiplier >= 1, and every down window a cross-device link with
+/// first_epoch <= last_epoch. Whether a window's devices exist depends on
+/// the fabric's size, so Fabric::set_fault_model checks that on top.
+void validate(const FaultModel& model);
+
+/// Throw scgnn::Error unless `policy` is well-formed: at least one
+/// attempt, non-negative timeout and backoff, backoff multiplier >= 1.
+void validate(const RetryPolicy& policy);
+
 /// Aggregate fault counters. Invariant (asserted by the fuzz tier):
 ///   drops + link_down_hits == retries + failures
 /// — every failed attempt is either retried or ends its send in failure.

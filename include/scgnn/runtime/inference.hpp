@@ -37,8 +37,8 @@ struct ServeConfig {
     std::uint32_t batch_max = 8;
     double deadline_ms = 2.0;  ///< batching window anchored at head arrival
     /// Keep fetched halo units resident per device; off = every unit is
-    /// re-fetched on every touch (the naive path bench_serving compares
-    /// against).
+    /// re-fetched on every touch (the naive path that `bench_paper
+    /// --figure serving` compares against).
     bool halo_cache = true;
     /// Cache/fetch at semantic-group granularity (one fused row per
     /// group, keyed by group signature). Off = raw per-row units.

@@ -53,6 +53,12 @@ struct ScenarioResult {
     ServeResult serve{};              ///< serve mode
 };
 
+/// Parse the whole of `s` as a number in [lo, hi], a whole one when
+/// `integral`; otherwise print "bad <flag> ..." and exit 2. The one
+/// numeric reader behind parse_flag and every binary's own flags.
+[[nodiscard]] double parse_number(const char* flag, const char* s, double lo,
+                                  double hi, bool integral = false);
+
 /// A validated workload. Construct through build()/for_training() — the
 /// constructor is private so every instance has passed the single
 /// validation pass.
@@ -80,7 +86,9 @@ public:
 
     /// The single validation pass: throws scgnn::Error on any invalid
     /// combination (membership schedules in sample-train mode, degenerate
-    /// sampler fanouts/batch size, non-positive QPS, ...).
+    /// sampler fanouts/batch size, non-positive QPS, a fault model or
+    /// retry policy no fabric accepts, ...). Only a down window naming a
+    /// device beyond P is left to the fabric, since P may come later.
     [[nodiscard]] static Scenario build(ScenarioConfig cfg);
 
     /// Shorthand for library callers that already hold a DistTrainConfig

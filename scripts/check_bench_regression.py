@@ -6,21 +6,17 @@ Usage:
                               [--strict]
 
 Works on any google-benchmark-shaped JSON: bench_kernels' own output and
-the JSON that bench_collectives, bench_adaptive_rate, bench_elastic,
-bench_serving and bench_paper write with --json. Three checks:
+the JSON that bench_paper writes with --json. Three checks:
 
   * per-benchmark regression: a benchmark whose real_time grew by more
     than --threshold x its baseline is flagged. Always warn-only —
     absolute times move with hardware and CI load, so even --strict
     never fails on a timing ratio.
-  * modelled-field drift: benchmarks that carry deterministic modelled
-    fields (final_loss / total_mb / mean_rate / migrated_mb /
-    peak_comm_ms / active_min / latency quantiles / hit_rate /
-    halo_mb, and bench_paper's generic `value`, which also holds its
-    claim/<id> verdicts) are pipeline outputs, not wall times — they
+  * modelled-field drift: bench_paper's `value` field holds a modelled
+    pipeline output or a claim/<id> verdict, not a wall time, so it
     must diff exactly on any host. A mismatch is printed as DRIFT.
-    bench_paper's host-measured figures live in a separate `measured`
-    field and are never diffed.
+    Host-measured figures live in a separate `measured` field and are
+    never diffed.
   * missing rows: a baseline benchmark absent from the fresh run is
     printed as MISSING, so a bench that silently drops a row cannot pass.
 
@@ -34,10 +30,7 @@ import sys
 
 # Deterministic per-benchmark fields: modelled pipeline outputs that are
 # bitwise reproducible, unlike real_time.
-DETERMINISTIC_KEYS = ("final_loss", "total_mb", "mean_rate",
-                      "migrated_mb", "peak_comm_ms", "active_min",
-                      "p50_ms", "p99_ms", "p999_ms", "hit_rate", "halo_mb",
-                      "value")
+DETERMINISTIC_KEYS = ("value",)
 
 def load_times(path):
     """(name -> real_time, name -> deterministic fields); errored rows

@@ -47,7 +47,7 @@ Fabric::Fabric(const Topology& topo)
     inter_cm_ = to_cost(topo.inter_tier());
 }
 
-void Fabric::set_fault_model(FaultModel model) {
+void validate(const FaultModel& model) {
     SCGNN_CHECK(model.drop_probability >= 0.0 && model.drop_probability < 1.0,
                 "drop probability must be in [0, 1)");
     SCGNN_CHECK(model.straggler_probability >= 0.0 &&
@@ -56,20 +56,29 @@ void Fabric::set_fault_model(FaultModel model) {
     SCGNN_CHECK(model.straggler_latency_multiplier >= 1.0,
                 "straggler multiplier must be >= 1");
     for (const LinkDownWindow& w : model.down_windows) {
-        SCGNN_CHECK(w.src < n_ && w.dst < n_, "down-window device out of range");
         SCGNN_CHECK(w.src != w.dst, "down window needs a cross-device link");
         SCGNN_CHECK(w.first_epoch <= w.last_epoch,
                     "down window must not end before it starts");
     }
-    fault_ = std::move(model);
 }
 
-void Fabric::set_retry_policy(RetryPolicy policy) {
+void validate(const RetryPolicy& policy) {
     SCGNN_CHECK(policy.max_attempts >= 1, "need at least one send attempt");
     SCGNN_CHECK(policy.timeout_s >= 0.0, "timeout must be non-negative");
     SCGNN_CHECK(policy.backoff_base_s >= 0.0, "backoff must be non-negative");
     SCGNN_CHECK(policy.backoff_multiplier >= 1.0,
                 "backoff multiplier must be >= 1");
+}
+
+void Fabric::set_fault_model(FaultModel model) {
+    validate(model);
+    for (const LinkDownWindow& w : model.down_windows)
+        SCGNN_CHECK(w.src < n_ && w.dst < n_, "down-window device out of range");
+    fault_ = std::move(model);
+}
+
+void Fabric::set_retry_policy(RetryPolicy policy) {
+    validate(policy);
     retry_ = policy;
 }
 

@@ -4,10 +4,14 @@
 
 #include "scgnn/runtime/scenario.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
+#include "scgnn/comm/fault.hpp"
 #include "scgnn/common/log.hpp"
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/obs/ledger.hpp"
@@ -47,90 +51,87 @@ bool parse_log_level_key(const char* s, LogLevel& out) {
     return true;
 }
 
-/// Parse a comma-separated fanout list ("10,5"); false on any malformed
-/// or zero entry.
-bool parse_fanout(const char* s, std::vector<std::uint32_t>& out) {
-    out.clear();
-    const char* p = s;
-    while (*p != '\0') {
-        char* end = nullptr;
-        const long v = std::strtol(p, &end, 10);
-        if (end == p || v < 1) return false;
-        out.push_back(static_cast<std::uint32_t>(v));
+constexpr double kMaxU32 = 4294967295.0;
+/// Seeds up to 2^53, the doubles that hold every integer.
+constexpr double kMaxSeed = 0x1p53;
+
+/// The `sep`-separated fields of `s`, each a whole number in [lo, 2^32);
+/// exit 2 on an empty or malformed field.
+std::vector<std::uint32_t> parse_list(const char* flag, const char* s,
+                                      char sep, double lo) {
+    std::vector<std::uint32_t> out;
+    for (const char* p = s;; ++p) {
+        const char* end = std::strchr(p, sep);
+        const std::string field = end ? std::string(p, end) : std::string(p);
+        out.push_back(static_cast<std::uint32_t>(
+            parse_number(flag, field.c_str(), lo, kMaxU32, true)));
+        if (!end) return out;
         p = end;
-        if (*p == ',') ++p;
-        else if (*p != '\0') return false;
     }
-    return !out.empty();
 }
 
 } // namespace
 
+double parse_number(const char* flag, const char* s, double lo, double hi,
+                    bool integral) {
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno != 0 || !(v >= lo && v <= hi) ||
+        (integral && v != std::floor(v))) {
+        std::fprintf(stderr, "bad %s '%s' (expected a %s in [%g, %g])\n",
+                     flag, s, integral ? "whole number" : "number", lo, hi);
+        std::exit(2);
+    }
+    return v;
+}
+
 bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
-    auto value = [&](const char* flag) -> const char* {
+    const std::string_view flag = argv[i];
+    auto value = [&]() -> const char* {
         if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n", flag);
+            std::fprintf(stderr, "missing value for %s\n", argv[i]);
             std::exit(2);
         }
         return argv[++i];
     };
+    auto number = [&](double lo, double hi) {
+        const char* name = argv[i];
+        return parse_number(name, value(), lo, hi);
+    };
+    auto whole = [&](double lo, double hi) {
+        const char* name = argv[i];
+        return static_cast<std::uint32_t>(
+            parse_number(name, value(), lo, hi, true));
+    };
     dist::DistTrainConfig& train = out.pipeline.train;
-    if (std::strcmp(argv[i], "--mode") == 0) {
-        const char* s = value("--mode");
+    if (flag == "--mode") {
+        const char* s = value();
         if (!parse_mode(s, out.mode)) {
             std::fprintf(stderr,
                          "unknown --mode '%s' "
                          "(expected train|sample-train|serve)\n", s);
             std::exit(2);
         }
-    } else if (std::strcmp(argv[i], "--batch-size") == 0) {
-        const int v = std::atoi(value("--batch-size"));
-        if (v < 1) {
-            std::fprintf(stderr, "bad --batch-size (expected >= 1)\n");
-            std::exit(2);
-        }
-        out.sampler.batch_size = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--fanout") == 0) {
-        const char* s = value("--fanout");
-        if (!parse_fanout(s, out.sampler.fanout)) {
-            std::fprintf(stderr,
-                         "bad --fanout '%s' (expected comma-joined "
-                         "per-layer budgets, each >= 1)\n", s);
-            std::exit(2);
-        }
-    } else if (std::strcmp(argv[i], "--qps") == 0) {
-        out.serve.qps = std::atof(value("--qps"));
-        if (out.serve.qps <= 0.0) {
-            std::fprintf(stderr, "bad --qps (expected > 0)\n");
-            std::exit(2);
-        }
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-        out.serve.deadline_ms = std::atof(value("--deadline-ms"));
-        if (out.serve.deadline_ms < 0.0) {
-            std::fprintf(stderr, "bad --deadline-ms (expected >= 0)\n");
-            std::exit(2);
-        }
-    } else if (std::strcmp(argv[i], "--queries") == 0) {
-        const int v = std::atoi(value("--queries"));
-        if (v < 1) {
-            std::fprintf(stderr, "bad --queries (expected >= 1)\n");
-            std::exit(2);
-        }
-        out.serve.queries = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--serve-batch") == 0) {
-        const int v = std::atoi(value("--serve-batch"));
-        if (v < 1) {
-            std::fprintf(stderr, "bad --serve-batch (expected >= 1)\n");
-            std::exit(2);
-        }
-        out.serve.batch_max = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--no-serve-cache") == 0) {
+    } else if (flag == "--batch-size") {
+        out.sampler.batch_size = whole(1, kMaxU32);
+    } else if (flag == "--fanout") {
+        out.sampler.fanout = parse_list("--fanout", value(), ',', 1);
+    } else if (flag == "--qps") {
+        out.serve.qps = number(1e-6, 1e9);
+    } else if (flag == "--deadline-ms") {
+        out.serve.deadline_ms = number(0, 1e9);
+    } else if (flag == "--queries") {
+        out.serve.queries = whole(1, kMaxU32);
+    } else if (flag == "--serve-batch") {
+        out.serve.batch_max = whole(1, kMaxU32);
+    } else if (flag == "--no-serve-cache") {
         out.serve.halo_cache = false;  // flag only, no value
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-        out.threads = static_cast<unsigned>(std::atoi(value("--threads")));
-    } else if (std::strcmp(argv[i], "--log-level") == 0) {
+    } else if (flag == "--threads") {
+        out.threads = whole(0, 1024);  // 0 = SCGNN_THREADS / all cores
+    } else if (flag == "--log-level") {
         LogLevel level;
-        const char* s = value("--log-level");
+        const char* s = value();
         if (!parse_log_level_key(s, level)) {
             std::fprintf(stderr,
                          "unknown --log-level '%s' "
@@ -138,49 +139,39 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
             std::exit(2);
         }
         set_log_level(level);
-    } else if (std::strcmp(argv[i], "--obs-out") == 0) {
-        out.obs_out = value("--obs-out");
-    } else if (std::strcmp(argv[i], "--overlap") == 0) {
+    } else if (flag == "--obs-out") {
+        out.obs_out = value();
+    } else if (flag == "--overlap") {
         train.comm.mode = comm::CostModel::Mode::kOverlap;  // flag only
-    } else if (std::strcmp(argv[i], "--topology") == 0) {
-        const char* s = value("--topology");
+    } else if (flag == "--topology") {
+        const char* s = value();
         if (!comm::parse_topology(s, train.comm.topology)) {
             std::fprintf(stderr,
                          "bad --topology '%s' (expected flat|hier:NxM)\n", s);
             std::exit(2);
         }
-    } else if (std::strcmp(argv[i], "--collective") == 0) {
-        const char* s = value("--collective");
+    } else if (flag == "--collective") {
+        const char* s = value();
         if (!comm::collective::parse_algo(s, train.comm.collective)) {
             std::fprintf(stderr,
                          "unknown --collective '%s' "
                          "(expected p2p|ring|tree|hier)\n", s);
             std::exit(2);
         }
-    } else if (std::strcmp(argv[i], "--compressor-schedule") == 0) {
-        const char* s = value("--compressor-schedule");
+    } else if (flag == "--compressor-schedule") {
+        const char* s = value();
         if (!dist::parse_schedule(s, train.rate.kind)) {
             std::fprintf(stderr,
                          "unknown --compressor-schedule '%s' "
                          "(expected fixed|warmup)\n", s);
             std::exit(2);
         }
-    } else if (std::strcmp(argv[i], "--schedule-floor") == 0) {
-        train.rate.floor = std::atof(value("--schedule-floor"));
-        if (train.rate.floor <= 0.0 || train.rate.floor > 1.0) {
-            std::fprintf(stderr, "bad --schedule-floor %g (expected (0, 1])\n",
-                         train.rate.floor);
-            std::exit(2);
-        }
-    } else if (std::strcmp(argv[i], "--warmup-epochs") == 0) {
-        const int v = std::atoi(value("--warmup-epochs"));
-        if (v < 1) {
-            std::fprintf(stderr, "bad --warmup-epochs (expected >= 1)\n");
-            std::exit(2);
-        }
-        train.rate.warmup_epochs = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--membership") == 0) {
-        const char* s = value("--membership");
+    } else if (flag == "--schedule-floor") {
+        train.rate.floor = number(1e-6, 1);
+    } else if (flag == "--warmup-epochs") {
+        train.rate.warmup_epochs = whole(1, kMaxU32);
+    } else if (flag == "--membership") {
+        const char* s = value();
         if (!runtime::parse_membership(s, train.membership)) {
             std::fprintf(stderr,
                          "bad --membership '%s' (expected comma-joined "
@@ -188,27 +179,27 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
                          "events, optional seed:<n>)\n", s);
             std::exit(2);
         }
-    } else if (std::strcmp(argv[i], "--fault-drop") == 0) {
-        train.comm.fault.drop_probability = std::atof(value("--fault-drop"));
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-        train.comm.fault.seed =
-            static_cast<std::uint64_t>(std::atoll(value("--fault-seed")));
-    } else if (std::strcmp(argv[i], "--fault-link-down") == 0) {
-        const char* spec = value("--fault-link-down");
-        comm::LinkDownWindow w;
-        if (std::sscanf(spec, "%u:%u:%u:%u", &w.src, &w.dst, &w.first_epoch,
-                        &w.last_epoch) != 4) {
+    } else if (flag == "--fault-drop") {
+        train.comm.fault.drop_probability = number(0, 1);
+    } else if (flag == "--fault-seed") {
+        const char* s = value();
+        train.comm.fault.seed = static_cast<std::uint64_t>(
+            parse_number("--fault-seed", s, 0, kMaxSeed, true));
+    } else if (flag == "--fault-link-down") {
+        const char* s = value();
+        const auto f = parse_list("--fault-link-down", s, ':', 0);
+        if (f.size() != 4) {
             std::fprintf(stderr,
                          "bad --fault-link-down '%s' "
-                         "(expected src:dst:first_epoch:last_epoch)\n", spec);
+                         "(expected src:dst:first_epoch:last_epoch)\n", s);
             std::exit(2);
         }
-        train.comm.fault.down_windows.push_back(w);
-    } else if (std::strcmp(argv[i], "--retry-max") == 0) {
-        train.comm.retry.max_attempts =
-            static_cast<std::uint32_t>(std::atoi(value("--retry-max")));
-    } else if (std::strcmp(argv[i], "--timeout") == 0) {
-        train.comm.retry.timeout_s = std::atof(value("--timeout"));
+        train.comm.fault.down_windows.push_back(
+            {.src = f[0], .dst = f[1], .first_epoch = f[2], .last_epoch = f[3]});
+    } else if (flag == "--retry-max") {
+        train.comm.retry.max_attempts = whole(1, kMaxU32);
+    } else if (flag == "--timeout") {
+        train.comm.retry.timeout_s = number(0, 1e6);
     } else {
         return false;
     }
@@ -245,6 +236,10 @@ Scenario Scenario::build(ScenarioConfig cfg) {
                     cfg.pipeline.train.lr_decay <= 1.0f,
                 "lr_decay must be in (0, 1]");
     dist::validate(cfg.pipeline.train.rate);
+    // The fabric's own checks, minus the device range of a down window:
+    // for_training() callers name P only when they train.
+    comm::validate(cfg.pipeline.train.comm.fault);
+    comm::validate(cfg.pipeline.train.comm.retry);
     if (cfg.mode == ScenarioMode::kSampleTrain) {
         SCGNN_CHECK(!cfg.pipeline.train.membership.active(),
                     "membership schedules are not supported in "

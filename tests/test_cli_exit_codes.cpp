@@ -50,6 +50,28 @@ const Case kCases[] = {
     // invalid combination must still exit 2 before any work starts.
     {"sample-train-membership",
      "--mode sample-train --membership leave:1@d1,join:2@d1"},
+    {"fault-link-down-self", "--fault-link-down 0:0:1:2"},
+    // Every number is read whole and range-checked: no silent 0, no
+    // wrap-around, no trailing garbage, no overflow to inf.
+    {"threads-negative", "--threads -2"},
+    {"threads-garbage", "--threads abc"},
+    {"fault-drop-garbage", "--fault-drop abc"},
+    {"fault-drop-range", "--fault-drop 1.5"},
+    {"timeout-garbage", "--timeout abc"},
+    {"timeout-negative", "--timeout -1 --fault-drop 0.1"},
+    {"retry-max-negative", "--retry-max -1"},
+    {"retry-max-zero", "--retry-max 0"},
+    {"fault-seed-negative", "--fault-seed -5"},
+    {"fault-link-down-garbage", "--fault-link-down 0:1:2:x"},
+    {"batch-size-trailing", "--batch-size 5abc"},
+    {"qps-overflow", "--qps 1e400"},
+    {"fanout-trailing-comma", "--fanout 10,"},
+    // The cli-local numeric flags.
+    {"epochs-negative", "--epochs -3"},
+    {"scale-garbage", "--scale abc"},
+    {"parts-zero", "--parts 0"},
+    {"bits-unsupported", "--bits 5"},
+    {"seed-fractional", "--seed 1.5"},
 };
 
 /// Run `binary` with the row's arguments and expect the bad-usage exit 2.
@@ -86,12 +108,15 @@ INSTANTIATE_TEST_SUITE_P(Validators, CliExitCode, ::testing::ValuesIn(kCases),
                          case_name);
 
 // The bench flag parser: a misspelt flag, an out-of-range or unparsable
-// value and an unknown figure id all exit 2 before any figure runs.
+// value, an unknown figure id and flags that Scenario::build rejects
+// together all exit 2 before any figure runs.
 const Case kBenchCases[] = {
     {"misspelt-flag", "--scal 0.1"},
     {"negative-epochs", "--epochs -3"},
     {"unparsable-scale", "--scale abc"},
     {"unknown-figure", "--figure fig99"},
+    {"threads-garbage", "--threads abc"},
+    {"invalid-combination", "--fault-link-down 0:0:1:2"},
 };
 
 class BenchPaperExitCode : public ::testing::TestWithParam<Case> {};

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -102,6 +103,33 @@ TEST(ScenarioBuild, ValidatesOnce) {
     bad = base_cfg(d, ScenarioMode::kServe);
     bad.serve.batch_max = 0;
     EXPECT_THROW((void)Scenario::build(bad), Error);
+}
+
+TEST(ScenarioBuild, RejectsFaultsAndRetriesNoFabricAccepts) {
+    const graph::Dataset d = tiny_data();
+    using Comm = dist::DistTrainConfig::CommPolicy;
+    const std::function<void(Comm&)> edits[] = {
+        [](Comm& c) { c.fault.drop_probability = 1.0; },
+        [](Comm& c) { c.fault.drop_probability = -0.1; },
+        [](Comm& c) { c.fault.straggler_probability = 1.5; },
+        [](Comm& c) { c.fault.straggler_latency_multiplier = 0.5; },
+        [](Comm& c) { c.fault.down_windows = {{1, 1, 0, 2}}; },
+        [](Comm& c) { c.fault.down_windows = {{0, 1, 3, 2}}; },
+        [](Comm& c) { c.retry.max_attempts = 0; },
+        [](Comm& c) { c.retry.timeout_s = -1.0; },
+        [](Comm& c) { c.retry.backoff_base_s = -1.0; },
+        [](Comm& c) { c.retry.backoff_multiplier = 0.5; },
+    };
+    for (const auto& edit : edits) {
+        ScenarioConfig bad = base_cfg(d, ScenarioMode::kTrain);
+        edit(bad.pipeline.train.comm);
+        EXPECT_THROW((void)Scenario::build(bad), Error);
+    }
+    // A window beyond this P is the fabric's to reject: for_training()
+    // callers name P only when they train.
+    dist::DistTrainConfig far;
+    far.comm.fault.down_windows = {{0, 99, 0, 1}};
+    EXPECT_NO_THROW((void)Scenario::for_training(far));
 }
 
 TEST(ScenarioBuild, ServeInheritsTrainingSideKnobs) {
