@@ -1,7 +1,9 @@
 // Golden-value regression tier: exact (%.17g) compression ratios, epoch
 // losses and final accuracies for the four DatasetPresets at fixed seeds,
 // plus a fault-schedule run (drop=0.2, retry-max=3, one link-down window)
-// whose counters and degraded trajectory are pinned too, and a warmup
+// whose counters and degraded trajectory are pinned too (plus a variant
+// whose outage covers epoch 0, so the cold-miss zero-block path is pinned),
+// and a warmup
 // error-feedback run whose per-epoch fidelity sequence is pinned alongside
 // its losses. Bitwise equality
 // is sound because the whole pipeline is deterministic at any thread
@@ -39,14 +41,28 @@ PipelineConfig golden_cfg(const graph::Dataset& d) {
     return cfg;
 }
 
-/// The acceptance fault schedule: 20% drops with a 3-attempt retry
-/// budget, plus one scheduled outage of link 0→1.
-void add_fault_schedule(PipelineConfig& cfg) {
+/// Inclusive epoch range of the scheduled link 0→1 outage.
+struct Outage {
+    std::uint32_t first_epoch;
+    std::uint32_t last_epoch;
+};
+
+/// The acceptance outage: it starts after epoch 0 delivered every block,
+/// so each failure falls back to a cached block.
+constexpr Outage kAcceptanceOutage{1, 2};
+/// An outage that covers epoch 0: the first sends on link 0→1 fail
+/// before anything was delivered, so the receiver aggregates zeros.
+constexpr Outage kColdOutage{0, 1};
+
+/// The fault schedule: 20% drops with a 3-attempt retry budget, plus one
+/// scheduled outage of link 0→1.
+void add_fault_schedule(PipelineConfig& cfg, Outage outage) {
     cfg.train.comm.fault.drop_probability = 0.2;
     cfg.train.comm.fault.seed = 2024;
     cfg.train.comm.fault.down_windows.push_back(
         comm::LinkDownWindow{.src = 0, .dst = 1,
-                             .first_epoch = 1, .last_epoch = 2});
+                             .first_epoch = outage.first_epoch,
+                             .last_epoch = outage.last_epoch});
     cfg.train.comm.retry.max_attempts = 3;
     cfg.train.comm.retry.timeout_s = 2e-3;
 }
@@ -59,8 +75,10 @@ std::string g17(double v) {
 
 /// Canonical golden serialisation. Only modelled/deterministic quantities
 /// appear — measured wall times (compute_ms, epoch_ms) are excluded.
+/// `outage` is the fault schedule's window, or null for a fault-free run.
 std::string render(const std::string& preset, const PipelineResult& r,
-                   bool with_faults) {
+                   const Outage* outage) {
+    const bool with_faults = outage != nullptr;
     std::ostringstream o;
     o << "{\n";
     o << "  \"schema\": \"scgnn.golden/1\",\n";
@@ -70,7 +88,8 @@ std::string render(const std::string& preset, const PipelineResult& r,
       << ", \"seed\": " << kSeed << ", \"hidden\": 32";
     if (with_faults)
         o << ", \"fault_drop\": " << g17(0.2) << ", \"fault_seed\": 2024"
-          << ", \"link_down\": \"0:1:1:2\", \"retry_max\": 3"
+          << ", \"link_down\": \"0:1:" << outage->first_epoch << ':'
+          << outage->last_epoch << "\", \"retry_max\": 3"
           << ", \"timeout_s\": " << g17(2e-3);
     o << "},\n";
     o << "  \"cross_edges\": " << r.cross_edges << ",\n";
@@ -132,10 +151,11 @@ void check_golden(const std::string& name, const std::string& got) {
         << "and commit the refreshed tests/golden/*.json.";
 }
 
-PipelineResult run_preset(graph::DatasetPreset preset, bool with_faults) {
+PipelineResult run_preset(graph::DatasetPreset preset,
+                          const Outage* outage) {
     const graph::Dataset d = graph::make_dataset(preset, kScale, kSeed);
     PipelineConfig cfg = golden_cfg(d);
-    if (with_faults) add_fault_schedule(cfg);
+    if (outage != nullptr) add_fault_schedule(cfg, *outage);
     return run_pipeline(d, cfg);
 }
 
@@ -145,11 +165,11 @@ class GoldenPreset
 
 TEST_P(GoldenPreset, MatchesCheckedInValues) {
     const auto [preset, name] = GetParam();
-    const PipelineResult r = run_preset(preset, /*with_faults=*/false);
+    const PipelineResult r = run_preset(preset, nullptr);
     // A fault-free run must report all-zero recovery counters.
     EXPECT_FALSE(r.train.fault.degraded());
     EXPECT_EQ(r.train.fault.fabric.attempts, 0u);
-    check_golden(name, render(name, r, /*with_faults=*/false));
+    check_golden(name, render(name, r, nullptr));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -162,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GoldenFaultSchedule, PinnedAndConvergesNearFaultFree) {
     const PipelineResult faulted =
-        run_preset(graph::DatasetPreset::kPubMedSim, /*with_faults=*/true);
+        run_preset(graph::DatasetPreset::kPubMedSim, &kAcceptanceOutage);
     const dist::FaultSummary& f = faulted.train.fault;
 
     // The schedule must actually have fired: nonzero drop/retry counters,
@@ -179,10 +199,10 @@ TEST(GoldenFaultSchedule, PinnedAndConvergesNearFaultFree) {
     // Degraded-halo recovery, not divergence: within 2 accuracy points of
     // the fault-free trajectory (the acceptance bar).
     const PipelineResult clean =
-        run_preset(graph::DatasetPreset::kPubMedSim, /*with_faults=*/false);
+        run_preset(graph::DatasetPreset::kPubMedSim, nullptr);
     EXPECT_NEAR(faulted.train.test_accuracy, clean.train.test_accuracy, 0.02);
 
-    check_golden("pubmed_faults", render("pubmed", faulted, true));
+    check_golden("pubmed_faults", render("pubmed", faulted, &kAcceptanceOutage));
 }
 
 TEST(GoldenOverlapMode, DeterministicFieldsMatchAdditiveAndEpochShrinks) {
@@ -196,8 +216,8 @@ TEST(GoldenOverlapMode, DeterministicFieldsMatchAdditiveAndEpochShrinks) {
     cfg.train.comm.mode = comm::CostModel::Mode::kOverlap;
     const PipelineResult overlap = run_pipeline(d, cfg);
 
-    EXPECT_EQ(render("reddit", additive, false),
-              render("reddit", overlap, false));
+    EXPECT_EQ(render("reddit", additive, nullptr),
+              render("reddit", overlap, nullptr));
 
     // Scheduling the same compute budget and send set can only shrink the
     // epoch: on reddit (comm-dominated) the makespan is strictly below
@@ -295,11 +315,28 @@ TEST(GoldenWarmupEf, ScheduledRunPinned) {
 TEST(GoldenFaultSchedule, BitwiseReproducibleAcrossThreadCounts) {
     auto run_at = [&](unsigned threads) {
         ThreadCountGuard guard(threads);
-        return run_preset(graph::DatasetPreset::kPubMedSim, true);
+        return run_preset(graph::DatasetPreset::kPubMedSim,
+                          &kAcceptanceOutage);
     };
-    const std::string at1 = render("pubmed", run_at(1), true);
-    const std::string at4 = render("pubmed", run_at(4), true);
+    const std::string at1 = render("pubmed", run_at(1), &kAcceptanceOutage);
+    const std::string at4 = render("pubmed", run_at(4), &kAcceptanceOutage);
     EXPECT_EQ(at1, at4);
+}
+
+TEST(GoldenColdMiss, ZeroBlocksPinnedAtEveryThreadCount) {
+    // The outage covers epoch 0, so link 0→1 fails before its first
+    // delivery and the receiver aggregates a zero block. Pinned at 1, 3
+    // and 4 threads: 3 splits the partitions into uneven chunks.
+    auto run_at = [&](unsigned threads) {
+        ThreadCountGuard guard(threads);
+        return run_preset(graph::DatasetPreset::kPubMedSim, &kColdOutage);
+    };
+    const PipelineResult at1 = run_at(1);
+    EXPECT_GT(at1.train.fault.cold_misses, 0u);
+    const std::string pinned = render("pubmed", at1, &kColdOutage);
+    check_golden("pubmed_cold_miss", pinned);
+    EXPECT_EQ(pinned, render("pubmed", run_at(3), &kColdOutage));
+    EXPECT_EQ(pinned, render("pubmed", run_at(4), &kColdOutage));
 }
 
 } // namespace
