@@ -37,7 +37,6 @@
 #include "scgnn/gnn/trainer.hpp"
 #include "scgnn/runtime/membership.hpp"
 #include "scgnn/tensor/sparse.hpp"
-#include "scgnn/tensor/workspace.hpp"
 
 namespace scgnn::runtime {
 class ClusterState;
@@ -64,6 +63,15 @@ struct FaultSummary {
 /// compressed) through a BoundaryCompressor and charged to the fabric.
 /// Input/output matrices are in global row order.
 ///
+/// Each exchange runs in three phases. *Pack*: partitions fan out across
+/// the pool and copy every plan's rows into that plan's own stage (the
+/// sender gathers halo rows, the receiver its halo gradients). *Send*: one
+/// serial loop in plan order runs the compressor, the fabric and the
+/// stale-slot bookkeeping, the only steps that touch shared state. *Land*:
+/// partitions fan out again and apply the blocks (each receiver scatters
+/// into its own stack, each owner adds gradients in ascending plan order),
+/// so the bytes are the same at every pool width.
+///
 /// When the fabric has an active FaultModel, every exchange goes through
 /// Fabric::send(); on exhausted retries the receiver falls back to the
 /// last successfully delivered block for that (plan, layer) — stale
@@ -86,13 +94,6 @@ public:
                       tensor::Matrix& out) override;
     void backward_into(const tensor::Matrix& g, int layer,
                        tensor::Matrix& out) override;
-
-    /// Pooled scratch for the serial exchange path's per-plan temporaries
-    /// (src/recon and grad_in/grad_out blocks). Nullable; must outlive the
-    /// aggregator's use. Per-partition buffers are member matrices instead
-    /// because they fill inside parallel regions and Workspace is not
-    /// thread-safe.
-    void set_workspace(tensor::Workspace* ws) noexcept { ws_ = ws; }
 
     /// Route exchanges through the elastic partition→device ownership map
     /// (nullable; must outlive the aggregator's use). With a cluster set,
@@ -128,23 +129,28 @@ private:
         std::uint32_t age = 0;
         bool valid = false;
     };
+    using StaleCache = std::vector<std::vector<StaleSlot>>;  ///< [plan][layer]
 
-    /// Deliver-or-degrade: on success cache `fresh` and return it; on
-    /// failure count the stale use and return the cached block (zeroing
-    /// `fresh` on a cold miss). `receiver` is the partition whose data
-    /// goes stale.
-    const tensor::Matrix& resolve(std::vector<std::vector<StaleSlot>>& cache,
-                                  std::size_t plan_idx, int layer,
-                                  bool delivered, tensor::Matrix& fresh,
-                                  std::uint32_t receiver);
+    /// What the receiver of one plan aggregates in the current exchange.
+    enum class Arrival : std::uint8_t {
+        kFresh,  ///< the plan's stage, as delivered this exchange
+        kStale,  ///< the stale slot's last delivered block
+        kZero,   ///< zeros: the send failed before any delivery
+    };
 
-    /// Compress `in` through plan `plan_idx` into `fresh` (the halo rows
-    /// when `forward`, else their gradients) and price the block on the
-    /// fabric. Returns the block the receiver aggregates: `fresh`, or the
-    /// stale fallback of resolve() when the send failed.
-    const tensor::Matrix& exchange(bool forward, std::size_t plan_idx,
-                                   int layer, const tensor::Matrix& in,
-                                   tensor::Matrix& fresh, ExchangeTally& tally);
+    /// Send phase for plan `plan_idx`: compress its stage (the halo rows
+    /// when `forward`, else their gradients), price the block on the
+    /// fabric and settle the stale slot. On delivery the compressor output
+    /// is copied back into the stage.
+    Arrival send(bool forward, std::size_t plan_idx, int layer,
+                 ExchangeTally& tally);
+
+    /// Land phase for plan `plan_idx`: the block its receiver aggregates.
+    /// A delivered block also refreshes the plan's stale slot; a cold miss
+    /// zeroes the stage. Plans own their stage and slots, so concurrent
+    /// calls for different plans do not race.
+    const tensor::Matrix& landed(StaleCache& cache, std::size_t plan_idx,
+                                 int layer);
 
     /// Record this step's per-partition compute on the timeline and close
     /// the step.
@@ -154,11 +160,19 @@ private:
     comm::Fabric* fabric_;
     BoundaryCompressor* comp_;
     comm::Timeline* timeline_;  ///< null outside overlap mode
-    tensor::Workspace* ws_ = nullptr;  ///< serial-path scratch (nullable)
     /// Elastic ownership map (nullable = static identity routing).
     const runtime::ClusterState* cluster_ = nullptr;
-    std::vector<std::vector<StaleSlot>> stale_fwd_;  ///< [plan][layer]
-    std::vector<std::vector<StaleSlot>> stale_bwd_;  ///< [plan][layer]
+    StaleCache stale_fwd_;  ///< sized only under an active fault model
+    StaleCache stale_bwd_;
+    // Plan indices per partition, ascending: the plans it sends halo rows
+    // on (src) and the plans it receives them on (dst).
+    std::vector<std::vector<std::uint32_t>> plans_from_;
+    std::vector<std::vector<std::uint32_t>> plans_to_;
+    // Per-plan stage: packed rows in, delivered block out. Each plan keeps
+    // its own buffer so its capacity never exceeds the plan's size.
+    std::vector<tensor::Matrix> stage_;
+    std::vector<Arrival> arrival_;  ///< per plan, this exchange
+    tensor::Matrix wire_;           ///< compressor output, reused per plan
     // Per-partition reused buffers: each parallel chunk owns exactly one
     // slot, so the vectors are sized once and the matrices keep their
     // capacity across epochs (allocation-free steady state).

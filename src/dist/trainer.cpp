@@ -37,6 +37,14 @@ struct DistAggregator::ExchangeTally {
     }
 };
 
+namespace {
+
+std::size_t layer_slot(int layer) {
+    return static_cast<std::size_t>(layer < 0 ? 0 : layer);
+}
+
+} // namespace
+
 DistAggregator::DistAggregator(const DistContext& ctx, comm::Fabric& fabric,
                                BoundaryCompressor& compressor,
                                comm::Timeline* timeline)
@@ -47,10 +55,20 @@ DistAggregator::DistAggregator(const DistContext& ctx, comm::Fabric& fabric,
                     timeline->num_devices() == ctx.num_parts(),
                 "timeline device count must match the partition count");
     fault_.stale_by_part.assign(ctx.num_parts(), 0);
+    const auto plans = ctx.plans();
     if (fabric.fault_model().active()) {
-        stale_fwd_.resize(ctx.plans().size());
-        stale_bwd_.resize(ctx.plans().size());
+        stale_fwd_.resize(plans.size());
+        stale_bwd_.resize(plans.size());
     }
+    plans_from_.resize(ctx.num_parts());
+    plans_to_.resize(ctx.num_parts());
+    for (std::size_t pi = 0; pi < plans.size(); ++pi) {
+        plans_from_[plans[pi].src_part].push_back(
+            static_cast<std::uint32_t>(pi));
+        plans_to_[plans[pi].dst_part].push_back(static_cast<std::uint32_t>(pi));
+    }
+    stage_.resize(plans.size());
+    arrival_.resize(plans.size());
     // One reused buffer per partition; the parallel regions index them by
     // partition, so sizing here keeps the regions allocation-free after
     // the first epoch warms each matrix's capacity.
@@ -67,52 +85,19 @@ DistAggregator::DistAggregator(const DistContext& ctx, comm::Fabric& fabric,
     });
 }
 
-const Matrix& DistAggregator::resolve(
-    std::vector<std::vector<StaleSlot>>& cache, std::size_t plan_idx,
-    int layer, bool delivered, Matrix& fresh, std::uint32_t receiver) {
-    auto& per_plan = cache[plan_idx];
-    const auto li = static_cast<std::size_t>(layer < 0 ? 0 : layer);
-    if (per_plan.size() <= li) per_plan.resize(li + 1);
-    StaleSlot& slot = per_plan[li];
-    if (delivered) {
-        slot.cached = fresh;
-        slot.age = 0;
-        slot.valid = true;
-        return fresh;
-    }
-    // Degraded path: serve the last good block (or zeros on a cold miss)
-    // and record how stale the receiver's halo just became.
-    ++slot.age;
-    ++fault_.stale_uses;
-    ++fault_.stale_by_part[receiver];
-    fault_.max_staleness = std::max(fault_.max_staleness, slot.age);
-    if (obs::enabled()) {
-        obs::Registry& reg = obs::registry();
-        reg.counter("dist.stale_uses").add(1);
-        reg.counter("dist.stale.part." + std::to_string(receiver)).add(1);
-        reg.gauge("dist.max_staleness")
-            .set(static_cast<double>(fault_.max_staleness));
-    }
-    if (!slot.valid) {
-        ++fault_.cold_misses;
-        fresh.fill(0.0f);
-        return fresh;
-    }
-    return slot.cached;
-}
-
-const Matrix& DistAggregator::exchange(bool forward, std::size_t plan_idx,
-                                       int layer, const Matrix& in,
-                                       Matrix& fresh, ExchangeTally& tally) {
+DistAggregator::Arrival DistAggregator::send(bool forward,
+                                             std::size_t plan_idx, int layer,
+                                             ExchangeTally& tally) {
     const PairPlan& plan = ctx_->plans()[plan_idx];
+    Matrix& stage = stage_[plan_idx];
     // Halos travel owner → consumer, gradients the reverse route.
     const std::uint32_t from = forward ? plan.src_part : plan.dst_part;
     const std::uint32_t to = forward ? plan.dst_part : plan.src_part;
     const bool obs_on = obs::enabled();
     const std::uint64_t t0 = obs_on ? obs::detail::trace_now_ns() : 0;
     const std::uint64_t bytes =
-        forward ? comp_->forward_rows(*ctx_, plan_idx, layer, in, fresh)
-                : comp_->backward_rows(*ctx_, plan_idx, layer, in, fresh);
+        forward ? comp_->forward_rows(*ctx_, plan_idx, layer, stage, wire_)
+                : comp_->backward_rows(*ctx_, plan_idx, layer, stage, wire_);
     // Wire cost flows between the hosting devices: with an elastic
     // cluster the partitions may be co-located (free) or live on
     // reassigned devices; the null-cluster identity map keeps the static
@@ -126,7 +111,8 @@ const Matrix& DistAggregator::exchange(bool forward, std::size_t plan_idx,
         tally.seconds += static_cast<double>(t1 - t0) * 1e-9;
         if (sdev != ddev) {
             tally.wire_bytes += bytes;
-            tally.vanilla_bytes += in.payload_bytes();
+            tally.vanilla_bytes +=
+                plan.num_edges() * stage.cols() * sizeof(float);
         }
     }
     bool delivered = true;
@@ -137,9 +123,55 @@ const Matrix& DistAggregator::exchange(bool forward, std::size_t plan_idx,
             timeline_->record_send(sdev, ddev, sent.wire_bytes,
                                    sent.modelled_ms * 1e-3);
     }
-    if (!fabric_->fault_model().active()) return fresh;
-    return resolve(forward ? stale_fwd_ : stale_bwd_, plan_idx, layer,
-                   delivered, fresh, to);
+    if (delivered) {
+        // Copy rather than swap: a swap would rotate every plan's buffer
+        // through wire_ and grow each one to the largest plan's size.
+        stage = wire_;
+        if (!fabric_->fault_model().active()) return Arrival::kFresh;
+    }
+    auto& per_plan = (forward ? stale_fwd_ : stale_bwd_)[plan_idx];
+    const std::size_t li = layer_slot(layer);
+    if (per_plan.size() <= li) per_plan.resize(li + 1);
+    StaleSlot& slot = per_plan[li];
+    if (delivered) {
+        slot.age = 0;
+        slot.valid = true;
+        return Arrival::kFresh;
+    }
+    // Degraded path: serve the last good block (or zeros on a cold miss)
+    // and record how stale the receiver's halo just became.
+    ++slot.age;
+    ++fault_.stale_uses;
+    ++fault_.stale_by_part[to];
+    fault_.max_staleness = std::max(fault_.max_staleness, slot.age);
+    if (obs_on) {
+        obs::Registry& reg = obs::registry();
+        reg.counter("dist.stale_uses").add(1);
+        reg.counter("dist.stale.part." + std::to_string(to)).add(1);
+        reg.gauge("dist.max_staleness")
+            .set(static_cast<double>(fault_.max_staleness));
+    }
+    if (slot.valid) return Arrival::kStale;
+    ++fault_.cold_misses;
+    return Arrival::kZero;
+}
+
+const Matrix& DistAggregator::landed(StaleCache& cache, std::size_t plan_idx,
+                                     int layer) {
+    Matrix& stage = stage_[plan_idx];
+    switch (arrival_[plan_idx]) {
+    case Arrival::kFresh:
+        // The stale slots exist only under an active fault model.
+        if (!cache.empty())
+            cache[plan_idx][layer_slot(layer)].cached = stage;
+        return stage;
+    case Arrival::kStale:
+        return cache[plan_idx][layer_slot(layer)].cached;
+    case Arrival::kZero:
+        break;
+    }
+    stage.zero();
+    return stage;
 }
 
 void DistAggregator::end_timeline_step() {
@@ -169,8 +201,7 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
 
     // Per-partition stacked inputs [local ; halo]. The P simulated devices
     // are independent, so partitions fan out across the pool (each owns
-    // its stacked matrix) — the halo exchange below stays serial because
-    // it mutates shared compressor and fabric state.
+    // its stacked matrix).
     parallel_for(0, parts, 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t p = lo; p < hi; ++p) {
             WallTimer t;
@@ -182,30 +213,44 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
         }
     });
 
-    // Halo exchange, plan by plan.
+    // Halo exchange. Its copies are not device compute: they stay out of
+    // part_s_, so the timeline prices only the modelled transfers.
     {
         SCGNN_TRACE_SPAN("dist.comm.forward");
-        ExchangeTally tally;
         const auto plans = ctx.plans();
-        for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-            const PairPlan& plan = plans[pi];
-            tensor::Workspace::Lease src_l(ws_, plan.num_rows(), f);
-            Matrix& src = src_l.get();
-            tensor::gather_rows(h, plan.dbg.src_nodes, src);
-            tensor::Workspace::Lease recon_l(ws_, plan.num_rows(), f);
-            const Matrix& arrived =
-                exchange(true, pi, layer, src, recon_l.get(), tally);
-
-            const std::size_t halo_base =
-                ctx.local_nodes(plan.dst_part).size();
-            Matrix& dst_stack = stacked_[plan.dst_part];
-            for (std::size_t i = 0; i < plan.dst_halo_slots.size(); ++i) {
-                const auto srow = arrived.row(i);
-                auto drow = dst_stack.row(halo_base + plan.dst_halo_slots[i]);
-                std::copy(srow.begin(), srow.end(), drow.begin());
-            }
-        }
+        // Pack: each sender gathers the halo rows of its outgoing plans.
+        parallel_for(0, parts, 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t q = lo; q < hi; ++q)
+                for (const std::uint32_t pi : plans_from_[q]) {
+                    stage_[pi].reshape_zero(plans[pi].num_rows(), f);
+                    tensor::gather_rows(h, plans[pi].dbg.src_nodes,
+                                        stage_[pi]);
+                }
+        });
+        // Send, serially in plan order: the compressor and the fabric
+        // carry state across plans.
+        ExchangeTally tally;
+        for (std::size_t pi = 0; pi < plans.size(); ++pi)
+            arrival_[pi] = send(true, pi, layer, tally);
         if (obs::enabled() && !plans.empty()) tally.publish("forward");
+        // Land: each receiver scatters its plans' blocks into the halo rows
+        // of its own stack. A halo slot has one owner, so plans write
+        // disjoint rows.
+        parallel_for(0, parts, 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t p = lo; p < hi; ++p) {
+                const std::size_t halo_base =
+                    ctx.local_nodes(static_cast<std::uint32_t>(p)).size();
+                for (const std::uint32_t pi : plans_to_[p]) {
+                    const Matrix& block = landed(stale_fwd_, pi, layer);
+                    const auto& slots = plans[pi].dst_halo_slots;
+                    for (std::size_t i = 0; i < slots.size(); ++i) {
+                        const auto srow = block.row(i);
+                        auto drow = stacked_[p].row(halo_base + slots[i]);
+                        std::copy(srow.begin(), srow.end(), drow.begin());
+                    }
+                }
+            }
+        });
     }
 
     // Per-partition local SpMM, each row written straight to its global
@@ -239,10 +284,8 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
     // list their entries in ascending source row, the order the scatter
     // form of spmm_transposed() adds them in, so the result is bitwise
     // the same. The halo block of the result is the gradient that must
-    // travel back to the owners. Partitions fan out
-    // across the pool — each owns stacked_grad_[p] and its disjoint local
-    // rows of `out`; the cross-partition gradient exchange below stays
-    // serial (compressor/fabric state, overlapping destination rows).
+    // travel back to the owners. Partitions fan out across the pool —
+    // each owns stacked_grad_[p] and its disjoint local rows of `out`.
     parallel_for(0, parts, 1, [&](std::size_t plo, std::size_t phi) {
         for (std::size_t p = plo; p < phi; ++p) {
             WallTimer t;
@@ -265,31 +308,45 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
     // (q → p) the receiver p now returns gradients for q's boundary rows.
     {
         SCGNN_TRACE_SPAN("dist.comm.backward");
-        ExchangeTally tally;
         const auto plans = ctx.plans();
-        for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-            const PairPlan& plan = plans[pi];
-            const std::uint32_t p = plan.dst_part;  // gradient sender
-            const std::size_t halo_base = ctx.local_nodes(p).size();
-            tensor::Workspace::Lease grad_in_l(ws_, plan.num_rows(), f);
-            Matrix& grad_in = grad_in_l.get();
-            for (std::size_t i = 0; i < plan.dst_halo_slots.size(); ++i) {
-                const auto srow =
-                    stacked_grad_[p].row(halo_base + plan.dst_halo_slots[i]);
-                auto drow = grad_in.row(i);
-                std::copy(srow.begin(), srow.end(), drow.begin());
+        // Pack: each receiver copies the halo gradients of its plans.
+        parallel_for(0, parts, 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t p = lo; p < hi; ++p) {
+                const std::size_t halo_base =
+                    ctx.local_nodes(static_cast<std::uint32_t>(p)).size();
+                for (const std::uint32_t pi : plans_to_[p]) {
+                    const auto& slots = plans[pi].dst_halo_slots;
+                    stage_[pi].reshape_zero(slots.size(), f);
+                    for (std::size_t i = 0; i < slots.size(); ++i) {
+                        const auto srow =
+                            stacked_grad_[p].row(halo_base + slots[i]);
+                        std::copy(srow.begin(), srow.end(),
+                                  stage_[pi].row(i).begin());
+                    }
+                }
             }
-            tensor::Workspace::Lease grad_out_l(ws_, plan.num_rows(), f);
-            const Matrix& arrived =
-                exchange(false, pi, layer, grad_in, grad_out_l.get(), tally);
-
-            for (std::size_t i = 0; i < plan.dbg.src_nodes.size(); ++i) {
-                const auto srow = arrived.row(i);
-                auto drow = out.row(plan.dbg.src_nodes[i]);
-                for (std::size_t c = 0; c < f; ++c) drow[c] += srow[c];
-            }
-        }
+        });
+        // Send, serially in plan order.
+        ExchangeTally tally;
+        for (std::size_t pi = 0; pi < plans.size(); ++pi)
+            arrival_[pi] = send(false, pi, layer, tally);
         if (obs::enabled() && !plans.empty()) tally.publish("backward");
+        // Land: each owner adds its plans' gradients into its own rows of
+        // `out`. Plans that share a boundary row add in ascending plan
+        // index after the local block, a per-row order that no pool width
+        // can change.
+        parallel_for(0, parts, 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t q = lo; q < hi; ++q)
+                for (const std::uint32_t pi : plans_from_[q]) {
+                    const Matrix& block = landed(stale_bwd_, pi, layer);
+                    const auto& nodes = plans[pi].dbg.src_nodes;
+                    for (std::size_t i = 0; i < nodes.size(); ++i) {
+                        const auto srow = block.row(i);
+                        auto drow = out.row(nodes[i]);
+                        for (std::size_t c = 0; c < f; ++c) drow[c] += srow[c];
+                    }
+                }
+        });
     }
     if (tl) end_timeline_step();
 }
@@ -328,7 +385,6 @@ public:
         : env_(env),
           agg_(env.ctx, env.fabric, env.compressor, env.overlap_timeline()),
           eval_adj_(gnn::normalized_adjacency(env.data.graph, env.cfg.norm)) {
-        agg_.set_workspace(&env.ws);
         // Elastic membership: a ClusterState owns the partition→device
         // ownership map and everything rebuilt at a change epoch. Absent a
         // schedule nothing is constructed and the run stays on the exact

@@ -3,8 +3,11 @@
 // trajectory must match the single-device reference to float tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/dist/trainer.hpp"
 #include "scgnn/runtime/scenario.hpp"
 #include "scgnn/tensor/ops.hpp"
@@ -76,6 +79,82 @@ TEST(DistAggregator, RecordsTrafficOnFabric) {
     (void)agg.forward(tensor::Matrix::randn(d.graph.num_nodes(), 8, rng), 0);
     EXPECT_EQ(fabric.epoch_stats().bytes, ctx.vanilla_exchange_bytes(8));
     EXPECT_EQ(fabric.epoch_stats().messages, ctx.plans().size());
+}
+
+/// Everything one faulted aggregator run produces: every forward and
+/// backward output, in call order, plus its staleness counters.
+struct AggregatorTrace {
+    std::vector<tensor::Matrix> outputs;
+    FaultSummary fault;
+};
+
+/// Four epochs of a 2-layer forward/backward through a P = 5 aggregator
+/// with 30% drops, a 2-attempt retry budget and link 0→1 down for epochs
+/// 0-1, so fresh, stale and cold-miss (zero) blocks all land.
+AggregatorTrace run_faulted_aggregator(const DistContext& ctx,
+                                       std::size_t num_nodes,
+                                       unsigned threads) {
+    ThreadCountGuard guard(threads);
+    comm::Fabric fabric(ctx.num_parts());
+    comm::FaultModel faults;
+    faults.drop_probability = 0.3;
+    faults.seed = 77;
+    faults.down_windows.push_back(comm::LinkDownWindow{
+        .src = 0, .dst = 1, .first_epoch = 0, .last_epoch = 1});
+    fabric.set_fault_model(faults);
+    fabric.set_retry_policy(comm::RetryPolicy{.max_attempts = 2});
+    VanillaExchange vanilla;
+    DistAggregator agg(ctx, fabric, vanilla);
+
+    AggregatorTrace trace;
+    Rng rng(19);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+        for (const auto& [layer, width] : {std::pair{0, 8}, std::pair{1, 4}}) {
+            const auto h = tensor::Matrix::randn(num_nodes, width, rng);
+            trace.outputs.emplace_back();
+            agg.forward_into(h, layer, trace.outputs.back());
+        }
+        for (const auto& [layer, width] : {std::pair{1, 4}, std::pair{0, 8}}) {
+            const auto g = tensor::Matrix::randn(num_nodes, width, rng);
+            trace.outputs.emplace_back();
+            agg.backward_into(g, layer, trace.outputs.back());
+        }
+        fabric.end_epoch();
+    }
+    trace.fault = agg.fault_summary();
+    return trace;
+}
+
+TEST(DistAggregator, OverlappingPlansAreBitwiseEqualAtEveryThreadCount) {
+    const graph::Dataset d = data_small();
+    const auto parts = partition::make_partitioning(
+        partition::PartitionAlgo::kRandomCut, d.graph, 5, 17);
+    const DistContext ctx(d, parts, gnn::AdjNorm::kSymmetric);
+    // The backward land adds every plan that carries a boundary node into
+    // that node's output row: the fixture needs a node sent on >= 3 plans.
+    std::map<std::uint32_t, int> plans_per_node;
+    for (const PairPlan& plan : ctx.plans())
+        for (const std::uint32_t u : plan.dbg.src_nodes) ++plans_per_node[u];
+    int widest = 0;
+    for (const auto& [node, count] : plans_per_node)
+        widest = std::max(widest, count);
+    ASSERT_GE(widest, 3);
+
+    const std::size_t n = d.graph.num_nodes();
+    const AggregatorTrace at1 = run_faulted_aggregator(ctx, n, 1);
+    EXPECT_GT(at1.fault.cold_misses, 0u);
+    EXPECT_GT(at1.fault.stale_uses, at1.fault.cold_misses);
+    for (const unsigned threads : {2u, 3u, 4u}) {
+        const AggregatorTrace got = run_faulted_aggregator(ctx, n, threads);
+        ASSERT_EQ(got.outputs.size(), at1.outputs.size());
+        for (std::size_t i = 0; i < got.outputs.size(); ++i)
+            EXPECT_TRUE(got.outputs[i] == at1.outputs[i])
+                << "output " << i << " differs at " << threads << " threads";
+        EXPECT_EQ(got.fault.stale_uses, at1.fault.stale_uses);
+        EXPECT_EQ(got.fault.cold_misses, at1.fault.cold_misses);
+        EXPECT_EQ(got.fault.max_staleness, at1.fault.max_staleness);
+        EXPECT_EQ(got.fault.stale_by_part, at1.fault.stale_by_part);
+    }
 }
 
 TEST(DistTrainer, VanillaMatchesSingleDeviceTrajectory) {

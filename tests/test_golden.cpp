@@ -202,7 +202,8 @@ TEST(GoldenFaultSchedule, PinnedAndConvergesNearFaultFree) {
         run_preset(graph::DatasetPreset::kPubMedSim, nullptr);
     EXPECT_NEAR(faulted.train.test_accuracy, clean.train.test_accuracy, 0.02);
 
-    check_golden("pubmed_faults", render("pubmed", faulted, &kAcceptanceOutage));
+    check_golden("pubmed_faults",
+                 render("pubmed", faulted, &kAcceptanceOutage));
 }
 
 TEST(GoldenOverlapMode, DeterministicFieldsMatchAdditiveAndEpochShrinks) {

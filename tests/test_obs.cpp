@@ -361,5 +361,34 @@ TEST_F(ObsTest, LedgerEpochsMatchDistTrainResultExactly) {
         EXPECT_NE(trace.find(name), std::string::npos) << name;
 }
 
+TEST_F(ObsTest, VanillaBytesEqualWireBytesOfTheVanillaExchange) {
+    // vanilla_bytes is the per-edge reference the compression ratio
+    // divides by, so the vanilla exchange itself must cost exactly it.
+    set_enabled(true);
+    const graph::Dataset d =
+        graph::make_dataset(graph::DatasetPreset::kPubMedSim, 0.15, 3);
+    const auto parts = partition::make_partitioning(
+        partition::PartitionAlgo::kNodeCut, d.graph, 4, 17);
+    const gnn::GnnConfig mc{
+        .in_dim = static_cast<std::uint32_t>(d.features.cols()),
+        .hidden_dim = 16,
+        .out_dim = d.num_classes,
+        .seed = 11};
+    dist::DistTrainConfig cfg;
+    cfg.epochs = 2;
+    dist::VanillaExchange vanilla;
+    (void)runtime::Scenario::for_training(cfg).train(d, parts, mc, vanilla);
+
+    for (const std::string dir : {"forward", "backward"}) {
+        const std::uint64_t wire =
+            registry().counter("compress." + dir + ".wire_bytes").value();
+        EXPECT_GT(wire, 0u) << dir;
+        EXPECT_EQ(registry().counter("compress." + dir + ".vanilla_bytes")
+                      .value(),
+                  wire)
+            << dir;
+    }
+}
+
 } // namespace
 } // namespace scgnn::obs
