@@ -26,11 +26,16 @@ struct ElbowResult {
     std::vector<double> inertia;         ///< inertia per k
     std::vector<double> curvature;       ///< discrete curvature per k
     std::uint32_t best_k = 0;            ///< the EEP
+    /// The sweep's k-means assignment at best_k (find_eep/find_eep_dbg
+    /// only; pick_elbow leaves it empty).
+    std::vector<std::uint32_t> assignment;
 };
 
 /// Sweep k over [k_min, k_max] and return the EEP. k_max is clamped to the
 /// row count; requires at least three distinct k values after clamping
-/// (otherwise best_k is the smallest k).
+/// (otherwise best_k is the smallest k). The k values run in parallel,
+/// one task and one seeded k-means each, so the result is bitwise the
+/// same at every thread count.
 [[nodiscard]] ElbowResult find_eep(const tensor::Matrix& rows,
                                    const ElbowConfig& cfg);
 

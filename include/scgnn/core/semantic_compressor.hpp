@@ -144,6 +144,9 @@ private:
     [[nodiscard]] std::uint32_t effective_k() const noexcept;
     /// The setup() grouping pass at the current effective k.
     void rebuild();
+    /// Group plan `pi` with k-means budget `k` into plans_[pi].
+    void build_plan(const dist::PairPlan& plan, std::size_t pi,
+                    std::uint32_t k);
 
     SemanticCompressorConfig cfg_;
     std::vector<PlanState> plans_;

@@ -94,6 +94,12 @@ public:
     }
 
 private:
+    /// Halo, halo owners and local aggregation matrix of partition p; the
+    /// ctor runs one call per partition in parallel.
+    void build_partition(const graph::Graph& g,
+                         const tensor::SparseMatrix& global_adj,
+                         std::uint32_t p);
+
     std::uint32_t p_ = 0;
     std::uint32_t feat_dim_ = 0;
     std::vector<std::vector<std::uint32_t>> local_nodes_;

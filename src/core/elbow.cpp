@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/common/stats.hpp"
 
 namespace scgnn::core {
@@ -52,42 +53,52 @@ void check_sweep(const ElbowConfig& cfg) {
     SCGNN_CHECK(cfg.k_max >= cfg.k_min, "k_max must be >= k_min");
 }
 
+/// Run `fit(kc)` for every k of the sweep, one grain-1 task per k into its
+/// own slot; each run keeps its own seed, so the curve and the kept
+/// assignment are the same at every thread count. The winner's assignment
+/// is kept so the caller need not rerun k-means at the chosen k.
+template <typename Fit>
+ElbowResult sweep(std::uint32_t n, const ElbowConfig& cfg, const Fit& fit) {
+    check_sweep(cfg);
+    const std::uint32_t k_hi = std::min(cfg.k_max, n);
+    std::vector<std::uint32_t> ks;
+    for (std::uint32_t k = cfg.k_min; k <= k_hi; k += cfg.k_step)
+        ks.push_back(k);
+    SCGNN_CHECK(!ks.empty(), "elbow sweep produced no points");
+
+    std::vector<KMeansResult> fits(ks.size());
+    parallel_for(0, ks.size(), 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            KMeansConfig kc = cfg.kmeans;
+            kc.k = ks[i];
+            fits[i] = fit(kc);
+            fits[i].centroids = tensor::Matrix();  // not needed past here
+        }
+    });
+    std::vector<double> inertia;
+    inertia.reserve(fits.size());
+    for (const KMeansResult& r : fits) inertia.push_back(r.inertia);
+    ElbowResult res = pick_elbow(ks, std::move(inertia));
+    const auto best = static_cast<std::size_t>(
+        std::find(ks.begin(), ks.end(), res.best_k) - ks.begin());
+    res.assignment = std::move(fits[best].assignment);
+    return res;
+}
+
 } // namespace
 
 ElbowResult find_eep(const tensor::Matrix& rows, const ElbowConfig& cfg) {
-    check_sweep(cfg);
-    const auto n = static_cast<std::uint32_t>(rows.rows());
-    const std::uint32_t k_hi = std::min(cfg.k_max, n);
-
-    std::vector<std::uint32_t> ks;
-    std::vector<double> inertia;
-    for (std::uint32_t k = cfg.k_min; k <= k_hi; k += cfg.k_step) {
-        KMeansConfig kc = cfg.kmeans;
-        kc.k = k;
-        ks.push_back(k);
-        inertia.push_back(kmeans_rows(rows, kc).inertia);
-    }
-    SCGNN_CHECK(!ks.empty(), "elbow sweep produced no points");
-    return pick_elbow(std::move(ks), std::move(inertia));
+    return sweep(static_cast<std::uint32_t>(rows.rows()), cfg,
+                 [&](const KMeansConfig& kc) { return kmeans_rows(rows, kc); });
 }
 
 ElbowResult find_eep_dbg(const graph::Dbg& dbg,
                          std::span<const std::uint32_t> pool,
                          const ElbowConfig& cfg) {
-    check_sweep(cfg);
-    const auto n = static_cast<std::uint32_t>(pool.size());
-    const std::uint32_t k_hi = std::min(cfg.k_max, n);
-
-    std::vector<std::uint32_t> ks;
-    std::vector<double> inertia;
-    for (std::uint32_t k = cfg.k_min; k <= k_hi; k += cfg.k_step) {
-        KMeansConfig kc = cfg.kmeans;
-        kc.k = k;
-        ks.push_back(k);
-        inertia.push_back(kmeans_dbg_rows(dbg, pool, kc).inertia);
-    }
-    SCGNN_CHECK(!ks.empty(), "elbow sweep produced no points");
-    return pick_elbow(std::move(ks), std::move(inertia));
+    return sweep(static_cast<std::uint32_t>(pool.size()), cfg,
+                 [&](const KMeansConfig& kc) {
+                     return kmeans_dbg_rows(dbg, pool, kc);
+                 });
 }
 
 } // namespace scgnn::core

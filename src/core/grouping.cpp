@@ -1,8 +1,8 @@
 #include "scgnn/core/grouping.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
+#include <utility>
 
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/trace.hpp"
@@ -35,33 +35,51 @@ std::vector<ConnectionType> classify_sources(const Dbg& dbg) {
 
 namespace {
 
+/// Dense in-group sink counter over one DBG's sinks: `add` counts the
+/// sinks of some rows, `clear` resets only the sinks it touched, so one
+/// tally serves every group of the DBG.
+struct SinkTally {
+    std::vector<std::uint32_t> count;    ///< per local sink, 0 between uses
+    std::vector<std::uint32_t> touched;  ///< sinks with count > 0
+
+    explicit SinkTally(const Dbg& dbg) : count(dbg.num_dst(), 0) {}
+
+    void add(const Dbg& dbg, std::span<const std::uint32_t> rows) {
+        for (std::uint32_t u : rows)
+            for (std::uint32_t v : dbg.out_neighbors(u))
+                if (count[v]++ == 0) touched.push_back(v);
+    }
+
+    void clear() {
+        for (std::uint32_t v : touched) count[v] = 0;
+        touched.clear();
+    }
+};
+
 /// Assemble a SemanticGroup from its member source rows, computing the
 /// in-group degrees and the L-SALSA weights.
 SemanticGroup make_group(const Dbg& dbg, std::vector<std::uint32_t> members,
-                         ConnectionType origin) {
+                         ConnectionType origin, SinkTally& tally) {
     SemanticGroup g;
     g.origin = origin;
     g.members = std::move(members);
     std::sort(g.members.begin(), g.members.end());
 
-    std::map<std::uint32_t, std::uint32_t> sink_deg;  // ordered → sorted sinks
-    for (std::uint32_t u : g.members) {
-        g.edges += dbg.out_degree(u);
-        for (std::uint32_t v : dbg.out_neighbors(u)) ++sink_deg[v];
-    }
+    for (std::uint32_t u : g.members) g.edges += dbg.out_degree(u);
     SCGNN_ASSERT(g.edges > 0, "a semantic group must cover at least one edge");
+    tally.add(dbg, g.members);
+    std::sort(tally.touched.begin(), tally.touched.end());
 
     g.out_weights.reserve(g.members.size());
     const auto inv_e = static_cast<float>(1.0 / static_cast<double>(g.edges));
     for (std::uint32_t u : g.members)
         g.out_weights.push_back(static_cast<float>(dbg.out_degree(u)) * inv_e);
 
-    g.sinks.reserve(sink_deg.size());
-    g.in_weights.reserve(sink_deg.size());
-    for (const auto& [v, d] : sink_deg) {
-        g.sinks.push_back(v);
-        g.in_weights.push_back(static_cast<float>(d) * inv_e);
-    }
+    g.sinks = tally.touched;
+    g.in_weights.reserve(g.sinks.size());
+    for (std::uint32_t v : g.sinks)
+        g.in_weights.push_back(static_cast<float>(tally.count[v]) * inv_e);
+    tally.clear();
     return g;
 }
 
@@ -97,26 +115,36 @@ Grouping build_grouping(const Dbg& dbg, const GroupingConfig& cfg) {
     for (std::uint32_t u = 0; u < dbg.num_src(); ++u)
         if (cls[u] == ConnectionType::kO2O) out.raw_rows.push_back(u);
 
-    // M2O: sources sharing a sink form a natural full-mapping group.
-    std::map<std::uint32_t, std::vector<std::uint32_t>> m2o_by_sink;
+    SinkTally tally(dbg);
+
+    // M2O: sources sharing a sink form a natural full-mapping group, in
+    // ascending sink order, members ascending.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> m2o;  // (sink, u)
     for (std::uint32_t u = 0; u < dbg.num_src(); ++u)
         if (cls[u] == ConnectionType::kM2O)
-            m2o_by_sink[dbg.out_neighbors(u)[0]].push_back(u);
-    for (auto& [sink, members] : m2o_by_sink) {
-        if (members.size() >= 2) {
-            out.groups.push_back(
-                make_group(dbg, std::move(members), ConnectionType::kM2O));
+            m2o.emplace_back(dbg.out_neighbors(u)[0], u);
+    std::sort(m2o.begin(), m2o.end());
+    for (std::size_t lo = 0, hi = 0; lo < m2o.size(); lo = hi) {
+        while (hi < m2o.size() && m2o[hi].first == m2o[lo].first) ++hi;
+        if (hi - lo >= 2) {
+            std::vector<std::uint32_t> members;
+            members.reserve(hi - lo);
+            for (std::size_t i = lo; i < hi; ++i)
+                members.push_back(m2o[i].second);
+            out.groups.push_back(make_group(dbg, std::move(members),
+                                            ConnectionType::kM2O, tally));
         } else {
             // A lone single-edge source of a shared sink: its sibling edges
             // belong to M2M sources, so there is nothing to fuse with.
-            out.raw_rows.push_back(members[0]);
+            out.raw_rows.push_back(m2o[lo].second);
         }
     }
 
     // O2M: each fan-out source is its own full-mapping group.
     for (std::uint32_t u = 0; u < dbg.num_src(); ++u)
         if (cls[u] == ConnectionType::kO2M)
-            out.groups.push_back(make_group(dbg, {u}, ConnectionType::kO2M));
+            out.groups.push_back(
+                make_group(dbg, {u}, ConnectionType::kO2M, tally));
 
     // M2M pool: similarity-driven k-means over dense adjacency rows.
     std::vector<std::uint32_t> pool;
@@ -125,31 +153,37 @@ Grouping build_grouping(const Dbg& dbg, const GroupingConfig& cfg) {
 
     if (pool.size() == 1) {
         out.chosen_k = 1;
-        out.groups.push_back(make_group(dbg, {pool[0]}, ConnectionType::kM2M));
+        out.groups.push_back(
+            make_group(dbg, {pool[0]}, ConnectionType::kM2M, tally));
     } else if (!pool.empty()) {
         std::uint32_t k;
+        std::vector<std::uint32_t> assignment;
         if (cfg.kmeans_k > 0) {
             k = std::min<std::uint32_t>(cfg.kmeans_k,
                                         static_cast<std::uint32_t>(pool.size()));
+            KMeansConfig kc;
+            kc.k = k;
+            kc.seed = cfg.seed;
+            kc.kind = cfg.kind;
+            assignment = kmeans_dbg_rows(dbg, pool, kc).assignment;
         } else {
+            // The sweep runs k-means at every k with this seed and config;
+            // its winner is the clustering at the chosen k.
             ElbowConfig ec;
             ec.k_min = 2;
             ec.k_max = std::min<std::uint32_t>(
                 cfg.max_k, static_cast<std::uint32_t>(pool.size()));
             ec.kmeans.seed = cfg.seed;
             ec.kmeans.kind = cfg.kind;
-            k = find_eep_dbg(dbg, pool, ec).best_k;
+            ElbowResult eep = find_eep_dbg(dbg, pool, ec);
+            k = eep.best_k;
+            assignment = std::move(eep.assignment);
         }
         out.chosen_k = k;
-        KMeansConfig kc;
-        kc.k = k;
-        kc.seed = cfg.seed;
-        kc.kind = cfg.kind;
-        const KMeansResult km = kmeans_dbg_rows(dbg, pool, kc);
 
         std::vector<std::vector<std::uint32_t>> clusters(k);
         for (std::size_t i = 0; i < pool.size(); ++i)
-            clusters[km.assignment[i]].push_back(pool[i]);
+            clusters[assignment[i]].push_back(pool[i]);
 
         // Cohesion guard: within each cluster, a member whose sinks are
         // mostly private (shared-sink fraction below the threshold) would
@@ -161,17 +195,14 @@ Grouping build_grouping(const Dbg& dbg, const GroupingConfig& cfg) {
                         "min_cohesion is a fraction in [0, 1]");
             for (auto& members : clusters) {
                 if (members.size() < 2) continue;
-                std::map<std::uint32_t, std::uint32_t> sink_count;
-                for (std::uint32_t u : members)
-                    for (std::uint32_t v : dbg.out_neighbors(u))
-                        ++sink_count[v];
+                tally.add(dbg, members);
                 std::vector<std::uint32_t> kept;
                 kept.reserve(members.size());
                 for (std::uint32_t u : members) {
                     const auto sinks = dbg.out_neighbors(u);
                     std::size_t shared = 0;
                     for (std::uint32_t v : sinks)
-                        if (sink_count.at(v) >= 2) ++shared;
+                        if (tally.count[v] >= 2) ++shared;
                     const double cohesion =
                         static_cast<double>(shared) /
                         static_cast<double>(sinks.size());
@@ -180,6 +211,7 @@ Grouping build_grouping(const Dbg& dbg, const GroupingConfig& cfg) {
                     else
                         evicted.push_back(u);
                 }
+                tally.clear();
                 // Keeping a single survivor is fine — it becomes a
                 // singleton group below via the same path.
                 members = std::move(kept);
@@ -187,10 +219,11 @@ Grouping build_grouping(const Dbg& dbg, const GroupingConfig& cfg) {
         }
         for (auto& members : clusters)
             if (!members.empty())
-                out.groups.push_back(
-                    make_group(dbg, std::move(members), ConnectionType::kM2M));
+                out.groups.push_back(make_group(dbg, std::move(members),
+                                                ConnectionType::kM2M, tally));
         for (std::uint32_t u : evicted)
-            out.groups.push_back(make_group(dbg, {u}, ConnectionType::kM2M));
+            out.groups.push_back(
+                make_group(dbg, {u}, ConnectionType::kM2M, tally));
     }
 
     // Index rows → groups.
@@ -238,6 +271,7 @@ Grouping coarsen_grouping(const Dbg& dbg, const Grouping& fine,
     out.group_of_row = fine.group_of_row;  // re-indexed below
     out.chosen_k = fine.chosen_k;
     out.groups.reserve(target_groups);
+    SinkTally tally(dbg);
     // Fold the ordered groups into target_groups contiguous buckets whose
     // sizes differ by at most one (every bucket non-empty since n > target).
     std::size_t begin = 0;
@@ -251,7 +285,8 @@ Grouping coarsen_grouping(const Dbg& dbg, const Grouping& fine,
             members.insert(members.end(), g.members.begin(), g.members.end());
             if (g.origin != origin) origin = ConnectionType::kM2M;
         }
-        out.groups.push_back(make_group(dbg, std::move(members), origin));
+        out.groups.push_back(
+            make_group(dbg, std::move(members), origin, tally));
         begin = end;
     }
     for (std::size_t gi = 0; gi < out.groups.size(); ++gi)

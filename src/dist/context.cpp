@@ -1,7 +1,9 @@
 #include "scgnn/dist/context.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "scgnn/common/parallel.hpp"
+#include "scgnn/obs/trace.hpp"
 
 namespace scgnn::dist {
 
@@ -10,6 +12,7 @@ DistContext::DistContext(const graph::Dataset& data,
                          gnn::AdjNorm norm)
     : p_(parts.num_parts),
       feat_dim_(static_cast<std::uint32_t>(data.features.cols())) {
+    SCGNN_TRACE_SPAN("dist.context");
     const graph::Graph& g = data.graph;
     SCGNN_CHECK(parts.part_of.size() == g.num_nodes(),
                 "partitioning does not cover the graph");
@@ -27,65 +30,86 @@ DistContext::DistContext(const graph::Dataset& data,
         for (std::uint32_t i = 0; i < local_nodes_[p].size(); ++i)
             local_index_[local_nodes_[p][i]] = i;
 
-    // Halo: remote neighbours of each partition, sorted unique by global id.
+    // Per partition, in parallel: the halo (remote neighbours, sorted
+    // unique by global id), its owners and the local aggregation matrix.
+    // A row of Â ascends by global id, and so do both the partition's
+    // nodes and its halo; the local row is therefore the same-owner
+    // entries in order, then the halo entries in order, with no sort.
+    const tensor::SparseMatrix global_adj = gnn::normalized_adjacency(g, norm);
     halo_.resize(p_);
     halo_owner_.resize(p_);
-    std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> halo_slot(p_);
-    for (std::uint32_t p = 0; p < p_; ++p) {
-        std::vector<std::uint32_t> h;
-        for (std::uint32_t u : local_nodes_[p])
-            for (std::uint32_t v : g.neighbors(u))
-                if (owner_[v] != p) h.push_back(v);
-        std::sort(h.begin(), h.end());
-        h.erase(std::unique(h.begin(), h.end()), h.end());
-        halo_[p] = std::move(h);
-        halo_owner_[p].reserve(halo_[p].size());
-        halo_slot[p].reserve(halo_[p].size());
-        for (std::uint32_t i = 0; i < halo_[p].size(); ++i) {
-            halo_owner_[p].push_back(owner_[halo_[p][i]]);
-            halo_slot[p][halo_[p][i]] = i;
-        }
-    }
+    local_adj_.resize(p_);
+    parallel_for(0, p_, 1, [&](std::size_t lo, std::size_t hi) {
+        for (auto p = static_cast<std::uint32_t>(lo); p < hi; ++p)
+            build_partition(g, global_adj, p);
+    });
 
-    // Local aggregation matrices, rows/cols in local index space.
-    const tensor::SparseMatrix global_adj = gnn::normalized_adjacency(g, norm);
-    local_adj_.reserve(p_);
-    for (std::uint32_t p = 0; p < p_; ++p) {
-        const auto n_local = static_cast<std::uint32_t>(local_nodes_[p].size());
-        std::vector<tensor::Triplet> trips;
-        for (std::uint32_t i = 0; i < n_local; ++i) {
-            const std::uint32_t gu = local_nodes_[p][i];
-            const auto cols = global_adj.row_cols(gu);
-            const auto vals = global_adj.row_vals(gu);
-            for (std::size_t e = 0; e < cols.size(); ++e) {
-                const std::uint32_t gv = cols[e];
-                std::uint32_t col;
-                if (owner_[gv] == p)
-                    col = local_index_[gv];
-                else
-                    col = n_local + halo_slot[p].at(gv);
-                trips.push_back({i, col, vals[e]});
+    // Exchange plans for every ordered pair with cross edges. The DBG's
+    // sources ascend, and so does the receiver's halo, so one forward
+    // search through the halo finds every slot.
+    std::vector<graph::Dbg> dbgs = graph::extract_all_dbgs(g, owner_, p_);
+    plans_.resize(dbgs.size());
+    parallel_for(0, dbgs.size(), 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t pi = lo; pi < hi; ++pi) {
+            PairPlan& plan = plans_[pi];
+            graph::Dbg& dbg = dbgs[pi];
+            plan.src_part = dbg.src_part;
+            plan.dst_part = dbg.dst_part;
+            plan.src_local_rows.reserve(dbg.src_nodes.size());
+            plan.dst_halo_slots.reserve(dbg.src_nodes.size());
+            const std::vector<std::uint32_t>& halo = halo_[dbg.dst_part];
+            auto at = halo.begin();
+            for (std::uint32_t gu : dbg.src_nodes) {
+                at = std::lower_bound(at, halo.end(), gu);
+                SCGNN_ASSERT(at != halo.end() && *at == gu,
+                             "a DBG source is a halo node of its sink side");
+                plan.src_local_rows.push_back(local_index_[gu]);
+                plan.dst_halo_slots.push_back(
+                    static_cast<std::uint32_t>(at - halo.begin()));
             }
+            plan.dbg = std::move(dbg);
         }
-        local_adj_.emplace_back(
-            n_local, n_local + static_cast<std::uint32_t>(halo_[p].size()),
-            std::move(trips));
-    }
+    });
+}
 
-    // Exchange plans for every ordered pair with cross edges.
-    for (graph::Dbg& dbg : graph::extract_all_dbgs(g, owner_, p_)) {
-        PairPlan plan;
-        plan.src_part = dbg.src_part;
-        plan.dst_part = dbg.dst_part;
-        plan.src_local_rows.reserve(dbg.src_nodes.size());
-        plan.dst_halo_slots.reserve(dbg.src_nodes.size());
-        for (std::uint32_t gu : dbg.src_nodes) {
-            plan.src_local_rows.push_back(local_index_[gu]);
-            plan.dst_halo_slots.push_back(halo_slot[dbg.dst_part].at(gu));
+void DistContext::build_partition(const graph::Graph& g,
+                                  const tensor::SparseMatrix& global_adj,
+                                  std::uint32_t p) {
+    const std::vector<std::uint32_t>& nodes = local_nodes_[p];
+    std::vector<std::uint32_t>& h = halo_[p];
+    for (std::uint32_t u : nodes)
+        for (std::uint32_t v : g.neighbors(u))
+            if (owner_[v] != p) h.push_back(v);
+    std::sort(h.begin(), h.end());
+    h.erase(std::unique(h.begin(), h.end()), h.end());
+    halo_owner_[p].reserve(h.size());
+    for (std::uint32_t v : h) halo_owner_[p].push_back(owner_[v]);
+
+    const auto n_local = static_cast<std::uint32_t>(nodes.size());
+    std::vector<std::uint64_t> ptr(nodes.size() + 1, 0);
+    for (std::uint32_t i = 0; i < n_local; ++i)
+        ptr[i + 1] = ptr[i] + global_adj.row_cols(nodes[i]).size();
+    std::vector<std::uint32_t> col(ptr[n_local]);
+    std::vector<float> val(ptr[n_local]);
+    for (std::uint32_t i = 0; i < n_local; ++i) {
+        const auto cols = global_adj.row_cols(nodes[i]);
+        const auto vals = global_adj.row_vals(nodes[i]);
+        std::uint64_t at = ptr[i];
+        for (std::size_t e = 0; e < cols.size(); ++e) {
+            if (owner_[cols[e]] != p) continue;
+            col[at] = local_index_[cols[e]];
+            val[at++] = vals[e];
         }
-        plan.dbg = std::move(dbg);
-        plans_.push_back(std::move(plan));
+        for (std::size_t e = 0; e < cols.size(); ++e) {
+            if (owner_[cols[e]] == p) continue;
+            const auto slot = std::lower_bound(h.begin(), h.end(), cols[e]);
+            col[at] = n_local + static_cast<std::uint32_t>(slot - h.begin());
+            val[at++] = vals[e];
+        }
     }
+    local_adj_[p].assign(n_local,
+                         n_local + static_cast<std::uint32_t>(h.size()), ptr,
+                         col, val);
 }
 
 std::span<const std::uint32_t> DistContext::local_nodes(std::uint32_t p) const {

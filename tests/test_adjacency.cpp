@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/common/rng.hpp"
 #include "scgnn/gnn/adjacency.hpp"
 #include "scgnn/graph/generators.hpp"
@@ -73,6 +76,72 @@ TEST(Adjacency, RowMeanRowsSumToOneWithAndWithoutSelfLoop) {
             for (const float v : a.row_vals(u)) row_sum += v;
             EXPECT_NEAR(row_sum, 1.0, 1e-5);
         }
+    }
+}
+
+/// The triplet build normalized_adjacency used before the direct CSR
+/// fill: every entry as a triplet, sorted and merged by SparseMatrix.
+tensor::SparseMatrix reference_adjacency(const graph::Graph& g, AdjNorm norm,
+                                         SelfLoop self) {
+    const std::uint32_t n = g.num_nodes();
+    std::vector<tensor::Triplet> trips;
+    const bool with_self =
+        self == SelfLoop::kAdd ||
+        (self == SelfLoop::kAuto && norm != AdjNorm::kSum);
+    if (norm == AdjNorm::kSum) {
+        for (std::uint32_t u = 0; u < n; ++u) {
+            if (with_self) trips.push_back({u, u, 1.0f});
+            for (std::uint32_t v : g.neighbors(u))
+                trips.push_back({u, v, 1.0f});
+        }
+        return tensor::SparseMatrix(n, n, std::move(trips));
+    }
+    std::vector<double> deg(n);
+    for (std::uint32_t u = 0; u < n; ++u)
+        deg[u] = static_cast<double>(g.degree(u)) + (with_self ? 1.0 : 0.0);
+    auto weight = [&](std::uint32_t r, std::uint32_t c) -> float {
+        if (norm == AdjNorm::kSymmetric)
+            return static_cast<float>(1.0 / std::sqrt(deg[r] * deg[c]));
+        return static_cast<float>(1.0 / deg[r]);
+    };
+    for (std::uint32_t u = 0; u < n; ++u) {
+        if (with_self && deg[u] > 0.0) trips.push_back({u, u, weight(u, u)});
+        for (std::uint32_t v : g.neighbors(u))
+            trips.push_back({u, v, weight(u, v)});
+    }
+    return tensor::SparseMatrix(n, n, std::move(trips));
+}
+
+template <typename T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+TEST(Adjacency, DirectCsrMatchesTripletBuild) {
+    // An Erdős–Rényi graph with a tail of isolated nodes, large enough that
+    // the row fill splits into several chunks.
+    const graph::Graph er = random_graph(20000, 90000, 3);
+    std::vector<graph::Edge> edges = er.edge_list();
+    const graph::Graph g(er.num_nodes() + 7, edges);
+    for (unsigned threads : {1u, 4u}) {
+        const ThreadCountGuard guard(threads);
+        for (const AdjNorm norm :
+             {AdjNorm::kSymmetric, AdjNorm::kRowMean, AdjNorm::kSum})
+            for (const SelfLoop self :
+                 {SelfLoop::kAuto, SelfLoop::kAdd, SelfLoop::kNone}) {
+                const auto a = normalized_adjacency(g, norm, self);
+                const auto ref = reference_adjacency(g, norm, self);
+                SCOPED_TRACE(::testing::Message()
+                             << "norm " << static_cast<int>(norm) << " self "
+                             << static_cast<int>(self) << " threads "
+                             << threads);
+                EXPECT_EQ(a.rows(), ref.rows());
+                EXPECT_EQ(a.cols(), ref.cols());
+                EXPECT_TRUE(same_bits(a.row_ptr(), ref.row_ptr()));
+                EXPECT_TRUE(same_bits(a.col_idx(), ref.col_idx()));
+                EXPECT_TRUE(same_bits(a.values(), ref.values()));
+            }
     }
 }
 

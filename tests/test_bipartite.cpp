@@ -2,6 +2,11 @@
 // Fig. 2(c)/(d) machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+
+#include "scgnn/common/parallel.hpp"
+#include "scgnn/common/rng.hpp"
 #include "scgnn/graph/bipartite.hpp"
 #include "scgnn/graph/dataset.hpp"
 #include "scgnn/partition/partition.hpp"
@@ -83,6 +88,96 @@ TEST(Dbg, ExtractAllSkipsEmptyPairs) {
     const auto all = extract_all_dbgs(g, part, 3);
     // Only (0→2) and (2→0) carry edges.
     EXPECT_EQ(all.size(), 2u);
+}
+
+/// The pair-at-a-time extraction extract_dbg used before the per-source
+/// pass: two scans of the whole graph per ordered pair and a hash map
+/// from sink id to local index.
+Dbg reference_dbg(const Graph& g, std::span<const std::uint32_t> part_of,
+                  std::uint32_t src_part, std::uint32_t dst_part) {
+    Dbg dbg;
+    dbg.src_part = src_part;
+    dbg.dst_part = dst_part;
+    std::vector<std::uint32_t> dst_set;
+    for (std::uint32_t u = 0; u < g.num_nodes(); ++u) {
+        if (part_of[u] != src_part) continue;
+        bool is_src = false;
+        for (std::uint32_t v : g.neighbors(u)) {
+            if (part_of[v] == dst_part) {
+                is_src = true;
+                dst_set.push_back(v);
+            }
+        }
+        if (is_src) dbg.src_nodes.push_back(u);
+    }
+    std::sort(dst_set.begin(), dst_set.end());
+    dst_set.erase(std::unique(dst_set.begin(), dst_set.end()), dst_set.end());
+    dbg.dst_nodes = std::move(dst_set);
+    std::unordered_map<std::uint32_t, std::uint32_t> dst_local;
+    for (std::uint32_t i = 0; i < dbg.dst_nodes.size(); ++i)
+        dst_local[dbg.dst_nodes[i]] = i;
+    dbg.ptr.assign(dbg.src_nodes.size() + 1, 0);
+    for (std::uint32_t i = 0; i < dbg.src_nodes.size(); ++i) {
+        for (std::uint32_t v : g.neighbors(dbg.src_nodes[i]))
+            if (part_of[v] == dst_part) dbg.adj.push_back(dst_local.at(v));
+        dbg.ptr[i + 1] = dbg.adj.size();
+    }
+    return dbg;
+}
+
+void expect_same_dbg(const Dbg& a, const Dbg& b) {
+    EXPECT_EQ(a.src_part, b.src_part);
+    EXPECT_EQ(a.dst_part, b.dst_part);
+    EXPECT_EQ(a.src_nodes, b.src_nodes);
+    EXPECT_EQ(a.dst_nodes, b.dst_nodes);
+    EXPECT_EQ(a.ptr, b.ptr);
+    EXPECT_EQ(a.adj, b.adj);
+}
+
+/// Random graph over random partition ids. With three or more parts the
+/// edges between parts 0 and 1 are dropped, so that pair has no DBG.
+std::pair<Graph, std::vector<std::uint32_t>> random_partitioned(
+    std::uint32_t n, std::uint32_t m, std::uint32_t parts,
+    std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::uint32_t> part_of(n);
+    for (std::uint32_t& p : part_of)
+        p = static_cast<std::uint32_t>(rng.index(parts));
+    std::vector<Edge> edges;
+    for (std::uint32_t i = 0; i < m; ++i) {
+        const auto u = static_cast<std::uint32_t>(rng.index(n));
+        const auto v = static_cast<std::uint32_t>(rng.index(n));
+        if (u == v) continue;
+        if (parts >= 3 && part_of[u] + part_of[v] == 1) continue;
+        edges.push_back({u, v});
+    }
+    return {Graph(n, edges), std::move(part_of)};
+}
+
+TEST(Dbg, ExtractionMatchesReferenceAtEveryThreadCount) {
+    for (const std::uint32_t parts : {2u, 3u, 5u, 16u}) {
+        const auto [g, part_of] = random_partitioned(600, 2400, parts, parts);
+        std::vector<Dbg> ref;
+        for (std::uint32_t p = 0; p < parts; ++p)
+            for (std::uint32_t q = 0; q < parts; ++q) {
+                if (p == q) continue;
+                Dbg dbg = reference_dbg(g, part_of, p, q);
+                if (parts >= 3 && p + q == 1) {
+                    EXPECT_EQ(dbg.num_edges(), 0u);
+                }
+                expect_same_dbg(extract_dbg(g, part_of, p, q), dbg);
+                if (dbg.num_edges() > 0) ref.push_back(std::move(dbg));
+            }
+        for (unsigned threads = 1; threads <= 4; ++threads) {
+            SCOPED_TRACE(::testing::Message() << parts << " parts, "
+                                              << threads << " threads");
+            const ThreadCountGuard guard(threads);
+            const std::vector<Dbg> all = extract_all_dbgs(g, part_of, parts);
+            ASSERT_EQ(all.size(), ref.size());
+            for (std::size_t i = 0; i < all.size(); ++i)
+                expect_same_dbg(all[i], ref[i]);
+        }
+    }
 }
 
 TEST(Classify, O2OEdge) {

@@ -1,6 +1,9 @@
 // Unit tests for the EEP (elbow) search of §3.2 / Fig. 4(b).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/core/elbow.hpp"
 
 namespace scgnn::core {
@@ -91,6 +94,49 @@ TEST(Elbow, SparsePathAgreesWithDense) {
                     0.02 * (1.0 + dense.inertia[i]));
     EXPECT_NEAR(static_cast<double>(dense.best_k),
                 static_cast<double>(sparse.best_k), 1.0);
+}
+
+TEST(Elbow, KeptAssignmentIsTheRunAtBestKAtEveryThreadCount) {
+    // The sweep runs its k values in parallel and hands back the winner's
+    // assignment; it must be exactly what a fresh k-means at best_k gives,
+    // and the whole result must not depend on the pool width.
+    const Matrix rows = planted_rows(4, 12, 40, 3);
+    graph::Dbg dbg;
+    dbg.src_nodes.resize(rows.rows());
+    dbg.dst_nodes.resize(rows.cols());
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+        for (std::uint32_t c = 0; c < rows.cols(); ++c)
+            if (rows(r, c) > 0.5f) dbg.adj.push_back(c);
+        dbg.ptr.push_back(dbg.adj.size());
+    }
+    std::vector<std::uint32_t> pool(rows.rows());
+    for (std::uint32_t i = 0; i < pool.size(); ++i) pool[i] = i;
+    ElbowConfig cfg;
+    cfg.k_min = 2;
+    cfg.k_max = 9;
+    cfg.kmeans.seed = 11;
+    KMeansConfig kc = cfg.kmeans;
+
+    const ElbowResult dense1 = find_eep(rows, cfg);
+    const ElbowResult sparse1 = find_eep_dbg(dbg, pool, cfg);
+    EXPECT_NE(dense1.best_k, cfg.k_min);
+    kc.k = dense1.best_k;
+    EXPECT_EQ(dense1.assignment, kmeans_rows(rows, kc).assignment);
+    kc.k = sparse1.best_k;
+    EXPECT_EQ(sparse1.assignment, kmeans_dbg_rows(dbg, pool, kc).assignment);
+
+    auto same = [](const ElbowResult& a, const ElbowResult& b) {
+        return a.ks == b.ks && a.best_k == b.best_k &&
+               a.assignment == b.assignment &&
+               a.inertia.size() == b.inertia.size() &&
+               std::memcmp(a.inertia.data(), b.inertia.data(),
+                           a.inertia.size() * sizeof(double)) == 0;
+    };
+    for (unsigned threads = 2; threads <= 4; ++threads) {
+        const ThreadCountGuard guard(threads);
+        EXPECT_TRUE(same(find_eep(rows, cfg), dense1)) << threads;
+        EXPECT_TRUE(same(find_eep_dbg(dbg, pool, cfg), sparse1)) << threads;
+    }
 }
 
 TEST(Elbow, KMaxClampedToRowCount) {

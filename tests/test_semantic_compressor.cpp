@@ -3,6 +3,9 @@
 // full training behaviour vs vanilla.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/core/semantic_compressor.hpp"
 #include "scgnn/dist/trainer.hpp"
 #include "scgnn/runtime/scenario.hpp"
@@ -105,6 +108,72 @@ TEST(SemanticCompressor, TotalWireRowsAggregatesPlans) {
     for (std::size_t pi = 0; pi < c.ctx.plans().size(); ++pi)
         manual += s.grouping(pi).wire_rows(c.ctx.plans()[pi].dbg);
     EXPECT_EQ(s.total_wire_rows(), manual);
+}
+
+bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(SemanticCompressor, GroupingsBitwiseAtEveryThreadCount) {
+    // Plans group in parallel, and the EEP sweep runs its k values in
+    // parallel; every grouping must match the single-thread one bit for
+    // bit. Covers a fixed k, the EEP sweep (k = 0) and a rate below one
+    // (the coarsen_grouping path).
+    const graph::Dataset data =
+        graph::make_dataset(graph::DatasetPreset::kPubMedSim, 0.2, 7);
+    const partition::Partitioning parts = partition::make_partitioning(
+        partition::PartitionAlgo::kNodeCut, data.graph, 4, 5);
+    const DistContext ctx(data, parts, gnn::AdjNorm::kSymmetric);
+    struct Case {
+        std::uint32_t k;
+        double rate;
+    };
+    for (const Case cs : {Case{20, 1.0}, Case{0, 1.0}, Case{20, 0.6}}) {
+        SemanticCompressorConfig cfg;
+        cfg.grouping.kmeans_k = cs.k;
+        std::vector<SemanticCompressor> runs;
+        runs.reserve(4);
+        for (unsigned threads = 1; threads <= 4; ++threads) {
+            const ThreadCountGuard guard(threads);
+            runs.emplace_back(cfg);
+            runs.back().apply_rate(cs.rate);
+            runs.back().setup(ctx);
+        }
+        const SemanticCompressor& one = runs.front();
+        for (unsigned t = 1; t < runs.size(); ++t) {
+            SCOPED_TRACE(::testing::Message() << "k " << cs.k << " rate "
+                                              << cs.rate << " threads "
+                                              << t + 1);
+            const SemanticCompressor& s = runs[t];
+            EXPECT_EQ(s.total_wire_rows(), one.total_wire_rows());
+            for (std::size_t pi = 0; pi < ctx.plans().size(); ++pi) {
+                const Grouping& a = s.grouping(pi);
+                const Grouping& b = one.grouping(pi);
+                EXPECT_EQ(a.raw_rows, b.raw_rows);
+                EXPECT_EQ(a.group_of_row, b.group_of_row);
+                EXPECT_EQ(a.chosen_k, b.chosen_k);
+                ASSERT_EQ(a.groups.size(), b.groups.size());
+                for (std::size_t gi = 0; gi < a.groups.size(); ++gi) {
+                    const SemanticGroup& ga = a.groups[gi];
+                    const SemanticGroup& gb = b.groups[gi];
+                    EXPECT_EQ(ga.members, gb.members);
+                    EXPECT_EQ(ga.sinks, gb.sinks);
+                    EXPECT_TRUE(same_floats(ga.out_weights, gb.out_weights));
+                    EXPECT_TRUE(same_floats(ga.in_weights, gb.in_weights));
+                    EXPECT_EQ(ga.origin, gb.origin);
+                    EXPECT_EQ(ga.edges, gb.edges);
+                }
+            }
+        }
+        if (cs.k == 0) {
+            std::uint32_t max_k = 0;
+            for (std::size_t pi = 0; pi < ctx.plans().size(); ++pi)
+                max_k = std::max(max_k, one.grouping(pi).chosen_k);
+            EXPECT_GT(max_k, 1u) << "the EEP sweep picked no k above one";
+        }
+    }
 }
 
 TEST(SemanticCompressor, DropMaskHelpers) {
