@@ -5,6 +5,7 @@
 // vectorised Eq. (2) form is the fast path.
 #include <benchmark/benchmark.h>
 
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/core/grouping.hpp"
 #include "scgnn/core/kmeans.hpp"
 #include "scgnn/core/semantic_aggregate.hpp"
@@ -44,9 +45,9 @@ void BM_SpmmParallel(benchmark::State& state) {
         gnn::normalized_adjacency(d.graph, gnn::AdjNorm::kSymmetric);
     Rng rng(1);
     const tensor::Matrix h = tensor::Matrix::randn(d.graph.num_nodes(), 64, rng);
-    const auto threads = static_cast<unsigned>(state.range(0));
+    const ThreadCountGuard guard(static_cast<unsigned>(state.range(0)));
     for (auto _ : state)
-        benchmark::DoNotOptimize(tensor::spmm_parallel(adj, h, threads));
+        benchmark::DoNotOptimize(tensor::spmm(adj, h));
     state.SetItemsProcessed(state.iterations() * adj.nnz());
 }
 BENCHMARK(BM_SpmmParallel)->Arg(2)->Arg(4);

@@ -36,7 +36,6 @@
 #include "scgnn/core/elbow.hpp"
 #include "scgnn/core/grouping.hpp"
 #include "scgnn/core/kmeans.hpp"
-#include "scgnn/core/pca.hpp"
 #include "scgnn/core/semantic_aggregate.hpp"
 #include "scgnn/dist/rate_control.hpp"
 #include "scgnn/gnn/adjacency.hpp"
@@ -478,16 +477,12 @@ void fig4b(Paper& p) {
     }
 }
 
-// Cohesion (within- over between-group semantic similarity) carries the
-// claim; the PCA separation is the geometric proxy behind the figure's
-// scatter plots.
+// Cohesion: within- over between-group semantic similarity.
 void fig6(Paper& p) {
-    std::printf("== Fig. 6: grouping quality under PCA (node-cut, 4 "
-                "partitions, pair 0->1, k=20) ==\n");
+    std::printf("== Fig. 6: grouping quality (node-cut, 4 partitions, "
+                "pair 0->1, k=20) ==\n");
     Sheet table({{"dataset"}, {"pool", "pool", Fmt::kCount},
                  {"jaccard cohesion"}, {"semantic cohesion"},
-                 {"jaccard PCA sep", "jaccard_pca_sep", Fmt::kNum, 3},
-                 {"semantic PCA sep", "semantic_pca_sep", Fmt::kNum, 3},
                  {"semantic wins"}});
     // Zero inter-group similarity (perfectly separated pools) makes the
     // cohesion ratio explode; clamp it for display.
@@ -502,40 +497,26 @@ void fig6(Paper& p) {
         const auto pool = m2m_pool(dbg);
         if (pool.size() < 8) {
             table.row(p.series(d.name, "grouping", ns_since(t)),
-                      {d.name, double(pool.size()), "-", "-", NAN, NAN,
+                      {d.name, double(pool.size()), "-", "-",
                        "pool too small"});
             continue;
         }
         const auto k = std::min<std::uint32_t>(
             20, static_cast<std::uint32_t>(pool.size() / 2));
-        tensor::Matrix dense(pool.size(), dbg.num_dst());
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-            const auto row = dbg.dense_row(pool[i]);
-            std::copy(row.begin(), row.end(), dense.row(i).begin());
-        }
-        const tensor::Matrix projected =
-            core::pca_2d(dense, p.opt.seed).projected;
-        auto quality = [&](core::SimilarityKind kind) {
-            core::KMeansConfig km{.k = k, .seed = p.opt.seed};
-            km.kind = kind;
+        auto cohesion = [&](core::SimilarityKind kind) {
             core::GroupingConfig gc = grouping_cfg(k, p.opt.seed);
             gc.kind = kind;
-            const core::Grouping g = core::build_grouping(dbg, gc);
-            return std::pair{
-                core::evaluate_grouping(dbg, g).cohesion_ratio,
-                core::cluster_separation(
-                    projected,
-                    core::kmeans_dbg_rows(dbg, pool, km).assignment)};
+            return core::evaluate_grouping(dbg, core::build_grouping(dbg, gc))
+                .cohesion_ratio;
         };
-        const auto [coh_j, sep_j] = quality(core::SimilarityKind::kJaccard);
-        const auto [coh_s, sep_s] = quality(core::SimilarityKind::kSemantic);
+        const double coh_j = cohesion(core::SimilarityKind::kJaccard);
+        const double coh_s = cohesion(core::SimilarityKind::kSemantic);
         semantic_wins = semantic_wins && coh_s > coh_j;
         const Rows rows = p.series(d.name, "grouping", ns_since(t));
         rows.value("jaccard_cohesion", coh_j)
             .value("semantic_cohesion", coh_s);
         table.row(rows, {d.name, double(pool.size()), fmt_cohesion(coh_j),
-                         fmt_cohesion(coh_s), sep_j, sep_s,
-                         coh_s > coh_j ? "yes" : "no"});
+                         fmt_cohesion(coh_s), coh_s > coh_j ? "yes" : "no"});
     }
     std::printf("\n%s\n", table.str().c_str());
     p.claim("fig6_semantic_more_cohesive",

@@ -53,8 +53,12 @@ int main() {
     for (std::uint32_t u = 0; u + 1 < std::min(dbg.num_src(), 5u); ++u) {
         const auto a = dbg.out_neighbors(u);
         const auto b = dbg.out_neighbors(u + 1);
-        sims.add_row({"(" + Table::num(std::uint64_t{u}) + "," +
-                          Table::num(std::uint64_t{u + 1}) + ")",
+        std::string pair = "(";
+        pair += Table::num(std::uint64_t{u});
+        pair += ',';
+        pair += Table::num(std::uint64_t{u + 1});
+        pair += ')';
+        sims.add_row({pair,
                       Table::num(std::uint64_t{core::intersection_size(a, b)}),
                       Table::num(core::jaccard_similarity(a, b), 3),
                       Table::num(core::semantic_similarity(a, b), 3)});

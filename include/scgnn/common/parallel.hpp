@@ -165,8 +165,8 @@ template <typename T, typename Map, typename Combine>
 }
 
 /// RAII pool-width override: sets `set_num_threads(n)` on construction and
-/// restores the previous width on destruction. Used by benches sweeping
-/// thread counts and by spmm_parallel's explicit-width API.
+/// restores the previous width on destruction. Used by benches and tests
+/// sweeping thread counts.
 class ThreadCountGuard {
 public:
     explicit ThreadCountGuard(unsigned n) : prev_(num_threads()) {

@@ -16,7 +16,8 @@
 namespace scgnn::gnn {
 
 /// Aggregator over a prebuilt sparse matrix (no communication) — what a
-/// single device does.
+/// single device does. The backward gathers over Âᵀ, built on the first
+/// backward_into call, so evaluation-only aggregators never pay for it.
 class SpmmAggregator final : public Aggregator {
 public:
     /// `adj` must outlive the aggregator.
@@ -29,6 +30,8 @@ public:
 
 private:
     const tensor::SparseMatrix* adj_;
+    tensor::SparseMatrix adj_t_;
+    bool have_adj_t_ = false;
 };
 
 /// Training-loop hyper-parameters.

@@ -79,6 +79,11 @@ public:
     /// Transposed copy.
     [[nodiscard]] SparseMatrix transposed() const;
 
+    /// Write the transpose into `t` (must not be this matrix), reusing its
+    /// storage: once `t` has held a transpose at least this large, no
+    /// allocation happens. O(rows + cols + nnz), no sort.
+    void transpose_into(SparseMatrix& t) const;
+
     /// Dense (rows×cols) copy — for tests on tiny matrices only.
     [[nodiscard]] Matrix to_dense() const;
 
@@ -93,7 +98,8 @@ private:
 /// y = S · x, the SpMM aggregate: (rows×cols)·(cols×f) → (rows×f).
 /// Runs row-parallel on the global thread pool (see common/parallel.hpp);
 /// each output row is owned by one worker, so the result is bitwise
-/// identical at every thread count.
+/// identical at every thread count. The backward aggregate Sᵀ·g is this
+/// same kernel over a stored transpose (transpose_into).
 [[nodiscard]] Matrix spmm(const SparseMatrix& s, const Matrix& x);
 
 /// spmm() into a reused destination (must not alias `x`).
@@ -106,19 +112,5 @@ void spmm_into(const SparseMatrix& s, const Matrix& x, Matrix& y);
 /// bitwise equal to the same row of spmm().
 void spmm_rows_into(const SparseMatrix& s, const Matrix& x,
                     std::span<const std::uint32_t> dst, Matrix& y);
-
-/// y = Sᵀ · x without materialising the transpose: (cols×f) output.
-/// Used by the backward pass of the aggregation.
-[[nodiscard]] Matrix spmm_transposed(const SparseMatrix& s, const Matrix& x);
-
-/// spmm_transposed() into a reused destination (must not alias `x`).
-void spmm_transposed_into(const SparseMatrix& s, const Matrix& x, Matrix& y);
-
-/// spmm() pinned to an explicit pool width for the duration of the call
-/// (thread-scaling benches, legacy callers). threads == 0 restores the
-/// SCGNN_THREADS/hardware default; threads == 1 runs the serial kernel.
-/// Bit-identical to spmm().
-[[nodiscard]] Matrix spmm_parallel(const SparseMatrix& s, const Matrix& x,
-                                   unsigned threads = 0);
 
 } // namespace scgnn::tensor

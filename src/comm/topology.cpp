@@ -107,8 +107,11 @@ Topology Topology::build(const TopologySpec& spec, std::uint32_t num_devices,
 
 std::string Topology::device_key(std::uint32_t device) const {
     if (!hier_) return std::to_string(device);
-    return "n" + std::to_string(node_of(device)) + ".d" +
-           std::to_string(local_of(device));
+    std::string key = "n";
+    key += std::to_string(node_of(device));
+    key += ".d";
+    key += std::to_string(local_of(device));
+    return key;
 }
 
 } // namespace scgnn::comm

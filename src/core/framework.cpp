@@ -67,7 +67,10 @@ ComposedCompressor::ComposedCompressor(
 
 std::string ComposedCompressor::name() const {
     std::string n = stages_[0]->name();
-    for (std::size_t i = 1; i < stages_.size(); ++i) n += "+" + stages_[i]->name();
+    for (std::size_t i = 1; i < stages_.size(); ++i) {
+        n += '+';
+        n += stages_[i]->name();
+    }
     return n;
 }
 

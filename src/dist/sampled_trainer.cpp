@@ -4,6 +4,7 @@
 ///        exchange instead of the fixed path's full boundary exchange.
 
 #include <algorithm>
+#include <vector>
 
 #include "epoch_driver.hpp"
 #include "scgnn/common/parallel.hpp"
@@ -25,14 +26,15 @@ using tensor::Matrix;
 namespace {
 
 /// gnn::Aggregator over one SampledBatch: the intra-device sampled edges
-/// run as a batch-local SpMM (parallel, deterministic) and every
-/// cross-device edge group goes through the compressor's subset exchange,
-/// priced on the fabric as a request-driven transfer. All exchange work is
-/// serial, so batches are bitwise identical at any thread count.
+/// run as a batch-local SpMM (parallel, deterministic; the backward is the
+/// same gather over the block's transpose) and every cross-device edge
+/// group goes through the compressor's subset exchange, priced on the
+/// fabric as a request-driven transfer. All exchange work is serial, so
+/// batches are bitwise identical at any thread count.
 class SampledAggregator final : public gnn::Aggregator {
 public:
-    explicit SampledAggregator(detail::EpochEnv& env)
-        : env_(env), timeline_(env.overlap_timeline()) {
+    SampledAggregator(detail::EpochEnv& env, std::uint32_t num_layers)
+        : env_(env), timeline_(env.overlap_timeline()), adj_t_(num_layers) {
         fault_.stale_by_part.assign(env.ctx.num_parts(), 0);
     }
 
@@ -67,7 +69,10 @@ public:
         const std::size_t f = g.cols();
         if (timeline_ != nullptr) timeline_->begin_step("bwd");
         WallTimer timer;
-        tensor::spmm_transposed_into(b.local_adj[li], g, out);
+        // Transposing costs O(nnz) against the aggregate's O(nnz·f), and
+        // the gather over it is bitwise the scatter Âᵀ·g would be.
+        b.local_adj[li].transpose_into(adj_t_[li]);
+        tensor::spmm_into(adj_t_[li], g, out);
         record_compute(timer.seconds());
 
         for (const PlanRequest& req : b.requests[li]) {
@@ -146,6 +151,8 @@ private:
     detail::EpochEnv& env_;
     comm::Timeline* const timeline_;  ///< null outside overlap mode
     const SampledBatch* batch_ = nullptr;
+    /// Per-layer transpose of the batch block, reused across batches.
+    std::vector<tensor::SparseMatrix> adj_t_;
     FaultSummary fault_;
     SampleStats requests_;
 };
@@ -158,7 +165,7 @@ public:
     SampledStep(detail::EpochEnv& env, const SamplerConfig& sampler_cfg,
                 std::uint32_t num_layers)
         : env_(env),
-          agg_(env),
+          agg_(env, num_layers),
           sampler_(env.data, env.ctx, env.cfg.norm, num_layers, sampler_cfg),
           window_(num_threads()),
           scratch_(window_.size()) {

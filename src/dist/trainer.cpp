@@ -281,11 +281,11 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
 
     out.reshape_zero(g.rows(), f);
     // Per-partition Âᵀ·g as a gather over the stored transpose: its rows
-    // list their entries in ascending source row, the order the scatter
-    // form of spmm_transposed() adds them in, so the result is bitwise
-    // the same. The halo block of the result is the gradient that must
-    // travel back to the owners. Partitions fan out across the pool —
-    // each owns stacked_grad_[p] and its disjoint local rows of `out`.
+    // list their entries in ascending source row, the order a scatter
+    // over Â's rows would add them in, so the result is bitwise the same.
+    // The halo block of the result is the gradient that must travel back
+    // to the owners. Partitions fan out across the pool — each owns
+    // stacked_grad_[p] and its disjoint local rows of `out`.
     parallel_for(0, parts, 1, [&](std::size_t plo, std::size_t phi) {
         for (std::size_t p = plo; p < phi; ++p) {
             WallTimer t;

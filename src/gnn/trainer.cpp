@@ -14,7 +14,11 @@ void SpmmAggregator::forward_into(const tensor::Matrix& h, int,
 
 void SpmmAggregator::backward_into(const tensor::Matrix& g, int,
                                    tensor::Matrix& out) {
-    tensor::spmm_transposed_into(*adj_, g, out);
+    if (!have_adj_t_) {
+        adj_->transpose_into(adj_t_);
+        have_adj_t_ = true;
+    }
+    tensor::spmm_into(adj_t_, g, out);
 }
 
 double run_epoch(GnnModel& model, Adam& opt, Aggregator& agg,

@@ -76,13 +76,22 @@ float SparseMatrix::coeff(std::size_t r, std::size_t c) const {
 }
 
 SparseMatrix SparseMatrix::transposed() const {
-    // Two-pass counting transpose, O(nnz) with no sort: pass 1 counts the
-    // nonzeros per output row (our columns), pass 2 scatters through a
-    // per-row cursor. Scanning our rows in ascending order places every
-    // output row's entries in ascending column order — the same ordering
-    // the triplet-sort construction produced — and the input is already
-    // deduplicated, so no merge pass is needed.
     SparseMatrix t;
+    transpose_into(t);
+    return t;
+}
+
+void SparseMatrix::transpose_into(SparseMatrix& t) const {
+    // Counting transpose, O(nnz) with no sort: count the nonzeros per
+    // output row (our columns) into t.ptr_[c + 1], prefix-sum so t.ptr_[c]
+    // is row c's start, then scatter with t.ptr_[c] as row c's cursor.
+    // That leaves t.ptr_[c] at row c's end, so shifting the pointers up one
+    // slot restores the starts; t's own arrays are the only storage used.
+    // Scanning our rows in ascending order places every output row's
+    // entries in ascending column order — the same ordering the
+    // triplet-sort construction produces — and the input is already
+    // deduplicated, so no merge pass is needed.
+    SCGNN_CHECK(&t != this, "transpose_into needs a distinct destination");
     t.rows_ = cols_;
     t.cols_ = rows_;
     t.ptr_.assign(cols_ + 1, 0);
@@ -90,15 +99,15 @@ SparseMatrix SparseMatrix::transposed() const {
     for (std::size_t c = 0; c < cols_; ++c) t.ptr_[c + 1] += t.ptr_[c];
     t.col_.resize(nnz());
     t.val_.resize(nnz());
-    std::vector<std::uint64_t> cursor(t.ptr_.begin(), t.ptr_.end() - 1);
     for (std::size_t r = 0; r < rows_; ++r) {
         for (std::uint64_t i = ptr_[r]; i < ptr_[r + 1]; ++i) {
-            const std::uint64_t pos = cursor[col_[i]]++;
+            const std::uint64_t pos = t.ptr_[col_[i]]++;
             t.col_[pos] = static_cast<std::uint32_t>(r);
             t.val_[pos] = val_[i];
         }
     }
-    return t;
+    for (std::size_t c = cols_; c > 0; --c) t.ptr_[c] = t.ptr_[c - 1];
+    t.ptr_[0] = 0;
 }
 
 Matrix SparseMatrix::to_dense() const {
@@ -166,38 +175,6 @@ void spmm_rows_into(const SparseMatrix& s, const Matrix& x,
 Matrix spmm(const SparseMatrix& s, const Matrix& x) {
     Matrix y;
     spmm_into(s, x, y);
-    return y;
-}
-
-Matrix spmm_parallel(const SparseMatrix& s, const Matrix& x, unsigned threads) {
-    SCGNN_CHECK(s.cols() == x.rows(), "spmm inner dimensions must agree");
-    // spmm() itself now runs on the shared pool; this wrapper only pins an
-    // explicit width for the duration of the call (thread-scaling benches,
-    // legacy callers). threads == 0 restores the SCGNN_THREADS/hardware
-    // default via the guard.
-    ThreadCountGuard guard(threads);
-    return spmm(s, x);
-}
-
-void spmm_transposed_into(const SparseMatrix& s, const Matrix& x, Matrix& y) {
-    SCGNN_CHECK(s.rows() == x.rows(),
-                "spmm_transposed requires x rows == s rows");
-    y.reshape_zero(s.cols(), x.cols());
-    const std::size_t f = x.cols();
-    for (std::size_t r = 0; r < s.rows(); ++r) {
-        const auto cols = s.row_cols(r);
-        const auto vals = s.row_vals(r);
-        const float* xr = x.data() + r * f;
-        for (std::size_t i = 0; i < cols.size(); ++i) {
-            float* yr = y.data() + static_cast<std::size_t>(cols[i]) * f;
-            kern::axpy(vals[i], xr, yr, f);
-        }
-    }
-}
-
-Matrix spmm_transposed(const SparseMatrix& s, const Matrix& x) {
-    Matrix y;
-    spmm_transposed_into(s, x, y);
     return y;
 }
 

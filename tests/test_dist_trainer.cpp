@@ -63,7 +63,7 @@ TEST(DistAggregator, VanillaBackwardMatchesGlobalSpmmT) {
     Rng rng(6);
     const tensor::Matrix g =
         tensor::Matrix::randn(d.graph.num_nodes(), 8, rng);
-    const tensor::Matrix expect = tensor::spmm_transposed(global, g);
+    const tensor::Matrix expect = tensor::spmm(global.transposed(), g);
     const tensor::Matrix got = agg.backward(g, 1);
     EXPECT_LT(tensor::max_abs_diff(expect, got), 1e-4f);
 }

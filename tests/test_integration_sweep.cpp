@@ -124,7 +124,9 @@ TEST_P(PartsCountSweep, VolumeGrowsWithPartitionCount) {
 INSTANTIATE_TEST_SUITE_P(Counts, PartsCountSweep,
                          ::testing::Values(2u, 4u, 8u),
                          [](const auto& param_info) {
-                             return "p" + std::to_string(param_info.param);
+                             std::string name = "p";
+                             name += std::to_string(param_info.param);
+                             return name;
                          });
 
 TEST(DeepModelIntegration, ThreeLayerSemanticPipeline) {

@@ -9,9 +9,11 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "scgnn/common/rng.hpp"
+#include "scgnn/obs/alloc.hpp"
 #include "scgnn/tensor/kernels.hpp"
 #include "scgnn/tensor/ops.hpp"
 #include "scgnn/tensor/sparse.hpp"
@@ -69,6 +71,21 @@ Matrix ref_spmm(const SparseMatrix& s, const Matrix& x) {
         for (std::size_t k = 0; k < cols.size(); ++k)
             for (std::size_t c = 0; c < x.cols(); ++c)
                 y(r, c) += vals[k] * x(cols[k], c);
+    }
+    return y;
+}
+
+/// Historical backward-aggregate order: the scatter Sᵀ·x, S's rows
+/// ascending and each row's nonzeros in CSR order, axpy of x's row into
+/// the output row named by the column.
+Matrix ref_spmm_t(const SparseMatrix& s, const Matrix& x) {
+    Matrix y(s.cols(), x.cols());
+    for (std::size_t r = 0; r < s.rows(); ++r) {
+        const auto cols = s.row_cols(r);
+        const auto vals = s.row_vals(r);
+        for (std::size_t k = 0; k < cols.size(); ++k)
+            for (std::size_t c = 0; c < x.cols(); ++c)
+                y(cols[k], c) += vals[k] * x(r, c);
     }
     return y;
 }
@@ -258,10 +275,10 @@ TEST(SparseTranspose, MatchesDenseTransposeAndOrdering) {
 }
 
 TEST(SparseTranspose, GatherOverTransposeEqualsScatter) {
-    // The distributed backward aggregate runs spmm() over a stored
-    // transpose in place of spmm_transposed()'s scatter. Pin that the two
-    // are bitwise equal on rectangular matrices with empty rows and empty
-    // columns, at widths around the row-kernel tiles.
+    // Every backward aggregate runs spmm() over a stored transpose in place
+    // of a scatter over S. Pin that the two are bitwise equal on
+    // rectangular matrices with empty rows and empty columns, at widths
+    // around the row-kernel tiles.
     Rng rng(17);
     for (const std::size_t f : {1ul, 8ul, 13ul, 16ul, 33ul, 64ul})
         for (const auto& shape : {std::pair{23ul, 41ul}, std::pair{41ul, 23ul}}) {
@@ -276,10 +293,40 @@ TEST(SparseTranspose, GatherOverTransposeEqualsScatter) {
                              static_cast<float>(rng.normal())});
             const SparseMatrix s(rows, cols, std::move(trips));
             const Matrix x = Matrix::randn(rows, f, rng);
-            ASSERT_TRUE(
-                bitwise_equal(spmm(s.transposed(), x), spmm_transposed(s, x)))
+            ASSERT_TRUE(bitwise_equal(spmm(s.transposed(), x), ref_spmm_t(s, x)))
                 << rows << "x" << cols << " f=" << f;
         }
+}
+
+TEST(SparseTranspose, IntoWarmDestinationAllocatesNothing) {
+    // The sampled backward transposes every batch block into one buffer
+    // per layer: once that buffer has held a transpose at least as large,
+    // refilling it must not allocate, whatever it held before.
+    Rng rng(19);
+    const SparseMatrix big = random_sparse(37, 29, 0.4, rng);
+    SparseMatrix t;
+    big.transpose_into(t);
+    ASSERT_TRUE(bitwise_equal(t.to_dense(), transpose(big.to_dense())));
+    for (const auto& [rows, cols, density] :
+         {std::tuple{37ul, 29ul, 0.4}, std::tuple{20ul, 11ul, 0.3},
+          std::tuple{5ul, 29ul, 0.0}, std::tuple{29ul, 23ul, 0.2}}) {
+        const SparseMatrix s = random_sparse(rows, cols, density, rng, 3);
+        ASSERT_LE(s.nnz(), big.nnz());
+        obs::reset_alloc_stats();
+        obs::set_alloc_tracking(true);
+        s.transpose_into(t);
+        obs::set_alloc_tracking(false);
+        EXPECT_EQ(obs::alloc_stats().count, 0u) << rows << "x" << cols;
+        const SparseMatrix fresh = s.transposed();
+        ASSERT_EQ(t.rows(), fresh.rows());
+        ASSERT_EQ(t.cols(), fresh.cols());
+        ASSERT_TRUE(std::equal(t.row_ptr().begin(), t.row_ptr().end(),
+                               fresh.row_ptr().begin()));
+        ASSERT_TRUE(std::equal(t.col_idx().begin(), t.col_idx().end(),
+                               fresh.col_idx().begin(), fresh.col_idx().end()));
+        ASSERT_TRUE(bitwise_equal(t.to_dense(), transpose(s.to_dense())));
+    }
+    EXPECT_THROW(t.transpose_into(t), Error);
 }
 
 // ------------------------------- AXPY: bitwise vs y[j] += a * x[j]

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/runtime/scenario.hpp"
 
 namespace scgnn::runtime {
@@ -130,10 +131,19 @@ void check_golden(const std::string& name, const std::string& got) {
 }
 
 TEST(ServingGolden, SampledTrainingRunPinned) {
+    // Pinned at 1, 3 and 4 threads: the batch SpMMs of both passes run on
+    // the pool, and 3 splits their rows into uneven chunks.
     const graph::Dataset d = golden_data();
     const Scenario s =
         Scenario::build(golden_cfg(d, ScenarioMode::kSampleTrain));
-    check_golden("pubmed_sampled", render_sampled(s.run(d).pipeline));
+    auto run_at = [&](unsigned threads) {
+        ThreadCountGuard guard(threads);
+        return render_sampled(s.run(d).pipeline);
+    };
+    const std::string pinned = run_at(1);
+    check_golden("pubmed_sampled", pinned);
+    EXPECT_EQ(pinned, run_at(3));
+    EXPECT_EQ(pinned, run_at(4));
 }
 
 TEST(ServingGolden, ServingRunPinned) {

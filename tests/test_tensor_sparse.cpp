@@ -1,9 +1,10 @@
 // Unit tests for the CSR SparseMatrix and the SpMM aggregate kernels.
 #include <gtest/gtest.h>
 
-#include "scgnn/tensor/ops.hpp"
 #include <algorithm>
 
+#include "scgnn/common/parallel.hpp"
+#include "scgnn/tensor/ops.hpp"
 #include "scgnn/tensor/sparse.hpp"
 
 namespace scgnn::tensor {
@@ -142,18 +143,19 @@ TEST(Sparse, SpmmMatchesDenseMatmul) {
 }
 
 TEST(Sparse, SpmmTransposedMatchesDense) {
+    // The backward aggregate Sᵀ·x is spmm() over the stored transpose.
     Rng rng(2);
     const SparseMatrix s = tiny();
     const Matrix x = Matrix::randn(3, 4, rng);
     const Matrix expect = matmul(transpose(s.to_dense()), x);
-    EXPECT_LT(max_abs_diff(spmm_transposed(s, x), expect), 1e-5f);
+    EXPECT_LT(max_abs_diff(spmm(s.transposed(), x), expect), 1e-5f);
 }
 
 TEST(Sparse, SpmmShapeMismatchThrows) {
     const SparseMatrix s = tiny();
     const Matrix x(2, 4);
     EXPECT_THROW((void)spmm(s, x), Error);
-    EXPECT_THROW((void)spmm_transposed(s, Matrix(2, 4)), Error);
+    EXPECT_THROW((void)spmm(s.transposed(), Matrix(2, 4)), Error);
 }
 
 TEST(Sparse, RectangularSpmm) {
@@ -180,8 +182,8 @@ TEST(Sparse, ParallelSpmmMatchesSerial) {
     const Matrix x = Matrix::randn(150, 16, rng);
     const Matrix serial = spmm(s, x);
     for (unsigned threads : {0u, 1u, 2u, 4u, 7u}) {
-        const Matrix parallel = spmm_parallel(s, x, threads);
-        EXPECT_TRUE(parallel == serial) << threads << " threads";
+        const ThreadCountGuard guard(threads);
+        EXPECT_TRUE(spmm(s, x) == serial) << threads << " threads";
     }
 }
 
@@ -189,8 +191,10 @@ TEST(Sparse, ParallelSpmmTinyMatrixFallsBackToSerial) {
     const SparseMatrix s = tiny();
     Rng rng(12);
     const Matrix x = Matrix::randn(3, 4, rng);
-    EXPECT_TRUE(spmm_parallel(s, x, 8) == spmm(s, x));
-    EXPECT_THROW((void)spmm_parallel(s, Matrix(2, 4), 2), Error);
+    const Matrix serial = spmm(s, x);
+    const ThreadCountGuard guard(8);
+    EXPECT_TRUE(spmm(s, x) == serial);
+    EXPECT_THROW((void)spmm(s, Matrix(2, 4)), Error);
 }
 
 TEST(Sparse, LargeRandomRoundTripAgainstDense) {
@@ -204,7 +208,7 @@ TEST(Sparse, LargeRandomRoundTripAgainstDense) {
     const Matrix x = Matrix::randn(30, 8, rng);
     EXPECT_LT(max_abs_diff(spmm(s, x), matmul(s.to_dense(), x)), 1e-4f);
     const Matrix g = Matrix::randn(40, 8, rng);
-    EXPECT_LT(max_abs_diff(spmm_transposed(s, g),
+    EXPECT_LT(max_abs_diff(spmm(s.transposed(), g),
                            matmul(transpose(s.to_dense()), g)),
               1e-4f);
 }
