@@ -76,8 +76,9 @@ std::string g17(double v) {
 /// Canonical golden serialisation. Only modelled/deterministic quantities
 /// appear — measured wall times (compute_ms, epoch_ms) are excluded.
 /// `outage` is the fault schedule's window, or null for a fault-free run.
+/// `method` (optional) names a non-default compressor stack in the config.
 std::string render(const std::string& preset, const PipelineResult& r,
-                   const Outage* outage) {
+                   const Outage* outage, const std::string& method = "") {
     const bool with_faults = outage != nullptr;
     std::ostringstream o;
     o << "{\n";
@@ -86,6 +87,7 @@ std::string render(const std::string& preset, const PipelineResult& r,
     o << "  \"config\": {\"scale\": " << g17(kScale)
       << ", \"epochs\": " << kEpochs << ", \"parts\": 4, \"groups\": 12"
       << ", \"seed\": " << kSeed << ", \"hidden\": 32";
+    if (!method.empty()) o << ", \"method\": \"" << method << '"';
     if (with_faults)
         o << ", \"fault_drop\": " << g17(0.2) << ", \"fault_seed\": 2024"
           << ", \"link_down\": \"0:1:" << outage->first_epoch << ':'
@@ -338,6 +340,24 @@ TEST(GoldenColdMiss, ZeroBlocksPinnedAtEveryThreadCount) {
     check_golden("pubmed_cold_miss", pinned);
     EXPECT_EQ(pinned, render("pubmed", run_at(3), &kColdOutage));
     EXPECT_EQ(pinned, render("pubmed", run_at(4), &kColdOutage));
+}
+
+TEST(GoldenComposed, OursThenQuantPinnedAtEveryThreadCount) {
+    // The §5.5 composition: the semantic fuse, then 8-bit quantisation of
+    // the fused rows, whose wire bytes compose multiplicatively. Pinned at
+    // 1, 3 and 4 threads.
+    const graph::Dataset d =
+        graph::make_dataset(graph::DatasetPreset::kPubMedSim, kScale, kSeed);
+    PipelineConfig cfg = golden_cfg(d);
+    cfg.method.name = "ours+quant";
+    auto run_at = [&](unsigned threads) {
+        ThreadCountGuard guard(threads);
+        return render("pubmed", run_pipeline(d, cfg), nullptr, "ours+quant");
+    };
+    const std::string pinned = run_at(1);
+    check_golden("pubmed_composed", pinned);
+    EXPECT_EQ(pinned, run_at(3));
+    EXPECT_EQ(pinned, run_at(4));
 }
 
 } // namespace
