@@ -90,7 +90,6 @@ public:
     [[nodiscard]] std::string name() const override;
     void setup(const dist::DistContext& ctx) override;
     void begin_epoch(std::uint64_t epoch) override;
-    void set_workspace(tensor::Workspace* ws) override;
     void apply_rate(double fidelity) override;
     /// Sum of the stages' migratable per-partition state.
     [[nodiscard]] std::uint64_t state_bytes(std::uint32_t part) const override;
@@ -98,27 +97,49 @@ public:
     [[nodiscard]] std::uint64_t forward_rows(const dist::DistContext& ctx,
                                              std::size_t plan_idx, int layer,
                                              const tensor::Matrix& src,
-                                             tensor::Matrix& out) override;
-    [[nodiscard]] std::uint64_t backward_rows(const dist::DistContext& ctx,
-                                              std::size_t plan_idx, int layer,
-                                              const tensor::Matrix& grad_in,
-                                              tensor::Matrix& grad_out) override;
-
-    /// Subset (request-driven) exchange: chains the stages' *_subset
-    /// transforms over the requested rows; wire bytes compose as in
-    /// forward_rows but against the request-model vanilla volume
-    /// rows.size()·f·4 instead of the per-edge volume.
+                                             tensor::Matrix& out) override {
+        return chain(ctx, plan_idx, layer, false,
+                     dist::ExchangeRows::all(ctx, plan_idx), src, out);
+    }
+    [[nodiscard]] std::uint64_t backward_rows(
+        const dist::DistContext& ctx, std::size_t plan_idx, int layer,
+        const tensor::Matrix& grad_in, tensor::Matrix& grad_out) override {
+        return chain(ctx, plan_idx, layer, true,
+                     dist::ExchangeRows::all(ctx, plan_idx), grad_in,
+                     grad_out);
+    }
+    /// A request chains the stages' request transforms; wire bytes
+    /// compose against the request-model vanilla volume rows.size()·f·4.
     [[nodiscard]] std::uint64_t forward_subset(
         const dist::DistContext& ctx, std::size_t plan_idx, int layer,
         std::span<const std::uint32_t> rows, const tensor::Matrix& src,
-        tensor::Matrix& out) override;
+        tensor::Matrix& out) override {
+        return chain(ctx, plan_idx, layer, false,
+                     dist::ExchangeRows::request(ctx, plan_idx, rows), src,
+                     out);
+    }
     [[nodiscard]] std::uint64_t backward_subset(
         const dist::DistContext& ctx, std::size_t plan_idx, int layer,
         std::span<const std::uint32_t> rows, const tensor::Matrix& grad_in,
-        tensor::Matrix& grad_out) override;
+        tensor::Matrix& grad_out) override {
+        return chain(ctx, plan_idx, layer, true,
+                     dist::ExchangeRows::request(ctx, plan_idx, rows), grad_in,
+                     grad_out);
+    }
 
 private:
+    /// The one exchange body: run the stages in order (backward: last
+    /// forward stage first) and compose their wire bytes.
+    std::uint64_t chain(const dist::DistContext& ctx, std::size_t plan_idx,
+                        int layer, bool backward,
+                        const dist::ExchangeRows& rows,
+                        const tensor::Matrix& in, tensor::Matrix& out);
+
     std::vector<std::unique_ptr<dist::BoundaryCompressor>> stages_;
+    // Chain scratch: the stages alternate between two buffers, and the
+    // per-stage byte counts are kept for the composition.
+    tensor::Matrix buf_[2];
+    std::vector<double> stage_bytes_;
 };
 
 /// End-to-end pipeline configuration.

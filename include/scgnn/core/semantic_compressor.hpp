@@ -76,10 +76,6 @@ public:
     /// Fig. 8 that runs once between partitioning and training).
     void setup(const dist::DistContext& ctx) override;
 
-    /// Pooled scratch for the per-exchange fuse row (see
-    /// BoundaryCompressor::set_workspace).
-    void set_workspace(tensor::Workspace* ws) override { ws_ = ws; }
-
     /// Scale the group budget: each plan is regrouped with
     /// k = max(1, round(kmeans_k · fidelity)) M2M clusters, then the whole
     /// grouping is coarsened to max(1, round(groups · fidelity)) groups by
@@ -93,32 +89,45 @@ public:
     /// The fidelity last applied (1 until apply_rate is called).
     [[nodiscard]] double rate_fidelity() const noexcept { return rate_; }
 
+    /// Full-graph exchange: one fused row per group plus one per raw
+    /// cross edge, the Fig. 9 wire volume.
     [[nodiscard]] std::uint64_t forward_rows(const dist::DistContext& ctx,
-                                             std::size_t plan_idx, int layer,
+                                             std::size_t plan_idx, int,
                                              const tensor::Matrix& src,
-                                             tensor::Matrix& out) override;
-    [[nodiscard]] std::uint64_t backward_rows(const dist::DistContext& ctx,
-                                              std::size_t plan_idx, int layer,
-                                              const tensor::Matrix& grad_in,
-                                              tensor::Matrix& grad_out) override;
+                                             tensor::Matrix& out) override {
+        return fuse(plan_idx, dist::ExchangeRows::all(ctx, plan_idx), src,
+                    out);
+    }
+    [[nodiscard]] std::uint64_t backward_rows(
+        const dist::DistContext& ctx, std::size_t plan_idx, int,
+        const tensor::Matrix& grad_in, tensor::Matrix& grad_out) override {
+        return disassemble(plan_idx, dist::ExchangeRows::all(ctx, plan_idx),
+                           grad_in, grad_out);
+    }
 
-    /// Request-driven subset exchange (neighbor-sampled training): fuses
-    /// only the *requested* members of each touched group, with the output
-    /// weights renormalised over the requested subset so the partial fusion
-    /// stays a convex combination. Costs one wire row per touched
-    /// (non-dropped) group plus one per requested raw row; dropped classes
-    /// reconstruct as zero and ship nothing, exactly as in the full path.
+    /// Request-driven exchange (neighbor-sampled training): fuses only the
+    /// *requested* members of each touched group, with the output weights
+    /// renormalised over the requested subset so the partial fusion stays
+    /// a convex combination. Costs one wire row per touched (non-dropped)
+    /// group plus one per requested raw row; dropped classes reconstruct
+    /// as zero and ship nothing, exactly as in the full path.
     [[nodiscard]] std::uint64_t forward_subset(
-        const dist::DistContext& ctx, std::size_t plan_idx, int layer,
+        const dist::DistContext& ctx, std::size_t plan_idx, int,
         std::span<const std::uint32_t> rows, const tensor::Matrix& src,
-        tensor::Matrix& out) override;
-
+        tensor::Matrix& out) override {
+        return fuse(plan_idx, dist::ExchangeRows::request(ctx, plan_idx, rows),
+                    src, out);
+    }
     /// Adjoint of forward_subset: one fused gradient row crosses back per
     /// touched group and is disassembled by the renormalised weights.
     [[nodiscard]] std::uint64_t backward_subset(
-        const dist::DistContext& ctx, std::size_t plan_idx, int layer,
+        const dist::DistContext& ctx, std::size_t plan_idx, int,
         std::span<const std::uint32_t> rows, const tensor::Matrix& grad_in,
-        tensor::Matrix& grad_out) override;
+        tensor::Matrix& grad_out) override {
+        return disassemble(plan_idx,
+                           dist::ExchangeRows::request(ctx, plan_idx, rows),
+                           grad_in, grad_out);
+    }
 
     /// The grouping built for plan `plan_idx` (valid after setup()).
     [[nodiscard]] const Grouping& grouping(std::size_t plan_idx) const;
@@ -133,12 +142,52 @@ public:
     }
 
 private:
-    /// Raw-row classes cached per plan so the drop mask can filter them.
+    /// Where one plan row sits in its plan's grouping.
+    struct RowRef {
+        std::int32_t group = -1;  ///< group id, -1 = raw row
+        float weight = 0.0f;      ///< the member's w_out (grouped rows)
+        bool dropped = false;     ///< its class is in the drop mask
+    };
     struct PlanState {
         Grouping grouping;
-        std::vector<graph::ConnectionType> raw_class;  ///< per raw row
+        std::vector<RowRef> rows;     ///< per plan row
         std::uint64_t wire_rows = 0;  ///< after the drop mask
     };
+    /// A group one exchange touches: the fused row it owns in fused_ and
+    /// the scale of its members' weights (1 in a full exchange; in a
+    /// request, 1/Σ w over the requested members, or the uniform
+    /// 1/count when those weights are all zero).
+    struct Touched {
+        std::int32_t group = 0;
+        std::uint32_t count = 0;
+        float wsum = 0.0f;
+        float scale = 1.0f;
+        bool uniform = false;
+    };
+    static constexpr std::uint32_t kUntouched = ~std::uint32_t{0};
+
+    /// The fuse body behind forward_rows and forward_subset.
+    std::uint64_t fuse(std::size_t plan_idx, const dist::ExchangeRows& rows,
+                       const tensor::Matrix& src, tensor::Matrix& out);
+    /// The disassemble body behind backward_rows and backward_subset.
+    std::uint64_t disassemble(std::size_t plan_idx,
+                              const dist::ExchangeRows& rows,
+                              const tensor::Matrix& grad_in,
+                              tensor::Matrix& grad_out);
+    /// The plan's state, checked against setup().
+    [[nodiscard]] const PlanState& plan_state(std::size_t plan_idx) const;
+    /// List in touched_ the non-dropped groups `rows` reaches, in first
+    /// touch order, give each a fused row (fused_row_) and its weight
+    /// scale; fused_ becomes a zeroed touched × f block.
+    void touch_groups(const PlanState& state, const dist::ExchangeRows& rows,
+                      std::size_t f);
+    /// The weight member row `ref` of touched group `t` carries.
+    [[nodiscard]] static float member_weight(const Touched& t,
+                                             const RowRef& ref) noexcept {
+        return t.uniform ? t.scale : ref.weight * t.scale;
+    }
+    /// Reset fused_row_ for the groups the last exchange touched.
+    void release_groups() noexcept;
 
     /// k-means budget after the rate scaling (0 stays 0 = EEP auto).
     [[nodiscard]] std::uint32_t effective_k() const noexcept;
@@ -150,7 +199,12 @@ private:
 
     SemanticCompressorConfig cfg_;
     std::vector<PlanState> plans_;
-    tensor::Workspace* ws_ = nullptr;  ///< nullable fuse-row scratch pool
+    // Exchange scratch, reused across exchanges: the touched groups, each
+    // group id's row in fused_ (kUntouched between exchanges; sized to the
+    // largest plan's group count) and the fused rows themselves.
+    std::vector<Touched> touched_;
+    std::vector<std::uint32_t> fused_row_;
+    tensor::Matrix fused_;
     const dist::DistContext* ctx_ = nullptr;  ///< set by setup(), for regroups
     double rate_ = 1.0;                       ///< fidelity in force
 };

@@ -71,7 +71,6 @@ public:
     /// resets the per-epoch drift accumulators, forwards to the inner
     /// stage.
     void begin_epoch(std::uint64_t epoch) override;
-    void set_workspace(tensor::Workspace* ws) override;
     /// Forwards to the inner stage and scales the per-exchange resync
     /// budget to ⌈fidelity · eligible⌉ rows.
     void apply_rate(double fidelity) override;
@@ -94,8 +93,8 @@ public:
     /// Request-driven subset exchange: the residual slot stays at the full
     /// plan shape (rows the batch did not request keep their backlog for a
     /// later request), the carry-in/residual-update/resync rules apply to
-    /// the requested rows only, and the inner stage runs its own
-    /// *_subset transform. Resync flushes are charged per requested row.
+    /// the requested rows only, and the inner stage runs its own request
+    /// transform. A resync row is charged f·4 bytes in either mode.
     [[nodiscard]] std::uint64_t forward_subset(
         const DistContext& ctx, std::size_t plan_idx, int layer,
         std::span<const std::uint32_t> rows, const tensor::Matrix& src,
@@ -144,28 +143,24 @@ private:
 
     [[nodiscard]] Slot& slot(std::vector<std::vector<Slot>>& side,
                              std::size_t plan_idx, int layer);
-    std::uint64_t exchange(std::vector<std::vector<Slot>>& side,
-                           const DistContext& ctx, std::size_t plan_idx,
-                           int layer, bool backward,
-                           const tensor::Matrix& src, tensor::Matrix& out);
-    std::uint64_t exchange_subset(std::vector<std::vector<Slot>>& side,
-                                  const DistContext& ctx, std::size_t plan_idx,
-                                  int layer, bool backward,
-                                  std::span<const std::uint32_t> rows,
-                                  const tensor::Matrix& src,
-                                  tensor::Matrix& out);
+    /// The one exchange body behind all four virtuals.
+    std::uint64_t ship(std::vector<std::vector<Slot>>& side,
+                       const DistContext& ctx, std::size_t plan_idx,
+                       int layer, bool backward, const ExchangeRows& rows,
+                       const tensor::Matrix& src, tensor::Matrix& out);
 
     std::unique_ptr<BoundaryCompressor> inner_;
     ErrorFeedbackConfig cfg_;
-    tensor::Workspace* ws_ = nullptr;  ///< nullable payload scratch pool
     double rate_ = 1.0;       ///< fidelity last applied (resync budget)
     std::vector<std::vector<Slot>> fwd_;  ///< [plan][layer]
     std::vector<std::vector<Slot>> bwd_;  ///< [plan][layer]
     std::vector<std::uint32_t> plan_src_;  ///< plan → sending partition
     std::vector<std::uint32_t> plan_dst_;  ///< plan → receiving partition
     // Exchange scratch, reused so the serial exchange path stays
-    // allocation-free in steady state: per-row squared residuals and the
-    // (violation ratio, row) list the resync budget is drawn from.
+    // allocation-free in steady state: the payload handed to the inner
+    // stage, per-row squared residuals and the (violation ratio, row)
+    // list the resync budget is drawn from.
+    tensor::Matrix payload_;
     std::vector<double> row_sq_residual_;
     std::vector<std::pair<double, std::uint32_t>> flush_candidates_;
     // Squared norm of this epoch's undelivered residual (reset by

@@ -112,6 +112,10 @@ public:
     /// Zero every gradient tensor.
     void zero_grad();
 
+    /// Reused buffer for d(loss)/d(logits), which run_epoch() fills and
+    /// passes to backward(); owned here so warm epochs allocate nothing.
+    [[nodiscard]] tensor::Matrix& loss_grad() noexcept { return dlogits_; }
+
     /// Number of aggregation steps one forward pass performs (== layers).
     [[nodiscard]] int num_aggregations() const noexcept {
         return static_cast<int>(cfg_.num_layers);
@@ -147,6 +151,7 @@ private:
     // Capacity converges to the largest shape after one epoch, making
     // steady-state epochs allocation-free.
     tensor::Matrix dz_, dcomb_, dh_, gtmp_, btmp_;
+    tensor::Matrix dlogits_;  ///< loss_grad()
     // parameters()/gradients() views, built once (layers_ never resizes).
     std::vector<tensor::Matrix*> params_, grads_;
     bool have_cache_ = false;

@@ -11,7 +11,6 @@
 #include "scgnn/gnn/model.hpp"
 #include "scgnn/gnn/optimizer.hpp"
 #include "scgnn/graph/dataset.hpp"
-#include "scgnn/tensor/workspace.hpp"
 
 namespace scgnn::gnn {
 
@@ -67,15 +66,13 @@ struct TrainResult {
                                               const TrainConfig& train_cfg);
 
 /// One complete epoch (forward, loss, backward, step) on a prebuilt model
-/// and aggregator; returns the train loss. Shared by both trainers.
-///
-/// `ws` (optional) provides pooled scratch for the loss-gradient matrix;
-/// with it, steady-state epochs perform zero heap allocations.
+/// and aggregator; returns the train loss. Shared by both trainers. The
+/// loss gradient lives in the model's loss_grad() buffer, so steady-state
+/// epochs perform zero heap allocations.
 [[nodiscard]] double run_epoch(GnnModel& model, Adam& opt, Aggregator& agg,
                                const tensor::Matrix& features,
                                std::span<const std::int32_t> labels,
-                               std::span<const std::uint32_t> train_mask,
-                               tensor::Workspace* ws = nullptr);
+                               std::span<const std::uint32_t> train_mask);
 
 /// Evaluate accuracy of `model` on the rows of `mask` (forward only).
 [[nodiscard]] double evaluate_accuracy(GnnModel& model, Aggregator& agg,

@@ -122,16 +122,6 @@ public:
         data_.assign(rows * cols, 0.0f);
     }
 
-    /// Steal the backing storage (for Workspace pooling); the matrix
-    /// becomes an empty 0×0.
-    [[nodiscard]] std::vector<float> release_storage() noexcept {
-        rows_ = 0;
-        cols_ = 0;
-        std::vector<float> out = std::move(data_);
-        data_.clear();
-        return out;
-    }
-
     /// In-place element-wise addition; shapes must match.
     Matrix& operator+=(const Matrix& other);
 

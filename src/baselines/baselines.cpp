@@ -31,59 +31,38 @@ void SamplingCompressor::setup(const DistContext& ctx) {
 
 void SamplingCompressor::begin_epoch(std::uint64_t epoch) { epoch_ = epoch; }
 
-const SamplingCompressor::Mask& SamplingCompressor::mask_for(
-    const DistContext& ctx, std::size_t plan_idx) {
+const std::vector<char>& SamplingCompressor::mask_for(const DistContext& ctx,
+                                                     std::size_t plan_idx) {
     SCGNN_CHECK(plan_idx < masks_.size(), "plan index out of range (setup?)");
-    if (mask_epoch_[plan_idx] == epoch_ + 1) return masks_[plan_idx];
+    std::vector<char>& keep = masks_[plan_idx];
+    if (mask_epoch_[plan_idx] == epoch_ + 1) return keep;
     // Rebuild the epoch's boundary sample for this plan — the per-round
     // adjacency-refresh work that makes sampling expensive at scale.
     const PairPlan& plan = ctx.plans()[plan_idx];
-    Mask& m = masks_[plan_idx];
-    m.keep.assign(plan.num_rows(), 0);
-    m.kept_edges = 0;
-    for (std::uint32_t r = 0; r < plan.num_rows(); ++r) {
-        if (rng_.bernoulli(rate_eff_)) {
-            m.keep[r] = 1;
-            m.kept_edges += plan.dbg.out_degree(r);
-        }
-    }
+    keep.assign(plan.num_rows(), 0);
+    for (std::uint32_t r = 0; r < plan.num_rows(); ++r)
+        keep[r] = rng_.bernoulli(rate_eff_) ? 1 : 0;
     mask_epoch_[plan_idx] = epoch_ + 1;
-    return m;
+    return keep;
 }
 
-std::uint64_t SamplingCompressor::forward_rows(const DistContext& ctx,
-                                               std::size_t plan_idx,
-                                               int /*layer*/, const Matrix& src,
-                                               Matrix& out) {
-    const Mask& m = mask_for(ctx, plan_idx);
-    SCGNN_CHECK(src.rows() == m.keep.size(), "source row count mismatch");
-    out = Matrix(src.rows(), src.cols());
+std::uint64_t SamplingCompressor::ship(const DistContext& ctx,
+                                       std::size_t plan_idx,
+                                       const dist::ExchangeRows& rows,
+                                       const Matrix& in, Matrix& out) {
+    const std::vector<char>& keep = mask_for(ctx, plan_idx);
+    rows.check_payload(in);
+    out.reshape_zero(in.rows(), in.cols());
     const float scale = static_cast<float>(1.0 / rate_eff_);
-    for (std::size_t r = 0; r < src.rows(); ++r) {
-        if (!m.keep[r]) continue;
-        const auto s = src.row(r);
-        auto d = out.row(r);
+    std::uint64_t wire_rows = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!keep[rows[i]]) continue;
+        const auto s = in.row(i);
+        auto d = out.row(i);
         for (std::size_t c = 0; c < s.size(); ++c) d[c] = s[c] * scale;
+        wire_rows += rows.cost(i);
     }
-    return m.kept_edges * src.cols() * sizeof(float);
-}
-
-std::uint64_t SamplingCompressor::backward_rows(const DistContext& ctx,
-                                                std::size_t plan_idx,
-                                                int /*layer*/,
-                                                const Matrix& grad_in,
-                                                Matrix& grad_out) {
-    const Mask& m = mask_for(ctx, plan_idx);
-    SCGNN_CHECK(grad_in.rows() == m.keep.size(), "gradient row count mismatch");
-    grad_out = Matrix(grad_in.rows(), grad_in.cols());
-    const float scale = static_cast<float>(1.0 / rate_eff_);
-    for (std::size_t r = 0; r < grad_in.rows(); ++r) {
-        if (!m.keep[r]) continue;
-        const auto s = grad_in.row(r);
-        auto d = grad_out.row(r);
-        for (std::size_t c = 0; c < s.size(); ++c) d[c] = s[c] * scale;
-    }
-    return m.kept_edges * grad_in.cols() * sizeof(float);
+    return wire_rows * in.cols() * sizeof(float);
 }
 
 // ------------------------------------------------------------------- Quant
@@ -108,34 +87,14 @@ void QuantCompressor::apply_rate(double fidelity) {
     bits_eff_ = std::min(eff, cfg_.bits);
 }
 
-namespace {
-
-std::uint64_t quant_roundtrip(int bits, std::uint64_t edges, const Matrix& in,
-                              Matrix& out) {
-    const tensor::QuantizedTensor q = tensor::quantize_per_tensor(in, bits);
-    out = tensor::dequantize(q);
-    // Per-edge wire model at the reduced width, plus the affine parameters.
-    return edges * in.cols() * static_cast<std::uint64_t>(bits) / 8 +
+std::uint64_t QuantCompressor::roundtrip(const dist::ExchangeRows& rows,
+                                         const Matrix& in, Matrix& out) const {
+    rows.check_payload(in);
+    out = tensor::dequantize(tensor::quantize_per_tensor(in, bits_eff_));
+    // Every shipped row at the reduced width, plus the affine parameters.
+    return rows.verbatim_rows() * in.cols() *
+               static_cast<std::uint64_t>(bits_eff_) / 8 +
            sizeof(float) + sizeof(std::int32_t);
-}
-
-} // namespace
-
-std::uint64_t QuantCompressor::forward_rows(const DistContext& ctx,
-                                            std::size_t plan_idx, int /*layer*/,
-                                            const Matrix& src, Matrix& out) {
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    SCGNN_CHECK(src.rows() == plan.num_rows(), "source row count mismatch");
-    return quant_roundtrip(bits_eff_, plan.num_edges(), src, out);
-}
-
-std::uint64_t QuantCompressor::backward_rows(const DistContext& ctx,
-                                             std::size_t plan_idx, int /*layer*/,
-                                             const Matrix& grad_in,
-                                             Matrix& grad_out) {
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    SCGNN_CHECK(grad_in.rows() == plan.num_rows(), "gradient row count mismatch");
-    return quant_roundtrip(bits_eff_, plan.num_edges(), grad_in, grad_out);
 }
 
 // ------------------------------------------------------------------- Delay
@@ -152,37 +111,44 @@ void DelayCompressor::setup(const DistContext& ctx) {
 
 void DelayCompressor::begin_epoch(std::uint64_t epoch) { epoch_ = epoch; }
 
-std::uint64_t DelayCompressor::forward_rows(const DistContext& ctx,
-                                            std::size_t plan_idx, int layer,
-                                            const Matrix& src, Matrix& out) {
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    SCGNN_CHECK(src.rows() == plan.num_rows(), "source row count mismatch");
+std::uint64_t DelayCompressor::ship(std::vector<Matrix>& caches,
+                                    const DistContext& ctx,
+                                    std::size_t plan_idx, int layer,
+                                    const Matrix& in, Matrix& out) {
+    const dist::ExchangeRows rows = dist::ExchangeRows::all(ctx, plan_idx);
+    rows.check_payload(in);
     SCGNN_CHECK(layer >= 0 && layer < kMaxLayers, "layer out of range");
-    Matrix& cache = fwd_cache_[plan_idx * kMaxLayers + layer];
+    Matrix& cache = caches[plan_idx * kMaxLayers + layer];
     if (transmit_epoch() || cache.empty()) {
-        cache = src;
-        out = src;
-        return plan.num_edges() * src.cols() * sizeof(float);
+        cache = in;
+        out = in;
+        return rows.verbatim_rows() * in.cols() * sizeof(float);
     }
-    out = cache;  // stale copy, no wire traffic
+    out = cache;  // stale copy (or stale gradients, as Dorylus permits)
     return 0;
 }
 
-std::uint64_t DelayCompressor::backward_rows(const DistContext& ctx,
-                                             std::size_t plan_idx, int layer,
-                                             const Matrix& grad_in,
-                                             Matrix& grad_out) {
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    SCGNN_CHECK(grad_in.rows() == plan.num_rows(), "gradient row count mismatch");
-    SCGNN_CHECK(layer >= 0 && layer < kMaxLayers, "layer out of range");
-    Matrix& cache = bwd_cache_[plan_idx * kMaxLayers + layer];
-    if (transmit_epoch() || cache.empty()) {
-        cache = grad_in;
-        grad_out = grad_in;
-        return plan.num_edges() * grad_in.cols() * sizeof(float);
-    }
-    grad_out = cache;  // stale gradients, as Dorylus permits
-    return 0;
+namespace {
+
+[[noreturn]] void no_request_path() {
+    throw Error("delay has no request path: its cache replays a plan's "
+                "full row block, which a sampled batch never ships");
+}
+
+} // namespace
+
+std::uint64_t DelayCompressor::forward_subset(const DistContext&, std::size_t,
+                                              int,
+                                              std::span<const std::uint32_t>,
+                                              const Matrix&, Matrix&) {
+    no_request_path();
+}
+
+std::uint64_t DelayCompressor::backward_subset(const DistContext&, std::size_t,
+                                               int,
+                                               std::span<const std::uint32_t>,
+                                               const Matrix&, Matrix&) {
+    no_request_path();
 }
 
 } // namespace scgnn::baselines

@@ -82,10 +82,6 @@ void ComposedCompressor::begin_epoch(std::uint64_t epoch) {
     for (auto& s : stages_) s->begin_epoch(epoch);
 }
 
-void ComposedCompressor::set_workspace(tensor::Workspace* ws) {
-    for (auto& s : stages_) s->set_workspace(ws);
-}
-
 void ComposedCompressor::apply_rate(double fidelity) {
     for (auto& s : stages_) s->apply_rate(fidelity);
 }
@@ -96,95 +92,31 @@ std::uint64_t ComposedCompressor::state_bytes(std::uint32_t part) const {
     return bytes;
 }
 
-std::uint64_t ComposedCompressor::forward_rows(const dist::DistContext& ctx,
-                                               std::size_t plan_idx, int layer,
-                                               const tensor::Matrix& src,
-                                               tensor::Matrix& out) {
-    const dist::PairPlan& plan = ctx.plans()[plan_idx];
-    const double vanilla_bytes = static_cast<double>(plan.num_edges()) *
-                                 src.cols() * sizeof(float);
-    tensor::Matrix cur = src;
-    double bytes = 0.0;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        tensor::Matrix next;
-        const auto stage_bytes = static_cast<double>(
-            stages_[i]->forward_rows(ctx, plan_idx, layer, cur, next));
-        if (i == 0)
-            bytes = stage_bytes;  // base volume
-        else if (vanilla_bytes > 0.0)
-            bytes *= stage_bytes / vanilla_bytes;  // relative factor
-        cur = std::move(next);
-    }
-    out = std::move(cur);
-    return static_cast<std::uint64_t>(bytes);
-}
-
-std::uint64_t ComposedCompressor::backward_rows(const dist::DistContext& ctx,
-                                                std::size_t plan_idx, int layer,
-                                                const tensor::Matrix& grad_in,
-                                                tensor::Matrix& grad_out) {
-    const dist::PairPlan& plan = ctx.plans()[plan_idx];
-    const double vanilla_bytes = static_cast<double>(plan.num_edges()) *
-                                 grad_in.cols() * sizeof(float);
-    // Adjoint order: last forward stage first. Stage 0 owns the wire
-    // representation (base volume); later stages contribute relative
-    // factors, as in the forward direction.
-    tensor::Matrix cur = grad_in;
-    std::vector<double> per_stage(stages_.size(), 0.0);
-    for (std::size_t i = stages_.size(); i-- > 0;) {
-        tensor::Matrix next;
-        per_stage[i] = static_cast<double>(
-            stages_[i]->backward_rows(ctx, plan_idx, layer, cur, next));
-        cur = std::move(next);
-    }
-    grad_out = std::move(cur);
-    double bytes = per_stage[0];
-    for (std::size_t i = 1; i < stages_.size(); ++i)
-        if (vanilla_bytes > 0.0) bytes *= per_stage[i] / vanilla_bytes;
-    return static_cast<std::uint64_t>(bytes);
-}
-
-std::uint64_t ComposedCompressor::forward_subset(
-    const dist::DistContext& ctx, std::size_t plan_idx, int layer,
-    std::span<const std::uint32_t> rows, const tensor::Matrix& src,
-    tensor::Matrix& out) {
-    // Request-model vanilla volume: each requested row ships once.
+std::uint64_t ComposedCompressor::chain(const dist::DistContext& ctx,
+                                        std::size_t plan_idx, int layer,
+                                        bool backward,
+                                        const dist::ExchangeRows& rows,
+                                        const tensor::Matrix& in,
+                                        tensor::Matrix& out) {
     const double vanilla_bytes =
-        static_cast<double>(rows.size()) * src.cols() * sizeof(float);
-    tensor::Matrix cur = src;
-    double bytes = 0.0;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        tensor::Matrix next;
-        const auto stage_bytes = static_cast<double>(
-            stages_[i]->forward_subset(ctx, plan_idx, layer, rows, cur, next));
-        if (i == 0)
-            bytes = stage_bytes;
-        else if (vanilla_bytes > 0.0)
-            bytes *= stage_bytes / vanilla_bytes;
-        cur = std::move(next);
+        static_cast<double>(rows.verbatim_rows()) * in.cols() * sizeof(float);
+    // Backward runs the adjoint order: last forward stage first. Each
+    // stage reads the previous one's output; the last writes `out`.
+    const std::size_t n = stages_.size();
+    stage_bytes_.assign(n, 0.0);
+    const tensor::Matrix* cur = &in;
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = backward ? n - 1 - k : k;
+        tensor::Matrix& next = k + 1 == n ? out : buf_[k % 2];
+        stage_bytes_[i] = static_cast<double>(stages_[i]->exchange(
+            ctx, plan_idx, layer, backward, rows, *cur, next));
+        cur = &next;
     }
-    out = std::move(cur);
-    return static_cast<std::uint64_t>(bytes);
-}
-
-std::uint64_t ComposedCompressor::backward_subset(
-    const dist::DistContext& ctx, std::size_t plan_idx, int layer,
-    std::span<const std::uint32_t> rows, const tensor::Matrix& grad_in,
-    tensor::Matrix& grad_out) {
-    const double vanilla_bytes =
-        static_cast<double>(rows.size()) * grad_in.cols() * sizeof(float);
-    tensor::Matrix cur = grad_in;
-    std::vector<double> per_stage(stages_.size(), 0.0);
-    for (std::size_t i = stages_.size(); i-- > 0;) {
-        tensor::Matrix next;
-        per_stage[i] = static_cast<double>(
-            stages_[i]->backward_subset(ctx, plan_idx, layer, rows, cur, next));
-        cur = std::move(next);
-    }
-    grad_out = std::move(cur);
-    double bytes = per_stage[0];
-    for (std::size_t i = 1; i < stages_.size(); ++i)
-        if (vanilla_bytes > 0.0) bytes *= per_stage[i] / vanilla_bytes;
+    // Stage 0 owns the wire representation (base volume); later stages
+    // contribute the ratio of their bytes to the vanilla volume.
+    double bytes = stage_bytes_[0];
+    for (std::size_t i = 1; i < n; ++i)
+        if (vanilla_bytes > 0.0) bytes *= stage_bytes_[i] / vanilla_bytes;
     return static_cast<std::uint64_t>(bytes);
 }
 

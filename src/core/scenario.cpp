@@ -244,6 +244,14 @@ Scenario Scenario::build(ScenarioConfig cfg) {
         SCGNN_CHECK(!cfg.pipeline.train.membership.active(),
                     "membership schedules are not supported in "
                     "sample-train mode");
+        // Delay replays a plan's full cached row block, which a batch
+        // request never ships (baselines.hpp).
+        const core::MethodConfig& m = cfg.pipeline.method;
+        const std::string stack =
+            '+' + (m.name.empty() ? core::method_key(m.method) : m.name) + '+';
+        SCGNN_CHECK(stack.find("+delay+") == std::string::npos,
+                    "delay has no request path and is not supported in "
+                    "sample-train mode");
         SCGNN_CHECK(cfg.sampler.batch_size >= 1,
                     "sampler batch size must be at least 1");
         SCGNN_CHECK(!cfg.sampler.fanout.empty(),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/trace.hpp"
 #include "scgnn/tensor/kernels.hpp"
-#include "scgnn/tensor/workspace.hpp"
 
 namespace scgnn::core {
 
@@ -66,16 +64,22 @@ void SemanticCompressor::build_plan(const PairPlan& plan, std::size_t pi,
         state.grouping = coarsen_grouping(plan.dbg, state.grouping, target);
     }
 
+    // The row table the exchange bodies read: group, weight and drop
+    // flag of every plan row.
     const std::vector<graph::ConnectionType> cls = classify_sources(plan.dbg);
-    state.raw_class.reserve(state.grouping.raw_rows.size());
-    for (std::uint32_t r : state.grouping.raw_rows)
-        state.raw_class.push_back(cls[r]);
-
-    for (const SemanticGroup& g : state.grouping.groups)
-        if (!cfg_.drop.dropped(g.origin)) ++state.wire_rows;
-    for (std::size_t i = 0; i < state.grouping.raw_rows.size(); ++i)
-        if (!cfg_.drop.dropped(state.raw_class[i]))
-            state.wire_rows += plan.dbg.out_degree(state.grouping.raw_rows[i]);
+    state.rows.resize(plan.num_rows());
+    for (std::size_t gi = 0; gi < state.grouping.groups.size(); ++gi) {
+        const SemanticGroup& g = state.grouping.groups[gi];
+        const bool dropped = cfg_.drop.dropped(g.origin);
+        if (!dropped) ++state.wire_rows;
+        for (std::size_t mi = 0; mi < g.members.size(); ++mi)
+            state.rows[g.members[mi]] = {static_cast<std::int32_t>(gi),
+                                         g.out_weights[mi], dropped};
+    }
+    for (const std::uint32_t r : state.grouping.raw_rows) {
+        state.rows[r].dropped = cfg_.drop.dropped(cls[r]);
+        if (!state.rows[r].dropped) state.wire_rows += plan.dbg.out_degree(r);
+    }
     plans_[pi] = std::move(state);
 }
 
@@ -102,6 +106,10 @@ void SemanticCompressor::rebuild() {
         for (std::size_t i = lo; i < hi; ++i)
             build_plan(pairs[order[i]], order[i], k);
     });
+    std::size_t max_groups = 0;
+    for (const PlanState& st : plans_)
+        max_groups = std::max(max_groups, st.grouping.groups.size());
+    fused_row_.assign(max_groups, kUntouched);
     if (obs::enabled()) {
         obs::Registry& reg = obs::registry();
         reg.counter("compress.setups").add(1);
@@ -112,239 +120,122 @@ void SemanticCompressor::rebuild() {
     }
 }
 
-std::uint64_t SemanticCompressor::forward_rows(const DistContext& ctx,
-                                               std::size_t plan_idx,
-                                               int /*layer*/, const Matrix& src,
-                                               Matrix& out) {
+const SemanticCompressor::PlanState& SemanticCompressor::plan_state(
+    std::size_t plan_idx) const {
     SCGNN_CHECK(plan_idx < plans_.size(), "plan index out of range (setup?)");
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    const PlanState& state = plans_[plan_idx];
-    SCGNN_CHECK(src.rows() == plan.num_rows(), "source row count mismatch");
+    return plans_[plan_idx];
+}
 
+void SemanticCompressor::touch_groups(const PlanState& state,
+                                      const dist::ExchangeRows& rows,
+                                      std::size_t f) {
+    touched_.clear();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const RowRef& ref = state.rows[rows[i]];
+        if (ref.group < 0 || ref.dropped) continue;
+        std::uint32_t& slot = fused_row_[static_cast<std::size_t>(ref.group)];
+        if (slot == kUntouched) {
+            slot = static_cast<std::uint32_t>(touched_.size());
+            touched_.push_back({.group = ref.group});
+        }
+        Touched& t = touched_[slot];
+        t.wsum += ref.weight;
+        ++t.count;
+    }
+    // A request fuses only the requested members, renormalised so the
+    // partial fusion stays a convex combination; a degenerate all-zero
+    // request falls back to the uniform average. A full exchange fuses
+    // with the group's own weights (scale 1).
+    if (rows.is_request())
+        for (Touched& t : touched_) {
+            t.uniform = !(t.wsum > 0.0f);
+            t.scale = t.uniform ? 1.0f / static_cast<float>(t.count)
+                                : 1.0f / t.wsum;
+        }
+    fused_.reshape_zero(touched_.size(), f);
+}
+
+void SemanticCompressor::release_groups() noexcept {
+    for (const Touched& t : touched_)
+        fused_row_[static_cast<std::size_t>(t.group)] = kUntouched;
+}
+
+std::uint64_t SemanticCompressor::fuse(std::size_t plan_idx,
+                                       const dist::ExchangeRows& rows,
+                                       const Matrix& src, Matrix& out) {
+    const PlanState& state = plan_state(plan_idx);
+    rows.check_payload(src);
     const std::size_t f = src.cols();
     // Zeroed: dropped classes contribute nothing.
-    out.reshape_zero(src.rows(), f);
-    std::uint64_t wire_rows = 0;
-
-    // One fuse row reused (and re-zeroed) across every group of the plan.
-    tensor::Workspace::Lease fuse(ws_, 1, f);
-    const auto h_g = fuse.get().row(0);
-    for (const SemanticGroup& g : state.grouping.groups) {
-        if (cfg_.drop.dropped(g.origin)) continue;
-        // Fuse (Fig. 7(b) line 1-2) ...
-        std::fill(h_g.begin(), h_g.end(), 0.0f);
-        for (std::size_t i = 0; i < g.members.size(); ++i) {
-            const auto h_u = src.row(g.members[i]);
-            tensor::kern::axpy(g.out_weights[i], h_u.data(), h_g.data(), f);
-        }
-        ++wire_rows;  // ... transmit one semantic row (line 3-4) ...
-        // ... and reconstruct every member halo row as the fused semantics;
-        // the receiver's adjacency weights perform the proportional
-        // disassembly (line 5-7).
-        for (std::uint32_t member : g.members) {
-            auto dst = out.row(member);
-            std::copy(h_g.begin(), h_g.end(), dst.begin());
-        }
-    }
-
-    for (std::size_t i = 0; i < state.grouping.raw_rows.size(); ++i) {
-        if (cfg_.drop.dropped(state.raw_class[i])) continue;
-        const std::uint32_t r = state.grouping.raw_rows[i];
-        const auto s = src.row(r);
-        auto d = out.row(r);
-        std::copy(s.begin(), s.end(), d.begin());
-        wire_rows += plan.dbg.out_degree(r);  // raw rows keep per-edge cost
-    }
-    return wire_rows * f * sizeof(float);
-}
-
-std::uint64_t SemanticCompressor::backward_rows(const DistContext& ctx,
-                                                std::size_t plan_idx,
-                                                int /*layer*/,
-                                                const Matrix& grad_in,
-                                                Matrix& grad_out) {
-    SCGNN_CHECK(plan_idx < plans_.size(), "plan index out of range (setup?)");
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    const PlanState& state = plans_[plan_idx];
-    SCGNN_CHECK(grad_in.rows() == plan.num_rows(),
-                "gradient row count mismatch");
-
-    const std::size_t f = grad_in.cols();
-    grad_out.reshape_zero(grad_in.rows(), f);
-    std::uint64_t wire_rows = 0;
-
-    tensor::Workspace::Lease fuse(ws_, 1, f);
-    const auto g_g = fuse.get().row(0);
-    for (const SemanticGroup& g : state.grouping.groups) {
-        if (cfg_.drop.dropped(g.origin)) continue;
-        // Adjoint of the fusion: one fused gradient row crosses back ...
-        std::fill(g_g.begin(), g_g.end(), 0.0f);
-        for (std::uint32_t member : g.members) {
-            const auto gi = grad_in.row(member);
-            for (std::size_t c = 0; c < f; ++c) g_g[c] += gi[c];
-        }
-        ++wire_rows;
-        // ... and the owner disassembles it by the output weights.
-        for (std::size_t i = 0; i < g.members.size(); ++i) {
-            const float w = g.out_weights[i];
-            auto d = grad_out.row(g.members[i]);
-            for (std::size_t c = 0; c < f; ++c) d[c] = w * g_g[c];
-        }
-    }
-
-    for (std::size_t i = 0; i < state.grouping.raw_rows.size(); ++i) {
-        if (cfg_.drop.dropped(state.raw_class[i])) continue;
-        const std::uint32_t r = state.grouping.raw_rows[i];
-        const auto s = grad_in.row(r);
-        auto d = grad_out.row(r);
-        std::copy(s.begin(), s.end(), d.begin());
-        wire_rows += plan.dbg.out_degree(r);
-    }
-    return wire_rows * f * sizeof(float);
-}
-
-namespace {
-
-/// Requested-subset view of one plan's grouping: for every touched group
-/// the (member index within the group, index into `rows`) pairs, plus the
-/// subset indices of the requested raw rows. std::map keeps the group
-/// iteration order deterministic.
-struct SubsetBuckets {
-    std::map<std::int32_t, std::vector<std::pair<std::size_t, std::size_t>>>
-        groups;
-    std::vector<std::size_t> raw;
-};
-
-SubsetBuckets bucket_subset(const Grouping& grouping, const PairPlan& plan,
-                            std::span<const std::uint32_t> rows) {
-    SubsetBuckets b;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        SCGNN_CHECK(rows[i] < plan.num_rows(), "subset row out of plan range");
-        if (i > 0) SCGNN_CHECK(rows[i] > rows[i - 1], "subset rows must ascend");
-        const std::int32_t gid = grouping.group_of_row[rows[i]];
-        if (gid < 0) {
-            b.raw.push_back(i);
-            continue;
-        }
-        const SemanticGroup& g = grouping.groups[static_cast<std::size_t>(gid)];
-        std::size_t mi = 0;
-        while (g.members[mi] != rows[i]) ++mi;
-        b.groups[gid].emplace_back(mi, i);
-    }
-    return b;
-}
-
-/// Renormalisation factor over the requested members' output weights; a
-/// degenerate all-zero request falls back to the uniform average.
-float subset_weight_scale(
-    const SemanticGroup& g,
-    const std::vector<std::pair<std::size_t, std::size_t>>& req,
-    bool& uniform) {
-    float wsum = 0.0f;
-    for (const auto& [mi, si] : req) wsum += g.out_weights[mi];
-    uniform = !(wsum > 0.0f);
-    return uniform ? 1.0f / static_cast<float>(req.size()) : 1.0f / wsum;
-}
-
-} // namespace
-
-std::uint64_t SemanticCompressor::forward_subset(
-    const DistContext& ctx, std::size_t plan_idx, int /*layer*/,
-    std::span<const std::uint32_t> rows, const Matrix& src, Matrix& out) {
-    SCGNN_CHECK(plan_idx < plans_.size(), "plan index out of range (setup?)");
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    const PlanState& state = plans_[plan_idx];
-    SCGNN_CHECK(src.rows() == rows.size(), "subset payload row mismatch");
-
-    const std::size_t f = src.cols();
     out.reshape_zero(rows.size(), f);
-    std::uint64_t wire_rows = 0;
-
-    const SubsetBuckets b = bucket_subset(state.grouping, plan, rows);
-
-    tensor::Workspace::Lease fuse(ws_, 1, f);
-    const auto h_g = fuse.get().row(0);
-    for (const auto& [gid, req] : b.groups) {
-        const SemanticGroup& g =
-            state.grouping.groups[static_cast<std::size_t>(gid)];
-        if (cfg_.drop.dropped(g.origin)) continue;
-        bool uniform = false;
-        const float inv = subset_weight_scale(g, req, uniform);
-        // Partial fuse over the requested members only, renormalised so the
-        // fused row stays a convex combination of what was requested.
-        std::fill(h_g.begin(), h_g.end(), 0.0f);
-        for (const auto& [mi, si] : req) {
-            const float w = uniform ? inv : g.out_weights[mi] * inv;
-            tensor::kern::axpy(w, src.row(si).data(), h_g.data(), f);
-        }
-        ++wire_rows;  // one semantic row per touched group
-        for (const auto& [mi, si] : req) {
-            auto dst = out.row(si);
-            std::copy(h_g.begin(), h_g.end(), dst.begin());
-        }
+    touch_groups(state, rows, f);
+    // Fuse (Fig. 7(b) line 1-2): h_g = Σ w·h_u over the shipped members,
+    // in ascending row order, which is each group's member order ...
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const RowRef& ref = state.rows[rows[i]];
+        if (ref.group < 0 || ref.dropped) continue;
+        const std::uint32_t slot =
+            fused_row_[static_cast<std::size_t>(ref.group)];
+        tensor::kern::axpy(member_weight(touched_[slot], ref),
+                           src.row(i).data(), fused_.row(slot).data(), f);
     }
-
-    for (std::size_t i : b.raw) {
-        const auto& rr = state.grouping.raw_rows;
-        const auto it = std::lower_bound(rr.begin(), rr.end(), rows[i]);
-        const auto ri = static_cast<std::size_t>(it - rr.begin());
-        if (cfg_.drop.dropped(state.raw_class[ri])) continue;
-        const auto s = src.row(i);
-        auto d = out.row(i);
-        std::copy(s.begin(), s.end(), d.begin());
-        ++wire_rows;  // request model: each requested raw row ships once
+    // ... transmit one semantic row per touched group (line 3-4) and
+    // reconstruct every member halo row as the fused semantics; the
+    // receiver's adjacency weights perform the proportional disassembly
+    // (line 5-7). Raw rows ship verbatim at their own cost.
+    std::uint64_t wire_rows = touched_.size();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const RowRef& ref = state.rows[rows[i]];
+        if (ref.dropped) continue;
+        const auto from =
+            ref.group < 0
+                ? src.row(i)
+                : fused_.row(fused_row_[static_cast<std::size_t>(ref.group)]);
+        std::copy(from.begin(), from.end(), out.row(i).begin());
+        if (ref.group < 0) wire_rows += rows.cost(i);
     }
+    release_groups();
     return wire_rows * f * sizeof(float);
 }
 
-std::uint64_t SemanticCompressor::backward_subset(
-    const DistContext& ctx, std::size_t plan_idx, int /*layer*/,
-    std::span<const std::uint32_t> rows, const Matrix& grad_in,
-    Matrix& grad_out) {
-    SCGNN_CHECK(plan_idx < plans_.size(), "plan index out of range (setup?)");
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    const PlanState& state = plans_[plan_idx];
-    SCGNN_CHECK(grad_in.rows() == rows.size(), "subset payload row mismatch");
-
+std::uint64_t SemanticCompressor::disassemble(std::size_t plan_idx,
+                                              const dist::ExchangeRows& rows,
+                                              const Matrix& grad_in,
+                                              Matrix& grad_out) {
+    const PlanState& state = plan_state(plan_idx);
+    rows.check_payload(grad_in);
     const std::size_t f = grad_in.cols();
     grad_out.reshape_zero(rows.size(), f);
-    std::uint64_t wire_rows = 0;
-
-    const SubsetBuckets b = bucket_subset(state.grouping, plan, rows);
-
-    tensor::Workspace::Lease fuse(ws_, 1, f);
-    const auto g_g = fuse.get().row(0);
-    for (const auto& [gid, req] : b.groups) {
-        const SemanticGroup& g =
-            state.grouping.groups[static_cast<std::size_t>(gid)];
-        if (cfg_.drop.dropped(g.origin)) continue;
-        // Adjoint of the partial fuse: one fused gradient row crosses back…
-        std::fill(g_g.begin(), g_g.end(), 0.0f);
-        for (const auto& [mi, si] : req) {
-            const auto gi = grad_in.row(si);
-            for (std::size_t c = 0; c < f; ++c) g_g[c] += gi[c];
-        }
-        ++wire_rows;
-        // …and is disassembled by the renormalised requested weights.
-        bool uniform = false;
-        const float inv = subset_weight_scale(g, req, uniform);
-        for (const auto& [mi, si] : req) {
-            const float w = uniform ? inv : g.out_weights[mi] * inv;
-            auto d = grad_out.row(si);
-            for (std::size_t c = 0; c < f; ++c) d[c] = w * g_g[c];
-        }
+    touch_groups(state, rows, f);
+    // Adjoint of the fusion: one fused gradient row ĝ = Σ ∂L/∂ĥ_u per
+    // touched group crosses back ...
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const RowRef& ref = state.rows[rows[i]];
+        if (ref.group < 0 || ref.dropped) continue;
+        const auto gi = grad_in.row(i);
+        auto g_g = fused_.row(fused_row_[static_cast<std::size_t>(ref.group)]);
+        for (std::size_t c = 0; c < f; ++c) g_g[c] += gi[c];
     }
-
-    for (std::size_t i : b.raw) {
-        const auto& rr = state.grouping.raw_rows;
-        const auto it = std::lower_bound(rr.begin(), rr.end(), rows[i]);
-        const auto ri = static_cast<std::size_t>(it - rr.begin());
-        if (cfg_.drop.dropped(state.raw_class[ri])) continue;
-        const auto s = grad_in.row(i);
+    // ... and the owner disassembles it by the members' weights; raw
+    // gradients travel verbatim.
+    std::uint64_t wire_rows = touched_.size();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const RowRef& ref = state.rows[rows[i]];
+        if (ref.dropped) continue;
         auto d = grad_out.row(i);
-        std::copy(s.begin(), s.end(), d.begin());
-        ++wire_rows;
+        if (ref.group < 0) {
+            const auto s = grad_in.row(i);
+            std::copy(s.begin(), s.end(), d.begin());
+            wire_rows += rows.cost(i);
+            continue;
+        }
+        const std::uint32_t slot =
+            fused_row_[static_cast<std::size_t>(ref.group)];
+        const float w = member_weight(touched_[slot], ref);
+        const auto g_g = fused_.row(slot);
+        for (std::size_t c = 0; c < f; ++c) d[c] = w * g_g[c];
     }
+    release_groups();
     return wire_rows * f * sizeof(float);
 }
 

@@ -2,71 +2,49 @@
 
 namespace scgnn::dist {
 
-namespace {
-
-/// Shared precondition of the subset exchange: `rows` ascending, unique,
-/// in-range for the plan, and the payload shaped (rows.size() × f).
-void check_subset(const DistContext& ctx, std::size_t plan_idx,
-                  std::span<const std::uint32_t> rows,
-                  const tensor::Matrix& payload) {
+ExchangeRows ExchangeRows::all(const DistContext& ctx, std::size_t plan_idx) {
+    SCGNN_CHECK(plan_idx < ctx.plans().size(), "plan index out of range");
     const PairPlan& plan = ctx.plans()[plan_idx];
-    SCGNN_CHECK(payload.rows() == rows.size(), "subset payload row mismatch");
+    return {plan, {}, plan.num_rows(), false};
+}
+
+ExchangeRows ExchangeRows::request(const DistContext& ctx,
+                                   std::size_t plan_idx,
+                                   std::span<const std::uint32_t> rows) {
+    SCGNN_CHECK(plan_idx < ctx.plans().size(), "plan index out of range");
+    const PairPlan& plan = ctx.plans()[plan_idx];
     for (std::size_t i = 0; i < rows.size(); ++i) {
         SCGNN_CHECK(rows[i] < plan.num_rows(), "subset row out of plan range");
         if (i > 0) SCGNN_CHECK(rows[i] > rows[i - 1], "subset rows must ascend");
     }
+    return {plan, rows, rows.size(), true};
 }
 
-} // namespace
-
-std::uint64_t BoundaryCompressor::forward_subset(
-    const DistContext& ctx, std::size_t plan_idx, int /*layer*/,
-    std::span<const std::uint32_t> rows, const tensor::Matrix& src,
-    tensor::Matrix& out) {
-    check_subset(ctx, plan_idx, rows, src);
-    const std::size_t f = src.cols();
-    out.reshape_zero(rows.size(), f);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto s = src.row(i);
-        const auto d = out.row(i);
-        for (std::size_t c = 0; c < f; ++c) d[c] = s[c];
-    }
-    return static_cast<std::uint64_t>(rows.size()) * f * sizeof(float);
+void ExchangeRows::check_payload(const tensor::Matrix& payload) const {
+    SCGNN_CHECK(payload.rows() == size_, "payload row count mismatch");
 }
 
-std::uint64_t BoundaryCompressor::backward_subset(
-    const DistContext& ctx, std::size_t plan_idx, int /*layer*/,
-    std::span<const std::uint32_t> rows, const tensor::Matrix& grad_in,
-    tensor::Matrix& grad_out) {
-    check_subset(ctx, plan_idx, rows, grad_in);
-    const std::size_t f = grad_in.cols();
-    grad_out.reshape_zero(rows.size(), f);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto s = grad_in.row(i);
-        const auto d = grad_out.row(i);
-        for (std::size_t c = 0; c < f; ++c) d[c] = s[c];
-    }
-    return static_cast<std::uint64_t>(rows.size()) * f * sizeof(float);
+std::uint64_t BoundaryCompressor::exchange(const DistContext& ctx,
+                                           std::size_t plan_idx, int layer,
+                                           bool backward,
+                                           const ExchangeRows& rows,
+                                           const tensor::Matrix& in,
+                                           tensor::Matrix& out) {
+    if (rows.is_request())
+        return backward ? backward_subset(ctx, plan_idx, layer,
+                                          rows.requested(), in, out)
+                        : forward_subset(ctx, plan_idx, layer,
+                                         rows.requested(), in, out);
+    return backward ? backward_rows(ctx, plan_idx, layer, in, out)
+                    : forward_rows(ctx, plan_idx, layer, in, out);
 }
 
-std::uint64_t VanillaExchange::forward_rows(const DistContext& ctx,
-                                            std::size_t plan_idx, int /*layer*/,
-                                            const tensor::Matrix& src,
-                                            tensor::Matrix& out) {
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    SCGNN_CHECK(src.rows() == plan.num_rows(), "source row count mismatch");
-    out = src;
-    return plan.num_edges() * src.cols() * sizeof(float);
-}
-
-std::uint64_t VanillaExchange::backward_rows(const DistContext& ctx,
-                                             std::size_t plan_idx, int /*layer*/,
-                                             const tensor::Matrix& grad_in,
-                                             tensor::Matrix& grad_out) {
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    SCGNN_CHECK(grad_in.rows() == plan.num_rows(), "gradient row count mismatch");
-    grad_out = grad_in;
-    return plan.num_edges() * grad_in.cols() * sizeof(float);
+std::uint64_t VanillaExchange::ship(const ExchangeRows& rows,
+                                    const tensor::Matrix& in,
+                                    tensor::Matrix& out) {
+    rows.check_payload(in);
+    out = in;
+    return rows.verbatim_rows() * in.cols() * sizeof(float);
 }
 
 } // namespace scgnn::dist

@@ -102,9 +102,8 @@ DistTrainResult run_epochs(EpochEnv& env, EpochStep& step) {
         SCGNN_TRACE_SPAN("dist.compressor_setup");
         compressor.setup(env.ctx);
     }
-    // After the first epoch warms every pooled buffer and pre-sized
+    // After the first epoch warms every reused buffer and pre-sized
     // container, steady-state epochs run without heap allocations.
-    compressor.set_workspace(&env.ws);
     fabric.reserve_history(cfg.epochs);
 
     // Full-graph, uncompressed aggregator used for evaluation (and for the

@@ -41,7 +41,6 @@ struct EpochEnv {
     gnn::GnnModel model;
     gnn::Adam opt;
     std::uint64_t param_bytes = 0;  ///< Σ parameter payload bytes
-    tensor::Workspace ws;           ///< pooled scratch of the serial paths
     comm::collective::Allreduce weight_sync;  ///< survivors-only after a
                                               ///< membership change
 };

@@ -7,7 +7,6 @@
 #include "scgnn/common/error.hpp"
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/obs.hpp"
-#include "scgnn/tensor/workspace.hpp"
 
 namespace scgnn::dist {
 
@@ -55,11 +54,6 @@ void ErrorFeedbackCompressor::begin_epoch(std::uint64_t epoch) {
     inner_->begin_epoch(epoch);
 }
 
-void ErrorFeedbackCompressor::set_workspace(tensor::Workspace* ws) {
-    ws_ = ws;
-    inner_->set_workspace(ws);
-}
-
 void ErrorFeedbackCompressor::apply_rate(double fidelity) {
     SCGNN_CHECK(fidelity > 0.0 && fidelity <= 1.0,
                 "rate fidelity must be in (0, 1]");
@@ -93,33 +87,34 @@ ErrorFeedbackCompressor::Slot& ErrorFeedbackCompressor::slot(
     return per_plan[li];
 }
 
-std::uint64_t ErrorFeedbackCompressor::exchange(
+std::uint64_t ErrorFeedbackCompressor::ship(
     std::vector<std::vector<Slot>>& side, const DistContext& ctx,
-    std::size_t plan_idx, int layer, bool backward, const Matrix& src,
-    Matrix& out) {
-    const std::size_t rows = src.rows();
+    std::size_t plan_idx, int layer, bool backward, const ExchangeRows& rows,
+    const Matrix& src, Matrix& out) {
+    rows.check_payload(src);
+    const std::size_t full_rows = ctx.plans()[plan_idx].num_rows();
+    const std::size_t n = rows.size();
     const std::size_t f = src.cols();
     Slot& s = slot(side, plan_idx, layer);
 
-    // payload = src + carried residual. Pooled scratch: this runs on the
-    // trainer's serial exchange path, the one place leases are legal.
-    tensor::Workspace::Lease payload_l(ws_, rows, f);
-    Matrix& payload = payload_l.get();
+    // payload[i] = src[i] + the carried residual of plan row rows[i]. The
+    // slot keeps the full plan shape, so rows a request did not ask for
+    // hold their backlog until some later request does.
+    payload_.reshape_zero(n, f);
     const bool carry =
-        s.has_prev && s.prev.rows() == rows && s.prev.cols() == f;
-    for (std::size_t i = 0; i < rows; ++i) {
+        s.has_prev && s.prev.rows() == full_rows && s.prev.cols() == f;
+    for (std::size_t i = 0; i < n; ++i) {
         const auto sr = src.row(i);
-        auto pr = payload.row(i);
+        auto pr = payload_.row(i);
         std::copy(sr.begin(), sr.end(), pr.begin());
         if (carry) {
-            const auto rr = s.prev.row(i);
+            const auto rr = s.prev.row(rows[i]);
             for (std::size_t c = 0; c < f; ++c) pr[c] += rr[c];
         }
     }
 
     std::uint64_t bytes =
-        backward ? inner_->backward_rows(ctx, plan_idx, layer, payload, out)
-                 : inner_->forward_rows(ctx, plan_idx, layer, payload, out);
+        inner_->exchange(ctx, plan_idx, layer, backward, rows, payload_, out);
 
     // residual_next = payload − out, plus the resync rule: a row whose
     // pending residual outgrew flush_threshold × its payload norm is
@@ -129,111 +124,11 @@ std::uint64_t ErrorFeedbackCompressor::exchange(
     // The rule spends at most ⌈fidelity · eligible⌉ rows per exchange,
     // worst violators first, so flush traffic scales with the schedule's
     // wire budget instead of silently eating the savings.
-    s.next.reshape_zero(rows, f);
-    const double theta = cfg_.flush_threshold;
-    const double theta2 = theta > 0.0 ? theta * theta : -1.0;
-    row_sq_residual_.resize(rows);
-    flush_candidates_.clear();
-    for (std::size_t i = 0; i < rows; ++i) {
-        const auto pr = payload.row(i);
-        const auto orow = out.row(i);
-        auto nr = s.next.row(i);
-        double sq_r = 0.0, sq_p = 0.0;
-        for (std::size_t c = 0; c < f; ++c) {
-            const float d = pr[c] - orow[c];
-            nr[c] = d;
-            sq_r += static_cast<double>(d) * d;
-            sq_p += static_cast<double>(pr[c]) * pr[c];
-        }
-        row_sq_residual_[i] = sq_r;
-        if (theta2 >= 0.0 && sq_r > theta2 * sq_p) {
-            const double ratio = sq_p > 0.0
-                                     ? sq_r / sq_p
-                                     : std::numeric_limits<double>::infinity();
-            flush_candidates_.emplace_back(
-                ratio, static_cast<std::uint32_t>(i));
-        }
-    }
-    const auto budget = static_cast<std::size_t>(
-        std::ceil(rate_ * static_cast<double>(flush_candidates_.size())));
-    if (budget < flush_candidates_.size()) {
-        // Deterministic pick: largest violation ratio first, row index
-        // breaking ties.
-        std::partial_sort(flush_candidates_.begin(),
-                          flush_candidates_.begin() +
-                              static_cast<std::ptrdiff_t>(budget),
-                          flush_candidates_.end(),
-                          [](const auto& a, const auto& b) {
-                              if (a.first != b.first) return a.first > b.first;
-                              return a.second < b.second;
-                          });
-        flush_candidates_.resize(budget);
-    }
-    for (const auto& [ratio, i] : flush_candidates_) {
-        const auto sr = src.row(i);
-        auto orow = out.row(i);
-        auto nr = s.next.row(i);
-        std::copy(sr.begin(), sr.end(), orow.begin());
-        std::fill(nr.begin(), nr.end(), 0.0f);
-        row_sq_residual_[i] = 0.0;
-    }
-    const std::uint64_t flushed = flush_candidates_.size();
-    double sum_sq_r = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) sum_sq_r += row_sq_residual_[i];
-    s.has_next = true;
-    epoch_sq_residual_ += sum_sq_r;
-    if (flushed > 0) {
-        const std::uint64_t extra = flushed * f * sizeof(float);
-        bytes += extra;
-        recovered_rows_ += flushed;
-        recovered_bytes_ += extra;
-    }
-    if (obs::enabled()) {
-        obs::Registry& reg = obs::registry();
-        reg.gauge("ef.residual_norm").set(std::sqrt(epoch_sq_residual_));
-        if (flushed > 0)
-            reg.counter("ef.bytes_recovered")
-                .add(flushed * f * sizeof(float));
-    }
-    return bytes;
-}
-
-std::uint64_t ErrorFeedbackCompressor::exchange_subset(
-    std::vector<std::vector<Slot>>& side, const DistContext& ctx,
-    std::size_t plan_idx, int layer, bool backward,
-    std::span<const std::uint32_t> rows, const Matrix& src, Matrix& out) {
-    const PairPlan& plan = ctx.plans()[plan_idx];
-    const std::size_t full_rows = plan.num_rows();
-    const std::size_t n = rows.size();
-    const std::size_t f = src.cols();
-    SCGNN_CHECK(src.rows() == n, "subset payload row mismatch");
-    Slot& s = slot(side, plan_idx, layer);
-
-    // payload[i] = src[i] + the carried residual of *plan* row rows[i]; the
-    // slot keeps the full plan shape so unrequested rows hold their backlog
-    // until some later batch requests them.
-    tensor::Workspace::Lease payload_l(ws_, n, f);
-    Matrix& payload = payload_l.get();
-    const bool carry =
-        s.has_prev && s.prev.rows() == full_rows && s.prev.cols() == f;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto sr = src.row(i);
-        auto pr = payload.row(i);
-        std::copy(sr.begin(), sr.end(), pr.begin());
-        if (carry) {
-            const auto rr = s.prev.row(rows[i]);
-            for (std::size_t c = 0; c < f; ++c) pr[c] += rr[c];
-        }
-    }
-
-    std::uint64_t bytes =
-        backward
-            ? inner_->backward_subset(ctx, plan_idx, layer, rows, payload, out)
-            : inner_->forward_subset(ctx, plan_idx, layer, rows, payload, out);
-
-    // First touch this epoch starts a fresh full-shape pending residual;
-    // later batches update only the rows they requested (last write wins,
-    // matching the carry-in those rows actually saw).
+    //
+    // The first touch in an epoch starts a zeroed full-shape pending
+    // residual; later exchanges overwrite only the rows they ship (last
+    // write wins, matching the carry-in those rows actually saw). A
+    // full exchange ships every row, so it overwrites all of them.
     if (!s.has_next || s.next.rows() != full_rows || s.next.cols() != f)
         s.next.reshape_zero(full_rows, f);
     const double theta = cfg_.flush_threshold;
@@ -241,7 +136,7 @@ std::uint64_t ErrorFeedbackCompressor::exchange_subset(
     row_sq_residual_.resize(n);
     flush_candidates_.clear();
     for (std::size_t i = 0; i < n; ++i) {
-        const auto pr = payload.row(i);
+        const auto pr = payload_.row(i);
         const auto orow = out.row(i);
         auto nr = s.next.row(rows[i]);
         double sq_r = 0.0, sq_p = 0.0;
@@ -263,6 +158,8 @@ std::uint64_t ErrorFeedbackCompressor::exchange_subset(
     const auto budget = static_cast<std::size_t>(
         std::ceil(rate_ * static_cast<double>(flush_candidates_.size())));
     if (budget < flush_candidates_.size()) {
+        // Deterministic pick: largest violation ratio first, row index
+        // breaking ties.
         std::partial_sort(flush_candidates_.begin(),
                           flush_candidates_.begin() +
                               static_cast<std::ptrdiff_t>(budget),
@@ -287,6 +184,7 @@ std::uint64_t ErrorFeedbackCompressor::exchange_subset(
     s.has_next = true;
     epoch_sq_residual_ += sum_sq_r;
     if (flushed > 0) {
+        // A resync row is charged once, in either mode.
         const std::uint64_t extra = flushed * f * sizeof(float);
         bytes += extra;
         recovered_rows_ += flushed;
@@ -306,7 +204,8 @@ std::uint64_t ErrorFeedbackCompressor::forward_rows(const DistContext& ctx,
                                                     int layer,
                                                     const Matrix& src,
                                                     Matrix& out) {
-    return exchange(fwd_, ctx, plan_idx, layer, /*backward=*/false, src, out);
+    return ship(fwd_, ctx, plan_idx, layer, /*backward=*/false,
+                ExchangeRows::all(ctx, plan_idx), src, out);
 }
 
 std::uint64_t ErrorFeedbackCompressor::backward_rows(const DistContext& ctx,
@@ -314,23 +213,24 @@ std::uint64_t ErrorFeedbackCompressor::backward_rows(const DistContext& ctx,
                                                      int layer,
                                                      const Matrix& grad_in,
                                                      Matrix& grad_out) {
-    return exchange(bwd_, ctx, plan_idx, layer, /*backward=*/true, grad_in,
-                    grad_out);
+    return ship(bwd_, ctx, plan_idx, layer, /*backward=*/true,
+                ExchangeRows::all(ctx, plan_idx), grad_in, grad_out);
 }
 
 std::uint64_t ErrorFeedbackCompressor::forward_subset(
     const DistContext& ctx, std::size_t plan_idx, int layer,
     std::span<const std::uint32_t> rows, const Matrix& src, Matrix& out) {
-    return exchange_subset(fwd_, ctx, plan_idx, layer, /*backward=*/false,
-                           rows, src, out);
+    return ship(fwd_, ctx, plan_idx, layer, /*backward=*/false,
+                ExchangeRows::request(ctx, plan_idx, rows), src, out);
 }
 
 std::uint64_t ErrorFeedbackCompressor::backward_subset(
     const DistContext& ctx, std::size_t plan_idx, int layer,
     std::span<const std::uint32_t> rows, const Matrix& grad_in,
     Matrix& grad_out) {
-    return exchange_subset(bwd_, ctx, plan_idx, layer, /*backward=*/true, rows,
-                           grad_in, grad_out);
+    return ship(bwd_, ctx, plan_idx, layer, /*backward=*/true,
+                ExchangeRows::request(ctx, plan_idx, rows), grad_in,
+                grad_out);
 }
 
 double ErrorFeedbackCompressor::epoch_residual_norm() const {

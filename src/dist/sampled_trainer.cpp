@@ -17,7 +17,6 @@
 #include "scgnn/tensor/kernels.hpp"
 #include "scgnn/tensor/ops.hpp"
 #include "scgnn/tensor/sparse.hpp"
-#include "scgnn/tensor/workspace.hpp"
 
 namespace scgnn::dist {
 
@@ -50,14 +49,12 @@ public:
         record_compute(timer.seconds());
 
         for (const PlanRequest& req : b.requests[li]) {
-            const std::size_t n = req.rows.size();
-            tensor::Workspace::Lease src(&env_.ws, n, f);
-            tensor::gather_rows(h, req.src_local, src.get());
-            tensor::Workspace::Lease recon(&env_.ws, n, f);
-            if (!exchange(true, req, layer, src.get(), recon.get())) continue;
+            send_.reshape_zero(req.rows.size(), f);
+            tensor::gather_rows(h, req.src_local, send_);
+            if (!exchange(true, req, layer, send_, recv_)) continue;
             for (std::size_t e = 0; e < req.edge_dst.size(); ++e)
                 tensor::kern::axpy(req.edge_w[e],
-                                   recon.get().row(req.edge_req[e]).data(),
+                                   recv_.row(req.edge_req[e]).data(),
                                    out.row(req.edge_dst[e]).data(), f);
         }
         if (timeline_ != nullptr) timeline_->end_step();
@@ -79,16 +76,15 @@ public:
             const std::size_t n = req.rows.size();
             // Consumer-side gradient w.r.t. each reconstructed subset row:
             // the adjoint of the forward scatter.
-            tensor::Workspace::Lease gin(&env_.ws, n, f);
+            send_.reshape_zero(n, f);
             for (std::size_t e = 0; e < req.edge_dst.size(); ++e)
                 tensor::kern::axpy(req.edge_w[e],
                                    g.row(req.edge_dst[e]).data(),
-                                   gin.get().row(req.edge_req[e]).data(), f);
-            tensor::Workspace::Lease gout(&env_.ws, n, f);
-            if (!exchange(false, req, layer, gin.get(), gout.get())) continue;
+                                   send_.row(req.edge_req[e]).data(), f);
+            if (!exchange(false, req, layer, send_, recv_)) continue;
             // 1·x is exact, so this is the plain sum d += x.
             for (std::size_t i = 0; i < n; ++i)
-                tensor::kern::axpy(1.0f, gout.get().row(i).data(),
+                tensor::kern::axpy(1.0f, recv_.row(i).data(),
                                    out.row(req.src_local[i]).data(), f);
         }
         if (timeline_ != nullptr) timeline_->end_step();
@@ -153,6 +149,9 @@ private:
     const SampledBatch* batch_ = nullptr;
     /// Per-layer transpose of the batch block, reused across batches.
     std::vector<tensor::SparseMatrix> adj_t_;
+    // One request's rows on each side of the compressor (the halo rows
+    // or their gradients), reused across requests.
+    Matrix send_, recv_;
     FaultSummary fault_;
     SampleStats requests_;
 };
@@ -214,7 +213,7 @@ public:
                 batch_labels_[i] = data.labels[batch.nodes[i]];
             agg_.set_batch(batch);
             loss_sum += gnn::run_epoch(env_.model, env_.opt, agg_, batch_feat_,
-                                       batch_labels_, batch.seeds, &env_.ws);
+                                       batch_labels_, batch.seeds);
             env_.sync_weights();
             ++batches_;
             batch_nodes_ += n;

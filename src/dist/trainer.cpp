@@ -433,7 +433,7 @@ public:
     [[nodiscard]] double run() override {
         const double loss =
             gnn::run_epoch(env_.model, env_.opt, agg_, env_.data.features,
-                           env_.data.labels, env_.data.train_mask, &env_.ws);
+                           env_.data.labels, env_.data.train_mask);
         env_.sync_weights();
         return loss;
     }

@@ -24,17 +24,16 @@ void SpmmAggregator::backward_into(const tensor::Matrix& g, int,
 double run_epoch(GnnModel& model, Adam& opt, Aggregator& agg,
                  const tensor::Matrix& features,
                  std::span<const std::int32_t> labels,
-                 std::span<const std::uint32_t> train_mask,
-                 tensor::Workspace* ws) {
+                 std::span<const std::uint32_t> train_mask) {
     model.set_training(true);
     model.zero_grad();
     const tensor::Matrix& logits = model.forward_ref(features, agg);
     const double loss =
         tensor::softmax_cross_entropy(logits, labels, train_mask);
-    tensor::Workspace::Lease dlogits(ws, logits.rows(), logits.cols());
+    tensor::Matrix& dlogits = model.loss_grad();
     tensor::softmax_cross_entropy_grad_into(logits, labels, train_mask,
-                                            dlogits.get());
-    model.backward(dlogits.get(), agg);
+                                            dlogits);
+    model.backward(dlogits, agg);
     opt.step(model.parameters(), model.gradients());
     model.set_training(false);
     return loss;
@@ -70,13 +69,12 @@ TrainResult train_single_device(const graph::Dataset& data,
                 "early stopping needs a validation split");
 
     TrainResult result;
-    tensor::Workspace ws;
     if (train_cfg.record_loss) result.losses.reserve(train_cfg.epochs);
     WallTimer total;
     std::uint32_t stale = 0;
     for (std::uint32_t e = 0; e < train_cfg.epochs; ++e) {
         const double loss = run_epoch(model, opt, agg, data.features,
-                                      data.labels, data.train_mask, &ws);
+                                      data.labels, data.train_mask);
         if (train_cfg.record_loss) result.losses.push_back(loss);
         ++result.epochs_run;
         if (train_cfg.lr_decay < 1.0f)

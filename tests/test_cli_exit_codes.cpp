@@ -50,6 +50,8 @@ const Case kCases[] = {
     // invalid combination must still exit 2 before any work starts.
     {"sample-train-membership",
      "--mode sample-train --membership leave:1@d1,join:2@d1"},
+    {"sample-train-delay", "--mode sample-train --method delay"},
+    {"sample-train-delay-stack", "--mode sample-train --method ours+delay"},
     {"fault-link-down-self", "--fault-link-down 0:0:1:2"},
     // Every number is read whole and range-checked: no silent 0, no
     // wrap-around, no trailing garbage, no overflow to inf.

@@ -43,6 +43,17 @@ public:
                                 Matrix& grad_out) override {
         return forward_rows(ctx, plan_idx, layer, grad_in, grad_out);
     }
+    std::uint64_t forward_subset(const DistContext& ctx, std::size_t plan_idx,
+                                 int layer, std::span<const std::uint32_t>,
+                                 const Matrix& src, Matrix& out) override {
+        return forward_rows(ctx, plan_idx, layer, src, out);
+    }
+    std::uint64_t backward_subset(const DistContext& ctx, std::size_t plan_idx,
+                                  int layer, std::span<const std::uint32_t>,
+                                  const Matrix& grad_in,
+                                  Matrix& grad_out) override {
+        return forward_rows(ctx, plan_idx, layer, grad_in, grad_out);
+    }
 };
 
 class ErrorFeedbackMechanics : public ::testing::Test {

@@ -95,6 +95,18 @@ TEST(ScenarioBuild, ValidatesOnce) {
     bad.pipeline.train.membership.events = {
         {MembershipEventKind::kLeave, 1, 1}};
     EXPECT_THROW((void)Scenario::build(bad), Error);
+    // Delay has no request path, alone or anywhere in a stack; the same
+    // stacks still train full-graph.
+    for (const char* stack : {"delay", "ours+delay", "ef+delay"}) {
+        bad = base_cfg(d, ScenarioMode::kSampleTrain);
+        bad.pipeline.method.name = stack;
+        EXPECT_THROW((void)Scenario::build(bad), Error) << stack;
+        bad.mode = ScenarioMode::kTrain;
+        EXPECT_NO_THROW((void)Scenario::build(bad)) << stack;
+    }
+    bad = base_cfg(d, ScenarioMode::kSampleTrain);
+    bad.pipeline.method.method = core::Method::kDelay;
+    EXPECT_THROW((void)Scenario::build(bad), Error);
 
     // Serve invariants.
     bad = base_cfg(d, ScenarioMode::kServe);
@@ -211,6 +223,31 @@ TEST(ScenarioSampleTrain, RunsAndReportsSamplingStats) {
     // Semantic statistics come from the same fill as the full-batch path.
     EXPECT_GT(r.pipeline.cross_edges, 0u);
     EXPECT_GE(r.pipeline.compression_ratio, 1.0);
+}
+
+TEST(ScenarioSampleTrain, BaselinesPriceTheirOwnRequests) {
+    // Each method serves requests through its own exchange body, so a
+    // quantised or sampled request moves fewer bytes than fp32 rows, and
+    // quantising the semantic rows moves fewer than the semantic rows.
+    const graph::Dataset d = tiny_data();
+    const auto request_bytes = [&](const char* stack) {
+        ScenarioConfig cfg = base_cfg(d, ScenarioMode::kSampleTrain);
+        cfg.pipeline.method.name = stack;
+        const ScenarioResult r = Scenario::build(cfg).run(d);
+        EXPECT_GT(r.pipeline.train.sampling.requested_rows, 0u) << stack;
+        return r.pipeline.train.sampling.request_bytes;
+    };
+    const std::uint64_t vanilla = request_bytes("vanilla");
+    const std::uint64_t ours = request_bytes("ours");
+    const std::uint64_t quant = request_bytes("quant");
+    const std::uint64_t sampling = request_bytes("sampling");
+    const std::uint64_t ours_quant = request_bytes("ours+quant");
+    EXPECT_LT(ours, vanilla);
+    EXPECT_LT(quant, vanilla);
+    EXPECT_LT(quant, ours);
+    EXPECT_LT(sampling, vanilla);
+    EXPECT_LT(ours_quant, vanilla);
+    EXPECT_LT(ours_quant, ours);
 }
 
 TEST(ScenarioSampleTrain, BitwiseReproducibleAcrossThreadCounts) {
