@@ -55,8 +55,8 @@ struct TrafficStats {
 
 /// Byte-accounting fabric between `num_devices` logical devices.
 ///
-/// Usage per epoch: call record() for every logical send, then end_epoch()
-/// to roll the epoch into history. Epoch comm time is modelled, not
+/// Usage per epoch: call record() or send() for every logical send, then
+/// end_epoch() to close the epoch. Epoch comm time is modelled, not
 /// measured — payloads never leave the process.
 class Fabric {
 public:
@@ -108,13 +108,8 @@ public:
         return fault_;
     }
 
-    /// Install the retry/timeout/backoff policy used by send().
+    /// Install the retry/timeout policy used by send().
     void set_retry_policy(RetryPolicy policy);
-
-    /// The retry policy in force.
-    [[nodiscard]] const RetryPolicy& retry_policy() const noexcept {
-        return retry_;
-    }
 
     /// True when the directed link is inside a scheduled down window at
     /// the fabric's current epoch (= number of closed epochs).
@@ -128,23 +123,14 @@ public:
     /// Fault counters summed over all epochs including the current one.
     [[nodiscard]] FaultStats fault_stats() const noexcept;
 
-    /// Override the cost model of one directed link (a single degraded
-    /// cable, say). Links without an override resolve through the
-    /// topology tier, falling back to the fabric-wide model on flat
-    /// topologies.
-    void set_link(std::uint32_t src, std::uint32_t dst, CostModel model);
-
-    /// The model governing a directed link: explicit override, else the
-    /// topology tier of the pair (intra- vs inter-node), else the
-    /// fabric-wide model.
+    /// The model governing a directed link: the topology tier of the pair
+    /// (intra- vs inter-node), or the fabric-wide model on a flat
+    /// topology.
     [[nodiscard]] const CostModel& link_model(std::uint32_t src,
                                               std::uint32_t dst) const;
 
     /// Traffic of the current (un-ended) epoch.
     [[nodiscard]] TrafficStats epoch_stats() const noexcept;
-
-    /// Traffic summed over all epochs including the current one.
-    [[nodiscard]] TrafficStats total_stats() const noexcept;
 
     /// Current-epoch traffic from `src` to `dst`.
     [[nodiscard]] TrafficStats pair_stats(std::uint32_t src,
@@ -157,31 +143,13 @@ public:
     /// out-links.
     [[nodiscard]] double epoch_comm_seconds() const noexcept;
 
-    /// Close the current epoch: appends its totals to history and clears
-    /// the per-pair counters.
+    /// Close the current epoch: rolls its fault counters into the totals
+    /// and clears the per-pair counters. The fault model and retry policy
+    /// stay in force.
     void end_epoch();
 
     /// Number of closed epochs.
-    [[nodiscard]] std::size_t epochs() const noexcept { return history_.size(); }
-
-    /// Pre-size the epoch history so end_epoch() never reallocates during
-    /// a run of up to `epochs` epochs (allocation-free steady state).
-    void reserve_history(std::size_t epochs) {
-        history_.reserve(epochs);
-        history_seconds_.reserve(epochs);
-    }
-
-    /// Traffic of closed epoch `e`.
-    [[nodiscard]] const TrafficStats& epoch_history(std::size_t e) const;
-
-    /// Modelled comm seconds of closed epoch `e`.
-    [[nodiscard]] double epoch_history_seconds(std::size_t e) const;
-
-    /// Reset everything: counters, history, per-link cost-model overrides
-    /// and the fault model / retry policy / fault counters (a cleared
-    /// fabric behaves like a freshly constructed one; end_epoch(), by
-    /// contrast, keeps overrides, fault model and policy in force).
-    void clear();
+    [[nodiscard]] std::uint32_t epochs() const noexcept { return epoch_; }
 
 private:
     /// Push this epoch's fabric/link metrics into the obs registry.
@@ -210,10 +178,7 @@ private:
     CostModel intra_cm_; ///< topology intra tier as a CostModel
     CostModel inter_cm_; ///< topology inter tier (oversubscription folded)
     std::vector<TrafficStats> pair_;           ///< n×n current-epoch counters
-    std::vector<TrafficStats> history_;        ///< per closed epoch
-    std::vector<double> history_seconds_;      ///< modelled time per closed epoch
-    std::vector<char> has_override_;           ///< n×n link-override flags
-    std::vector<CostModel> override_;          ///< n×n link overrides
+    std::uint32_t epoch_ = 0;                  ///< closed epochs
     FaultModel fault_;                         ///< inactive by default
     RetryPolicy retry_;
     std::vector<std::uint64_t> fault_counter_; ///< n×n per-link draw counters

@@ -1,13 +1,13 @@
 #pragma once
 /// \file fault.hpp
 /// \brief Deterministic fault injection for the simulated fabric: per-link
-///        message drops, straggler latency, scheduled link-down windows,
-///        and the retry/backoff/timeout policy that governs recovery.
+///        message drops, scheduled link-down windows, and the
+///        retry/backoff/timeout policy that governs recovery.
 ///
 /// Faults are *scheduled*, not sampled from wall-clock state: every random
 /// decision is a counter-based splitmix64 draw keyed on (seed, link,
 /// per-link attempt counter), so a given FaultModel produces the same
-/// drop/straggler schedule at any thread count and on any machine — the
+/// drop schedule at any thread count and on any machine — the
 /// same discipline the rest of the project uses for reproducibility. With
 /// the default (inactive) model the fabric's send path degenerates to
 /// plain record() and the whole stack is byte-identical to a build without
@@ -31,15 +31,11 @@ struct LinkDownWindow {
     std::uint32_t last_epoch = 0;
 };
 
-/// Seeded per-link fault schedule. All probabilities are per *attempt*.
+/// Seeded per-link fault schedule. The drop probability is per *attempt*.
 struct FaultModel {
     /// Probability a sent message is dropped in flight (bytes cross the
     /// wire, the receiver never sees them, the sender times out).
     double drop_probability = 0.0;
-    /// Probability a delivered message straggles: its per-message latency
-    /// is multiplied by straggler_latency_multiplier.
-    double straggler_probability = 0.0;
-    double straggler_latency_multiplier = 8.0;
     /// Seed of the counter-based draw stream (independent per link).
     std::uint64_t seed = 0x5eedfa17ULL;
     /// Scheduled outages, checked against the fabric's current epoch.
@@ -48,8 +44,7 @@ struct FaultModel {
     /// True when any fault mechanism can fire. Inactive models keep the
     /// fabric byte-identical to the fault-free build.
     [[nodiscard]] bool active() const noexcept {
-        return drop_probability > 0.0 || straggler_probability > 0.0 ||
-               !down_windows.empty();
+        return drop_probability > 0.0 || !down_windows.empty();
     }
 };
 
@@ -57,21 +52,23 @@ struct FaultModel {
 /// sender waits before declaring an attempt lost, and the exponential
 /// backoff inserted before each retry. All waits are modelled seconds.
 struct RetryPolicy {
-    std::uint32_t max_attempts = 3;   ///< total attempts (>= 1)
-    double timeout_s = 2e-3;          ///< per-attempt ack timeout
-    double backoff_base_s = 250e-6;   ///< wait before the first retry
-    double backoff_multiplier = 2.0;  ///< growth per further retry
+    /// Wait before the first retry.
+    static constexpr double kBackoffBaseS = 250e-6;
+    /// Growth of the wait per further retry.
+    static constexpr double kBackoffMultiplier = 2.0;
+
+    std::uint32_t max_attempts = 3;  ///< total attempts (>= 1)
+    double timeout_s = 2e-3;         ///< per-attempt ack timeout
 };
 
 /// Throw scgnn::Error unless `model` is well-formed on any fabric: drop
-/// probability in [0, 1), straggler probability in [0, 1], straggler
-/// multiplier >= 1, and every down window a cross-device link with
+/// probability in [0, 1) and every down window a cross-device link with
 /// first_epoch <= last_epoch. Whether a window's devices exist depends on
 /// the fabric's size, so Fabric::set_fault_model checks that on top.
 void validate(const FaultModel& model);
 
 /// Throw scgnn::Error unless `policy` is well-formed: at least one
-/// attempt, non-negative timeout and backoff, backoff multiplier >= 1.
+/// attempt and a non-negative timeout.
 void validate(const RetryPolicy& policy);
 
 /// Aggregate fault counters. Invariant (asserted by the fuzz tier):
@@ -82,7 +79,6 @@ struct FaultStats {
     std::uint64_t delivered = 0;       ///< sends that eventually succeeded
     std::uint64_t drops = 0;           ///< attempts dropped in flight
     std::uint64_t link_down_hits = 0;  ///< attempts into a dead link
-    std::uint64_t stragglers = 0;      ///< delivered but slow attempts
     std::uint64_t retries = 0;         ///< attempts beyond each first
     std::uint64_t failures = 0;        ///< sends that exhausted retries
     double penalty_s = 0.0;            ///< modelled timeout+backoff time
@@ -92,7 +88,6 @@ struct FaultStats {
         delivered += o.delivered;
         drops += o.drops;
         link_down_hits += o.link_down_hits;
-        stragglers += o.stragglers;
         retries += o.retries;
         failures += o.failures;
         penalty_s += o.penalty_s;
@@ -100,8 +95,8 @@ struct FaultStats {
 
     /// True when any fault fired (drives conditional obs publishing).
     [[nodiscard]] bool any() const noexcept {
-        return drops != 0 || link_down_hits != 0 || stragglers != 0 ||
-               retries != 0 || failures != 0;
+        return drops != 0 || link_down_hits != 0 || retries != 0 ||
+               failures != 0;
     }
 };
 

@@ -54,15 +54,16 @@ struct DropMask {
 
 /// Semantic compressor configuration.
 struct SemanticCompressorConfig {
-    GroupingConfig grouping{.kmeans_k = 20};  ///< paper EEP default; 0 = auto
-    DropMask drop{};                          ///< differential optimisation
     /// Damage bound on the rate schedule's structural response: the
-    /// grouping never coarsens below fidelity max(apply_rate φ, min_rate).
+    /// grouping never coarsens below fidelity max(apply_rate φ, kMinRate).
     /// Structure is fragile — merging groups blurs whole halo rows — while
     /// value-precision stages (quant) degrade gracefully, so a scheduled
     /// stack lets bits ride the fidelity all the way down but keeps at
-    /// least half the natural groups. 1 disables coarsening entirely.
-    double min_rate = 0.5;
+    /// least half the natural groups.
+    static constexpr double kMinRate = 0.5;
+
+    GroupingConfig grouping{.kmeans_k = 20};  ///< paper EEP default; 0 = auto
+    DropMask drop{};                          ///< differential optimisation
 };
 
 /// SC-GNN's semantic compression as a pluggable boundary compressor.

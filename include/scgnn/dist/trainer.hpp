@@ -230,12 +230,6 @@ struct DistTrainConfig {
     gnn::AdamConfig adam{};
     gnn::AdjNorm norm = gnn::AdjNorm::kSymmetric;
     bool record_epochs = true;  ///< keep per-epoch metrics
-    /// Early stopping patience on full-graph validation accuracy
-    /// (0 = disabled). The validation pass runs outside the timed epoch
-    /// and off the fabric, so it does not perturb the cost metrics.
-    std::uint32_t patience = 0;
-    /// Multiplicative per-epoch LR decay (1 = constant).
-    float lr_decay = 1.0f;
     /// When non-empty, the trained weights are written here (see
     /// gnn/checkpoint.hpp) after the final epoch.
     std::string checkpoint_path;
@@ -301,8 +295,7 @@ struct DistTrainResult {
     double mean_comm_mb = 0.0;    ///< per-epoch average volume
     double total_comm_mb = 0.0;
     double final_loss = 0.0;
-    std::uint32_t epochs_run = 0;   ///< < epochs when early stopping fired
-    double best_val_accuracy = 0.0; ///< peak validation accuracy observed
+    std::uint32_t epochs_run = 0;   ///< always the configured epochs
     FaultSummary fault;             ///< recovery counters (all-zero when
                                     ///< the fault model is inactive)
     runtime::MembershipSummary membership;  ///< elastic counters (all-zero
@@ -328,7 +321,7 @@ namespace detail {
 /// `sampler_cfg`, halo *requests* priced through the compressor's subset
 /// exchange and the fabric instead of the full boundary exchange.
 /// Runs on the same epoch driver as detail::train_full, so it shares its
-/// rate control, overlap scheduling, early stopping and report keys.
+/// rate control, overlap scheduling and report keys.
 /// Membership schedules are not supported in this mode (Scenario::build
 /// rejects them). Deterministic and bitwise thread-count-invariant.
 [[nodiscard]] DistTrainResult train_sampled(

@@ -38,10 +38,6 @@ public:
     /// The configuration in force.
     [[nodiscard]] const AdamConfig& config() const noexcept { return cfg_; }
 
-    /// Adjust the learning rate in place (for LR schedules). Must stay
-    /// positive.
-    void set_lr(float lr);
-
 private:
     AdamConfig cfg_;
     std::vector<tensor::Matrix> m_;

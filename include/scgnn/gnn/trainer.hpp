@@ -38,25 +38,15 @@ struct TrainConfig {
     std::uint32_t epochs = 60;
     AdamConfig adam{};
     AdjNorm norm = AdjNorm::kSymmetric;
-    bool record_loss = true;
-    /// Early stopping: stop when the validation accuracy has not improved
-    /// for `patience` consecutive evaluations. 0 disables (fixed epochs).
-    /// Requires a non-empty val split when enabled.
-    std::uint32_t patience = 0;
-    /// Multiplicative learning-rate decay applied after every epoch
-    /// (1 = constant LR).
-    float lr_decay = 1.0f;
 };
 
 /// Outcome of a training run.
 struct TrainResult {
-    std::vector<double> losses;     ///< per-epoch train loss (if recorded)
+    std::vector<double> losses;  ///< per-epoch train loss
     double train_accuracy = 0.0;
     double val_accuracy = 0.0;
     double test_accuracy = 0.0;
-    double mean_epoch_ms = 0.0;     ///< measured wall time per epoch
-    std::uint32_t epochs_run = 0;   ///< < epochs when early stopping fired
-    double best_val_accuracy = 0.0; ///< peak validation accuracy observed
+    double mean_epoch_ms = 0.0;  ///< measured wall time per epoch
 };
 
 /// Train a fresh model on the dataset, single-device. Deterministic given

@@ -28,6 +28,13 @@ namespace scgnn::runtime {
 
 /// Serving-scenario configuration.
 struct ServeConfig {
+    /// Modelled service-time components (per dispatch / per touched node).
+    static constexpr double kDispatchOverheadMs = 0.05;
+    static constexpr double kComputeMsPerNode = 0.0005;
+    /// Latency histogram bins over [0, hist_max_ms] (quantiles are exact
+    /// within one bin width).
+    static constexpr std::size_t kHistBins = 2048;
+
     double qps = 2000.0;          ///< open-loop arrival rate (queries/s)
     std::uint32_t queries = 2000; ///< stream length
     std::uint64_t seed = 23;      ///< query-node stream seed
@@ -45,16 +52,16 @@ struct ServeConfig {
     bool semantic = true;
     std::uint32_t layers = 2;     ///< aggregation hops a query resolves
     std::uint32_t embed_dim = 64; ///< served embedding width (fetch bytes)
-    /// Modelled service-time components (per dispatch / per touched node).
-    double dispatch_overhead_ms = 0.05;
-    double compute_ms_per_node = 0.0005;
-    /// Latency histogram shape (quantiles are exact within one bin width).
-    double hist_max_ms = 50.0;
-    std::size_t hist_bins = 2048;
+    double hist_max_ms = 50.0;    ///< latency histogram range
     comm::CostModel cost{};  ///< α–β pricing of the halo fetches
     /// Semantic grouping knobs (only read when `semantic` is on).
     core::SemanticCompressorConfig compressor{};
 };
+
+/// Throw scgnn::Error unless `cfg` is well-formed: positive qps and
+/// histogram range, at least one query, hop and embedding column,
+/// batch_max >= 1 and a non-negative deadline.
+void validate(const ServeConfig& cfg);
 
 /// Outcome of one serving run (all modelled, all deterministic).
 struct ServeResult {

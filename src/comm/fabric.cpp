@@ -34,8 +34,6 @@ Fabric::Fabric(std::uint32_t num_devices, CostModel model)
     SCGNN_CHECK(model_.bandwidth_bytes_per_s > 0.0,
                 "bandwidth must be positive");
     pair_.assign(static_cast<std::size_t>(n_) * n_, {});
-    has_override_.assign(pair_.size(), 0);
-    override_.assign(pair_.size(), model_);
     fault_counter_.assign(pair_.size(), 0);
     pair_penalty_.assign(pair_.size(), 0.0);
 }
@@ -50,11 +48,6 @@ Fabric::Fabric(const Topology& topo)
 void validate(const FaultModel& model) {
     SCGNN_CHECK(model.drop_probability >= 0.0 && model.drop_probability < 1.0,
                 "drop probability must be in [0, 1)");
-    SCGNN_CHECK(model.straggler_probability >= 0.0 &&
-                    model.straggler_probability <= 1.0,
-                "straggler probability must be in [0, 1]");
-    SCGNN_CHECK(model.straggler_latency_multiplier >= 1.0,
-                "straggler multiplier must be >= 1");
     for (const LinkDownWindow& w : model.down_windows) {
         SCGNN_CHECK(w.src != w.dst, "down window needs a cross-device link");
         SCGNN_CHECK(w.first_epoch <= w.last_epoch,
@@ -65,9 +58,6 @@ void validate(const FaultModel& model) {
 void validate(const RetryPolicy& policy) {
     SCGNN_CHECK(policy.max_attempts >= 1, "need at least one send attempt");
     SCGNN_CHECK(policy.timeout_s >= 0.0, "timeout must be non-negative");
-    SCGNN_CHECK(policy.backoff_base_s >= 0.0, "backoff must be non-negative");
-    SCGNN_CHECK(policy.backoff_multiplier >= 1.0,
-                "backoff multiplier must be >= 1");
 }
 
 void Fabric::set_fault_model(FaultModel model) {
@@ -84,10 +74,9 @@ void Fabric::set_retry_policy(RetryPolicy policy) {
 
 bool Fabric::link_down(std::uint32_t src, std::uint32_t dst) const {
     (void)idx(src, dst);  // range/self-send validation
-    const auto epoch = static_cast<std::uint32_t>(history_.size());
     for (const LinkDownWindow& w : fault_.down_windows)
-        if (w.src == src && w.dst == dst && epoch >= w.first_epoch &&
-            epoch <= w.last_epoch)
+        if (w.src == src && w.dst == dst && epoch_ >= w.first_epoch &&
+            epoch_ <= w.last_epoch)
             return true;
     return false;
 }
@@ -122,8 +111,8 @@ SendOutcome Fabric::send(std::uint32_t src, std::uint32_t dst,
         ++delta.attempts;
         if (a > 0) {
             ++delta.retries;
-            out.penalty_s += retry_.backoff_base_s *
-                             std::pow(retry_.backoff_multiplier,
+            out.penalty_s += RetryPolicy::kBackoffBaseS *
+                             std::pow(RetryPolicy::kBackoffMultiplier,
                                       static_cast<int>(a) - 1);
         }
         if (down) {
@@ -146,13 +135,6 @@ SendOutcome Fabric::send(std::uint32_t src, std::uint32_t dst,
         record(src, dst, bytes, messages);
         out.wire_bytes += bytes;
         ++charged_attempts;
-        if (fault_.straggler_probability > 0.0 &&
-            fault_u01(link) < fault_.straggler_probability) {
-            ++delta.stragglers;
-            out.penalty_s += (fault_.straggler_latency_multiplier - 1.0) *
-                             link_model(src, dst).latency_s *
-                             static_cast<double>(messages);
-        }
         out.delivered = true;
         break;
     }
@@ -162,7 +144,7 @@ SendOutcome Fabric::send(std::uint32_t src, std::uint32_t dst,
         ++delta.failures;
     delta.penalty_s = out.penalty_s;
     // Full modelled service time: α–β wire cost of every attempt that
-    // actually charged the wire, plus the timeout/backoff/straggler waits.
+    // actually charged the wire, plus the timeout/backoff waits.
     out.modelled_ms = (link_model(src, dst).seconds(
                            out.wire_bytes, messages * charged_attempts) +
                        out.penalty_s) *
@@ -175,7 +157,6 @@ SendOutcome Fabric::send(std::uint32_t src, std::uint32_t dst,
         reg.counter("fabric.fault.retries").add(delta.retries);
         reg.counter("fabric.fault.failures").add(delta.failures);
         reg.counter("fabric.fault.link_down_hits").add(delta.link_down_hits);
-        reg.counter("fabric.fault.stragglers").add(delta.stragglers);
         reg.gauge("fabric.fault.penalty_s").add(delta.penalty_s);
         // A send that needed recovery gets its own span so degraded
         // exchanges are visible on the trace timeline.
@@ -193,19 +174,9 @@ FaultStats Fabric::fault_stats() const noexcept {
     return total;
 }
 
-void Fabric::set_link(std::uint32_t src, std::uint32_t dst, CostModel model) {
-    SCGNN_CHECK(model.latency_s >= 0.0, "latency must be non-negative");
-    SCGNN_CHECK(model.bandwidth_bytes_per_s > 0.0,
-                "bandwidth must be positive");
-    const std::size_t i = idx(src, dst);
-    has_override_[i] = 1;
-    override_[i] = model;
-}
-
 const CostModel& Fabric::link_model(std::uint32_t src,
                                     std::uint32_t dst) const {
-    const std::size_t i = idx(src, dst);
-    if (has_override_[i]) return override_[i];
+    (void)idx(src, dst);  // range/self-send validation
     if (topo_.hierarchical())
         return topo_.intra_node(src, dst) ? intra_cm_ : inter_cm_;
     return model_;
@@ -236,12 +207,6 @@ TrafficStats Fabric::epoch_stats() const noexcept {
     return total;
 }
 
-TrafficStats Fabric::total_stats() const noexcept {
-    TrafficStats total = epoch_stats();
-    for (const auto& h : history_) total.merge(h);
-    return total;
-}
-
 TrafficStats Fabric::pair_stats(std::uint32_t src, std::uint32_t dst) const {
     return pair_[idx(src, dst)];
 }
@@ -269,8 +234,7 @@ double Fabric::epoch_comm_seconds() const noexcept {
 }
 
 void Fabric::end_epoch() {
-    history_.push_back(epoch_stats());
-    history_seconds_.push_back(epoch_comm_seconds());
+    ++epoch_;
     if (obs::enabled()) publish_epoch_metrics();
     std::fill(pair_.begin(), pair_.end(), TrafficStats{});
     std::fill(pair_penalty_.begin(), pair_penalty_.end(), 0.0);
@@ -284,7 +248,7 @@ void Fabric::publish_epoch_metrics() const {
     obs::Registry& reg = obs::registry();
     reg.counter("fabric.epochs").add(1);
     reg.histogram("fabric.epoch_comm_ms", 0.0, 1e4, 50)
-        .observe(history_seconds_.back() * 1e3);
+        .observe(epoch_comm_seconds() * 1e3);
     // Per-epoch fault roll-up (only when something fired, so fault-free
     // runs keep a byte-identical report).
     if (epoch_fault_.any() || epoch_fault_.penalty_s > 0.0) {
@@ -314,30 +278,6 @@ void Fabric::publish_epoch_metrics() const {
                 reg.gauge(link + ".penalty_s").add(pair_penalty_[i]);
         }
     }
-}
-
-const TrafficStats& Fabric::epoch_history(std::size_t e) const {
-    SCGNN_CHECK(e < history_.size(), "epoch index out of range");
-    return history_[e];
-}
-
-double Fabric::epoch_history_seconds(std::size_t e) const {
-    SCGNN_CHECK(e < history_seconds_.size(), "epoch index out of range");
-    return history_seconds_[e];
-}
-
-void Fabric::clear() {
-    std::fill(pair_.begin(), pair_.end(), TrafficStats{});
-    history_.clear();
-    history_seconds_.clear();
-    std::fill(has_override_.begin(), has_override_.end(), char{0});
-    std::fill(override_.begin(), override_.end(), model_);
-    fault_ = FaultModel{};
-    retry_ = RetryPolicy{};
-    std::fill(fault_counter_.begin(), fault_counter_.end(), std::uint64_t{0});
-    std::fill(pair_penalty_.begin(), pair_penalty_.end(), 0.0);
-    epoch_fault_ = FaultStats{};
-    total_fault_ = FaultStats{};
 }
 
 } // namespace scgnn::comm

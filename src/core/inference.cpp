@@ -28,20 +28,24 @@ struct InferenceServer::Scratch {
     std::uint32_t query = 0;             ///< stamp of the current BFS
 };
 
+void validate(const ServeConfig& cfg) {
+    SCGNN_CHECK(cfg.qps > 0.0, "qps must be positive");
+    SCGNN_CHECK(cfg.queries >= 1, "need at least one query");
+    SCGNN_CHECK(cfg.batch_max >= 1, "batch_max must be at least 1");
+    SCGNN_CHECK(cfg.deadline_ms >= 0.0, "deadline must be non-negative");
+    SCGNN_CHECK(cfg.layers >= 1, "a query resolves at least one hop");
+    SCGNN_CHECK(cfg.embed_dim >= 1, "embed_dim must be at least 1");
+    SCGNN_CHECK(cfg.hist_max_ms > 0.0,
+                "latency histogram needs a positive range");
+}
+
 InferenceServer::InferenceServer(const graph::Dataset& data,
                                  const partition::Partitioning& parts,
                                  ServeConfig cfg)
     : cfg_(std::move(cfg)),
       ctx_(data, parts, gnn::AdjNorm::kSymmetric),
       graph_(data.graph) {
-    SCGNN_CHECK(cfg_.qps > 0.0, "qps must be positive");
-    SCGNN_CHECK(cfg_.queries >= 1, "need at least one query");
-    SCGNN_CHECK(cfg_.batch_max >= 1, "batch_max must be at least 1");
-    SCGNN_CHECK(cfg_.deadline_ms >= 0.0, "deadline must be non-negative");
-    SCGNN_CHECK(cfg_.layers >= 1, "a query resolves at least one hop");
-    SCGNN_CHECK(cfg_.embed_dim >= 1, "embed_dim must be at least 1");
-    SCGNN_CHECK(cfg_.hist_max_ms > 0.0 && cfg_.hist_bins >= 1,
-                "latency histogram needs a positive range and >= 1 bins");
+    validate(cfg_);
 
     const std::span<const dist::PairPlan> plans = ctx_.plans();
     std::vector<std::vector<std::int32_t>> group_of(plans.size());
@@ -167,7 +171,7 @@ ServeResult InferenceServer::run() const {
     }
 
     comm::Fabric fabric(p, cfg_.cost);
-    Histogram hist(0.0, cfg_.hist_max_ms, cfg_.hist_bins);
+    Histogram hist(0.0, cfg_.hist_max_ms, ServeConfig::kHistBins);
     RunningStat lat;
     ServeResult res;
     res.queries = cfg_.queries;
@@ -187,7 +191,7 @@ ServeResult InferenceServer::run() const {
     obs::HistogramMetric* const lat_metric =
         obs::enabled() ? &obs::registry().histogram("serve.latency_ms", 0.0,
                                                     cfg_.hist_max_ms,
-                                                    cfg_.hist_bins)
+                                                    ServeConfig::kHistBins)
                        : nullptr;
     for (std::uint32_t d = 0; d < p; ++d) {
         const std::vector<Query>& q = per_device[d];
@@ -239,8 +243,8 @@ ServeResult InferenceServer::run() const {
             }
 
             const double service_ms =
-                cfg_.dispatch_overhead_ms +
-                cfg_.compute_ms_per_node * static_cast<double>(touched) +
+                ServeConfig::kDispatchOverheadMs +
+                ServeConfig::kComputeMsPerNode * static_cast<double>(touched) +
                 fetch_ms;
             const double done_ms = dispatch_ms + service_ms;
             busy_until_ms = done_ms;

@@ -232,9 +232,6 @@ Scenario Scenario::build(ScenarioConfig cfg) {
     // checked by the dispatched workload itself.
     SCGNN_CHECK(cfg.pipeline.num_parts >= 1, "need at least one partition");
     SCGNN_CHECK(cfg.pipeline.train.epochs >= 1, "need at least one epoch");
-    SCGNN_CHECK(cfg.pipeline.train.lr_decay > 0.0f &&
-                    cfg.pipeline.train.lr_decay <= 1.0f,
-                "lr_decay must be in (0, 1]");
     dist::validate(cfg.pipeline.train.rate);
     // The fabric's own checks, minus the device range of a down window:
     // for_training() callers name P only when they train.
@@ -260,16 +257,7 @@ Scenario Scenario::build(ScenarioConfig cfg) {
             SCGNN_CHECK(f >= 1, "fanout entries must be at least 1");
     }
     if (cfg.mode == ScenarioMode::kServe) {
-        SCGNN_CHECK(cfg.serve.qps > 0.0, "qps must be positive");
-        SCGNN_CHECK(cfg.serve.queries >= 1, "need at least one query");
-        SCGNN_CHECK(cfg.serve.batch_max >= 1, "batch_max must be at least 1");
-        SCGNN_CHECK(cfg.serve.deadline_ms >= 0.0,
-                    "deadline must be non-negative");
-        SCGNN_CHECK(cfg.serve.layers >= 1,
-                    "a query resolves at least one hop");
-        SCGNN_CHECK(cfg.serve.embed_dim >= 1, "embed_dim must be at least 1");
-        SCGNN_CHECK(cfg.serve.hist_max_ms > 0.0 && cfg.serve.hist_bins >= 1,
-                    "latency histogram needs a positive range and >= 1 bins");
+        validate(cfg.serve);
         // The serving scenario inherits the training-side link pricing
         // and semantic-grouping knobs, so one config shapes both worlds.
         cfg.serve.cost = cfg.pipeline.train.comm.cost;

@@ -26,7 +26,8 @@ void SemanticCompressor::setup(const DistContext& ctx) {
 
 std::uint32_t SemanticCompressor::effective_k() const noexcept {
     const std::uint32_t base = cfg_.grouping.kmeans_k;
-    const double structural = std::max(rate_, cfg_.min_rate);
+    const double structural =
+        std::max(rate_, SemanticCompressorConfig::kMinRate);
     if (base == 0 || structural >= 1.0) return base;  // EEP auto: no response
     const auto scaled =
         static_cast<std::uint32_t>(std::lround(base * structural));
@@ -55,8 +56,9 @@ void SemanticCompressor::build_plan(const PairPlan& plan, std::size_t pi,
     // The fidelity knob is the *group budget*: the k-means k only reaches
     // the M2M pool, but merging whole groups scales wire rows ~linearly on
     // any connection mix (coarsen_grouping doc). The structural response
-    // is clamped at cfg_.min_rate — see its doc.
-    const double structural = std::max(rate_, cfg_.min_rate);
+    // is clamped at SemanticCompressorConfig::kMinRate — see its doc.
+    const double structural =
+        std::max(rate_, SemanticCompressorConfig::kMinRate);
     if (structural < 1.0 && state.grouping.groups.size() > 1) {
         const auto target = static_cast<std::uint32_t>(std::max<long>(
             1, std::lround(static_cast<double>(state.grouping.groups.size()) *

@@ -41,10 +41,6 @@ EpochEnv::EpochEnv(const graph::Dataset& dataset,
     SCGNN_CHECK(model_cfg.out_dim == data.num_classes,
                 "model out_dim must match the dataset class count");
     SCGNN_CHECK(cfg.epochs >= 1, "need at least one epoch");
-    SCGNN_CHECK(cfg.lr_decay > 0.0f && cfg.lr_decay <= 1.0f,
-                "lr_decay must be in (0, 1]");
-    SCGNN_CHECK(cfg.patience == 0 || !data.val_mask.empty(),
-                "early stopping needs a validation split");
     validate(cfg.rate);
     fabric.set_fault_model(cfg.comm.fault);
     fabric.set_retry_policy(cfg.comm.retry);
@@ -76,8 +72,6 @@ EpochEnv::EpochEnv(const graph::Dataset& dataset,
     if (cfg.comm.fault.active()) {
         obs::record_config("fault.drop_probability",
                            cfg.comm.fault.drop_probability);
-        obs::record_config("fault.straggler_probability",
-                           cfg.comm.fault.straggler_probability);
         obs::record_config("fault.seed",
                            static_cast<double>(cfg.comm.fault.seed));
         obs::record_config(
@@ -102,12 +96,8 @@ DistTrainResult run_epochs(EpochEnv& env, EpochStep& step) {
         SCGNN_TRACE_SPAN("dist.compressor_setup");
         compressor.setup(env.ctx);
     }
-    // After the first epoch warms every reused buffer and pre-sized
-    // container, steady-state epochs run without heap allocations.
-    fabric.reserve_history(cfg.epochs);
-
-    // Full-graph, uncompressed aggregator used for evaluation (and for the
-    // early-stopping validation probes — off the fabric, untimed).
+    // Full-graph, uncompressed aggregator of the final evaluation (off
+    // the fabric, untimed).
     gnn::SpmmAggregator eval_agg(step.eval_adjacency());
 
     // The default kRing over a flat topology prices the historical
@@ -122,10 +112,10 @@ DistTrainResult run_epochs(EpochEnv& env, EpochStep& step) {
     const bool scheduled = cfg.rate.scheduled();
 
     DistTrainResult result;
+    result.epochs_run = cfg.epochs;
     if (cfg.record_epochs) result.epoch_metrics.reserve(cfg.epochs);
     double total_epoch_ms = 0.0, total_comm_ms = 0.0, total_compute_ms = 0.0;
     double total_overlap_ms = 0.0, total_exposed_ms = 0.0, total_bytes = 0.0;
-    std::uint32_t stale = 0;
     for (std::uint32_t e = 0; e < cfg.epochs; ++e) {
         SCGNN_TRACE_SPAN("dist.epoch");
         const double epoch_rate = fidelity(cfg.rate, e);
@@ -214,22 +204,7 @@ DistTrainResult run_epochs(EpochEnv& env, EpochStep& step) {
         total_exposed_ms += m.comm_exposed_ms;
         total_bytes += m.comm_mb;
         result.final_loss = loss;
-        ++result.epochs_run;
         if (cfg.record_epochs) result.epoch_metrics.push_back(m);
-
-        if (cfg.lr_decay < 1.0f)
-            env.opt.set_lr(env.opt.config().lr * cfg.lr_decay);
-        if (cfg.patience > 0) {
-            const double val = gnn::evaluate_accuracy(
-                env.model, eval_agg, data.features, data.labels,
-                data.val_mask);
-            if (val > result.best_val_accuracy + 1e-12) {
-                result.best_val_accuracy = val;
-                stale = 0;
-            } else if (++stale >= cfg.patience) {
-                break;
-            }
-        }
     }
     result.mean_epoch_ms = total_epoch_ms / result.epochs_run;
     result.mean_comm_ms = total_comm_ms / result.epochs_run;
@@ -247,8 +222,6 @@ DistTrainResult run_epochs(EpochEnv& env, EpochStep& step) {
     if (!data.val_mask.empty())
         result.val_accuracy = gnn::evaluate_accuracy(
             env.model, eval_agg, data.features, data.labels, data.val_mask);
-    result.best_val_accuracy =
-        std::max(result.best_val_accuracy, result.val_accuracy);
     result.test_accuracy = gnn::evaluate_accuracy(
         env.model, eval_agg, data.features, data.labels, data.test_mask);
 
@@ -273,7 +246,6 @@ DistTrainResult run_epochs(EpochEnv& env, EpochStep& step) {
     }
     obs::record_final("train_accuracy", result.train_accuracy);
     obs::record_final("val_accuracy", result.val_accuracy);
-    obs::record_final("best_val_accuracy", result.best_val_accuracy);
     obs::record_final("test_accuracy", result.test_accuracy);
     obs::record_final("final_loss", result.final_loss);
     obs::record_final("epochs_run", static_cast<double>(result.epochs_run));

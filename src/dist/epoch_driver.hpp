@@ -50,7 +50,7 @@ class EpochStep {
 public:
     virtual ~EpochStep() = default;
 
-    /// The full-graph Â of the validation probes and final accuracies.
+    /// The full-graph Â of the final accuracies.
     [[nodiscard]] virtual const tensor::SparseMatrix& eval_adjacency()
         const = 0;
 

@@ -20,11 +20,6 @@ Adam::Adam(const std::vector<tensor::Matrix*>& params, AdamConfig config)
     }
 }
 
-void Adam::set_lr(float lr) {
-    SCGNN_CHECK(lr > 0.0f, "learning rate must be positive");
-    cfg_.lr = lr;
-}
-
 void Adam::step(const std::vector<tensor::Matrix*>& params,
                 const std::vector<tensor::Matrix*>& grads) {
     SCGNN_CHECK(params.size() == m_.size(),

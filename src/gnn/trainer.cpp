@@ -1,7 +1,5 @@
 #include "scgnn/gnn/trainer.hpp"
 
-#include <algorithm>
-
 #include "scgnn/common/timer.hpp"
 #include "scgnn/tensor/ops.hpp"
 
@@ -63,42 +61,19 @@ TrainResult train_single_device(const graph::Dataset& data,
     GnnModel model(model_cfg);
     Adam opt(model.parameters(), train_cfg.adam);
 
-    SCGNN_CHECK(train_cfg.lr_decay > 0.0f && train_cfg.lr_decay <= 1.0f,
-                "lr_decay must be in (0, 1]");
-    SCGNN_CHECK(train_cfg.patience == 0 || !data.val_mask.empty(),
-                "early stopping needs a validation split");
-
     TrainResult result;
-    if (train_cfg.record_loss) result.losses.reserve(train_cfg.epochs);
+    result.losses.reserve(train_cfg.epochs);
     WallTimer total;
-    std::uint32_t stale = 0;
-    for (std::uint32_t e = 0; e < train_cfg.epochs; ++e) {
-        const double loss = run_epoch(model, opt, agg, data.features,
-                                      data.labels, data.train_mask);
-        if (train_cfg.record_loss) result.losses.push_back(loss);
-        ++result.epochs_run;
-        if (train_cfg.lr_decay < 1.0f)
-            opt.set_lr(opt.config().lr * train_cfg.lr_decay);
-        if (train_cfg.patience > 0) {
-            const double val = evaluate_accuracy(
-                model, agg, data.features, data.labels, data.val_mask);
-            if (val > result.best_val_accuracy + 1e-12) {
-                result.best_val_accuracy = val;
-                stale = 0;
-            } else if (++stale >= train_cfg.patience) {
-                break;
-            }
-        }
-    }
-    result.mean_epoch_ms = total.millis() / result.epochs_run;
+    for (std::uint32_t e = 0; e < train_cfg.epochs; ++e)
+        result.losses.push_back(run_epoch(model, opt, agg, data.features,
+                                          data.labels, data.train_mask));
+    result.mean_epoch_ms = total.millis() / train_cfg.epochs;
 
     result.train_accuracy = evaluate_accuracy(model, agg, data.features,
                                               data.labels, data.train_mask);
     if (!data.val_mask.empty())
         result.val_accuracy = evaluate_accuracy(model, agg, data.features,
                                                 data.labels, data.val_mask);
-    result.best_val_accuracy =
-        std::max(result.best_val_accuracy, result.val_accuracy);
     result.test_accuracy = evaluate_accuracy(model, agg, data.features,
                                              data.labels, data.test_mask);
     return result;
