@@ -232,4 +232,15 @@ BENCHMARK(BM_Axpy)->ArgName("n")->Arg(4096);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+    // The row-kernel rows depend on the vector tier the CPU runs them at,
+    // so the snapshot names it.
+    benchmark::AddCustomContext(
+        "tensor.isa",
+        tensor::kern::isa_name(tensor::kern::active_isa()));
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

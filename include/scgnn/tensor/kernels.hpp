@@ -1,15 +1,16 @@
 #pragma once
 /// \file kernels.hpp
 /// \brief The microkernels behind the dense/sparse tensor ops: the
-///        register-tiled row kernel of SpMM and the GEMM variants,
-///        row-major AXPY and squared distance.
+///        register-tiled row kernels of SpMM and the GEMM variants, run at
+///        the widest vector tier the CPU supports, plus row-major AXPY and
+///        squared distance.
 ///
 /// Numeric contract (DESIGN.md §10): each kernel has a fixed accumulation
-/// order, so every result is the same bit for bit at every thread count.
-/// Multiply and add round separately (never FMA).
+/// order, so every result is the same bit for bit at every thread count
+/// and on every tier. Multiply and add round separately (never FMA).
 
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
 
 namespace scgnn::tensor::kern {
 
@@ -20,63 +21,89 @@ void axpy(float a, const float* x, float* y, std::size_t n) noexcept;
 [[nodiscard]] double sq_dist(const float* a, const float* b,
                              std::size_t n) noexcept;
 
+/// The vector tiers of the row kernels, narrowest first: 4, 8 and 16
+/// float lanes (SSE2/NEON, AVX2, AVX-512F).
+enum class Isa : std::uint8_t { kBaseline, kAvx2, kAvx512 };
+
+/// "baseline", "avx2" or "avx512".
+[[nodiscard]] const char* isa_name(Isa isa) noexcept;
+
+/// The tier every row kernel runs on: the widest this CPU supports,
+/// resolved once.
+[[nodiscard]] Isa active_isa() noexcept;
+
+/// A CSR SpMM y = S·x: row r of the output sums val[i] · x[col[i]] over
+/// i in [ptr[r], ptr[r+1]) in CSR order and lands at y + dst[r]·f, or at
+/// y + r·f when dst is null. x and the output rows are f floats wide.
+struct SpmmArgs {
+    const std::uint64_t* ptr;
+    const std::uint32_t* col;
+    const float* val;
+    const float* x;
+    float* y;
+    const std::uint32_t* dst;
+    std::size_t f;
+};
+
+/// A row-major GEMM C = A·B with A m×k, B k×n and C m×n: C(i, :) sums
+/// A(i,p) · B(p, :) over ascending p. With skip_zero, zero entries of A
+/// add nothing, so 0·inf never enters a sum.
+struct GemmArgs {
+    const float* a;
+    const float* b;
+    float* c;
+    std::size_t k, n;
+    bool skip_zero;
+};
+
+/// A row-major C = Aᵀ·B with A k×m, B k×n and C m×n, cut into output
+/// tiles: 4×8 when n ≤ 8, 2×16 otherwise. Each C(i,j) sums A(p,i)·B(p,j)
+/// over ascending p, skipping zero A(p,i).
+struct AtBArgs {
+    const float* a;
+    const float* b;
+    float* c;
+    std::size_t k, m, n;
+
+    [[nodiscard]] std::size_t tile_rows() const noexcept {
+        return n <= 8 ? 4 : 2;
+    }
+    [[nodiscard]] std::size_t tile_cols() const noexcept {
+        return n <= 8 ? 8 : 16;
+    }
+    [[nodiscard]] std::size_t tiles() const noexcept {
+        return (m + tile_rows() - 1) / tile_rows() *
+               ((n + tile_cols() - 1) / tile_cols());
+    }
+};
+
+/// Output rows [lo, hi) of `op` on the active tier. Each row is written by
+/// exactly one call, so disjoint ranges may run in parallel.
+void spmm_rows(const SpmmArgs& op, std::size_t lo, std::size_t hi);
+void gemm_rows(const GemmArgs& op, std::size_t lo, std::size_t hi);
+/// Output tiles [lo, hi) of `op` (row-major over the tile grid) on the
+/// active tier.
+void at_b_tiles(const AtBArgs& op, std::size_t lo, std::size_t hi);
+
 namespace detail {
 
-/// Four floats with lane-wise arithmetic: a GCC/Clang vector extension,
-/// not an intrinsic, so it compiles to SSE, AVX or NEON alike. Each lane
-/// multiplies and adds with separate roundings, as scalar code does.
-/// Tiles accumulate in these rather than in a `float acc[W]` because GCC
-/// unrolls the scalar tile early and, under -march=native with AVX-512,
-/// then vectorises across the terms instead of the columns (gathers and
-/// in-order reductions), which made SpMM 5× slower than plain AXPY.
-using f32x4 = float __attribute__((vector_size(16)));
+/// One tier's bodies of the three ops above.
+struct Tier {
+    Isa isa;
+    void (*spmm)(const SpmmArgs&, std::size_t, std::size_t);
+    void (*gemm)(const GemmArgs&, std::size_t, std::size_t);
+    void (*at_b)(const AtBArgs&, std::size_t, std::size_t);
+};
 
-/// y[0, W) = Σ_t a_t · x_t[j0, j0 + W) over the terms of `terms`. The
-/// tile lives in W/4 local vector accumulators for the whole reduction
-/// and is stored once.
-template <std::size_t W, typename Terms>
-inline void row_tile(float* y, std::size_t j0, const Terms& terms) {
-    f32x4 acc[W / 4] = {};
-    terms([&](float a, const float* x) {
-        for (std::size_t q = 0; q < W / 4; ++q) {
-            f32x4 v;
-            std::memcpy(&v, x + j0 + 4 * q, sizeof v);
-            acc[q] += a * v;
-        }
-    });
-    std::memcpy(y, acc, sizeof acc);
-}
+/// Every tier, indexed by Isa. A tier the CPU lacks must not be called.
+extern const Tier kTiers[3];
 
-/// row_tile() for the last w < 8 columns of a row.
-template <typename Terms>
-inline void row_tail(float* y, std::size_t j0, std::size_t w,
-                     const Terms& terms) {
-    float acc[8] = {};
-    terms([&](float a, const float* x) {
-        for (std::size_t j = 0; j < w; ++j) acc[j] += a * x[j0 + j];
-    });
-    for (std::size_t j = 0; j < w; ++j) y[j] = acc[j];
-}
+/// Whether this CPU runs `isa`.
+[[nodiscard]] bool supports(Isa isa) noexcept;
+
+/// The widest supported entry of kTiers, resolved once.
+[[nodiscard]] const Tier& active() noexcept;
 
 } // namespace detail
-
-/// The row kernel of SpMM and the GEMM variants: y[0, n) = Σ_t a_t · x_t,
-/// overwriting y. `terms(visit)` calls `visit(a_t, x_t)` once per term,
-/// where x_t points at a source row of at least n floats. Every y[j]
-/// starts from +0 and adds the separately rounded products a_t · x_t[j]
-/// in the order the terms are visited, exactly as repeated
-/// axpy(a_t, x_t, y, n) into a zeroed row would. The row is swept in
-/// 16-float tiles, then one 8-float tile and a tail, and `terms` runs
-/// once per tile, so it must visit the same terms each time.
-template <typename Terms>
-inline void row(float* y, std::size_t n, const Terms& terms) {
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) detail::row_tile<16>(y + j, j, terms);
-    if (j + 8 <= n) {
-        detail::row_tile<8>(y + j, j, terms);
-        j += 8;
-    }
-    if (j < n) detail::row_tail(y + j, j, n - j, terms);
-}
 
 } // namespace scgnn::tensor::kern

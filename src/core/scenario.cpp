@@ -16,6 +16,7 @@
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/obs/ledger.hpp"
 #include "scgnn/obs/obs.hpp"
+#include "scgnn/tensor/kernels.hpp"
 
 namespace scgnn::runtime {
 
@@ -274,8 +275,11 @@ Scenario Scenario::for_training(dist::DistTrainConfig cfg) {
 
 ScenarioResult Scenario::run(const graph::Dataset& data) const {
     ScenarioResult res;
-    if (obs::enabled())
+    if (obs::enabled()) {
         obs::record_config("scenario.mode", mode_name(cfg_.mode));
+        obs::record_config("tensor.isa",
+                           tensor::kern::isa_name(tensor::kern::active_isa()));
+    }
     const core::PipelineConfig& pc = cfg_.pipeline;
     const partition::Partitioning parts = partition::make_partitioning(
         pc.algo, data.graph, pc.num_parts, pc.partition_seed);

@@ -12,22 +12,15 @@ namespace scgnn::tensor {
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
     SCGNN_CHECK(a.cols() == b.rows(), "matmul inner dimensions must agree");
     c.reshape_zero(a.rows(), b.cols());
-    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-    const float* ad = a.data();
-    const float* bd = b.data();
-    float* cd = c.data();
     // Row-parallel: each C row is one row-kernel call owned by one chunk,
     // summing B's rows in ascending p with the historical skip of zero
     // entries of A, so the result is bitwise identical at every thread
     // count.
-    parallel_for(0, m, grain_for(k * n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const float* ai = ad + i * k;
-            kern::row(cd + i * n, n, [&](auto&& visit) {
-                for (std::size_t p = 0; p < k; ++p)
-                    if (ai[p] != 0.0f) visit(ai[p], bd + p * n);
-            });
-        }
+    const kern::GemmArgs op{a.data(), b.data(), c.data(), a.cols(), b.cols(),
+                            /*skip_zero=*/true};
+    parallel_for(0, a.rows(), grain_for(op.k * op.n),
+                 [&](std::size_t lo, std::size_t hi) {
+        kern::gemm_rows(op, lo, hi);
     });
 }
 
@@ -37,89 +30,19 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
     return c;
 }
 
-namespace {
-
-/// The IB×T tile of C = Aᵀ·B at (i0, j0): the tile stays in local vector
-/// accumulators over all k rows, which each add IB contiguous floats of
-/// A times T of B. Each C(i,j) sums A(p,i)·B(p,j) over ascending p,
-/// skipping zero A(p,i).
-template <std::size_t IB, std::size_t T>
-void at_b_tile(const float* a, const float* b, float* c, std::size_t k,
-               std::size_t m, std::size_t n, std::size_t i0,
-               std::size_t j0) {
-    using kern::detail::f32x4;
-    f32x4 acc[IB][T / 4] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-        const float* ap = a + p * m + i0;
-        f32x4 bv[T / 4];
-        std::memcpy(bv, b + p * n + j0, sizeof bv);
-        for (std::size_t ii = 0; ii < IB; ++ii) {
-            if (ap[ii] == 0.0f) continue;
-            for (std::size_t q = 0; q < T / 4; ++q)
-                acc[ii][q] += ap[ii] * bv[q];
-        }
-    }
-    for (std::size_t ii = 0; ii < IB; ++ii)
-        std::memcpy(c + (i0 + ii) * n + j0, acc[ii], sizeof acc[ii]);
-}
-
-/// at_b_tile() for an ib×tw edge tile (ib ≤ IB, tw ≤ T), still one pass
-/// over A and B per tile. Outputs whose width is not a multiple of T
-/// (the 10-class workloads' last layer) run every tile here.
-template <std::size_t IB, std::size_t T>
-void at_b_edge(const float* a, const float* b, float* c, std::size_t k,
-               std::size_t m, std::size_t n, std::size_t i0, std::size_t j0,
-               std::size_t ib, std::size_t tw) {
-    float acc[IB][T] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-        const float* ap = a + p * m + i0;
-        const float* bp = b + p * n + j0;
-        for (std::size_t ii = 0; ii < ib; ++ii) {
-            if (ap[ii] == 0.0f) continue;
-            for (std::size_t jj = 0; jj < tw; ++jj)
-                acc[ii][jj] += ap[ii] * bp[jj];
-        }
-    }
-    for (std::size_t ii = 0; ii < ib; ++ii)
-        for (std::size_t jj = 0; jj < tw; ++jj)
-            c[(i0 + ii) * n + j0 + jj] = acc[ii][jj];
-}
-
-/// Aᵀ·B over IB×T output tiles, one tile per task.
-template <std::size_t IB, std::size_t T>
-void at_b_tiles(const Matrix& a, const Matrix& b, Matrix& c) {
-    const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-    const std::size_t tiles_j = (n + T - 1) / T;
-    const std::size_t tiles = (m + IB - 1) / IB * tiles_j;
-    const float* ad = a.data();
-    const float* bd = b.data();
-    float* cd = c.data();
-    parallel_for(0, tiles, grain_for(k * IB * T),
-                 [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t t = lo; t < hi; ++t) {
-            const std::size_t i0 = t / tiles_j * IB, j0 = t % tiles_j * T;
-            const std::size_t ib = std::min(IB, m - i0);
-            const std::size_t tw = std::min(T, n - j0);
-            if (ib == IB && tw == T)
-                at_b_tile<IB, T>(ad, bd, cd, k, m, n, i0, j0);
-            else
-                at_b_edge<IB, T>(ad, bd, cd, k, m, n, i0, j0, ib, tw);
-        }
-    });
-}
-
-} // namespace
-
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
     SCGNN_CHECK(a.rows() == b.rows(), "matmul_at_b outer dimensions must agree");
     c.reshape_zero(a.cols(), b.cols());
     // The output is small (weight-shaped) and the reduction runs over
-    // every graph row, so each tile streams A and B once: 4×8 tiles for
-    // narrow outputs, 2×16 otherwise.
-    if (b.cols() <= 8)
-        at_b_tiles<4, 8>(a, b, c);
-    else
-        at_b_tiles<2, 16>(a, b, c);
+    // every graph row, so each output tile, one per task, streams A and B
+    // once.
+    const kern::AtBArgs op{a.data(), b.data(), c.data(),
+                           a.rows(), a.cols(), b.cols()};
+    parallel_for(0, op.tiles(),
+                 grain_for(op.k * op.tile_rows() * op.tile_cols()),
+                 [&](std::size_t lo, std::size_t hi) {
+        kern::at_b_tiles(op, lo, hi);
+    });
 }
 
 Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
@@ -144,15 +67,9 @@ void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
     const float* bd = b.data();
     for (std::size_t j = 0; j < n; ++j)
         for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = bd[j * k + p];
-    const float* ad = a.data();
-    float* cd = c.data();
+    const kern::GemmArgs op{a.data(), bt, c.data(), k, n, /*skip_zero=*/false};
     parallel_for(0, m, grain_for(k * n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const float* ai = ad + i * k;
-            kern::row(cd + i * n, n, [&](auto&& visit) {
-                for (std::size_t p = 0; p < k; ++p) visit(ai[p], bt + p * n);
-            });
-        }
+        kern::gemm_rows(op, lo, hi);
     });
 }
 

@@ -122,31 +122,22 @@ Matrix SparseMatrix::to_dense() const {
 
 namespace {
 
-/// Every row of S·x, row r into the f floats at dst(r). Row-parallel on
+/// Every row of S·x, row r into y + (dst ? dst[r] : r)·f. Row-parallel on
 /// the global pool: each output row is owned by exactly one chunk, so no
 /// synchronisation is needed and the result is bitwise identical at every
 /// thread count. The grain is sized from the average row cost so ragged
 /// degree distributions still balance via the pool's dynamic chunk
 /// hand-out. Each row sums its nonzeros in CSR order through the row
 /// kernel.
-template <typename Dst>
-void spmm_rows(const SparseMatrix& s, const Matrix& x, const Dst& dst) {
-    const std::size_t f = x.cols();
-    const std::uint64_t* ptr = s.row_ptr().data();
-    const std::uint32_t* col = s.col_idx().data();
-    const float* val = s.values().data();
-    const float* xd = x.data();
+void spmm_rows(const SparseMatrix& s, const Matrix& x, float* y,
+               const std::uint32_t* dst) {
+    const kern::SpmmArgs op{s.row_ptr().data(), s.col_idx().data(),
+                            s.values().data(), x.data(), y, dst, x.cols()};
     const std::size_t avg_row_work =
-        s.rows() == 0 ? 0 : (s.nnz() / s.rows() + 1) * f;
+        s.rows() == 0 ? 0 : (s.nnz() / s.rows() + 1) * op.f;
     parallel_for(0, s.rows(), grain_for(avg_row_work),
                  [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-            const std::uint64_t b = ptr[r], e = ptr[r + 1];
-            kern::row(dst(r), f, [&](auto&& visit) {
-                for (std::uint64_t i = b; i < e; ++i)
-                    visit(val[i], xd + static_cast<std::size_t>(col[i]) * f);
-            });
-        }
+        kern::spmm_rows(op, lo, hi);
     });
 }
 
@@ -155,9 +146,7 @@ void spmm_rows(const SparseMatrix& s, const Matrix& x, const Dst& dst) {
 void spmm_into(const SparseMatrix& s, const Matrix& x, Matrix& y) {
     SCGNN_CHECK(s.cols() == x.rows(), "spmm inner dimensions must agree");
     y.reshape_zero(s.rows(), x.cols());
-    float* yd = y.data();
-    const std::size_t f = x.cols();
-    spmm_rows(s, x, [=](std::size_t r) { return yd + r * f; });
+    spmm_rows(s, x, y.data(), nullptr);
 }
 
 void spmm_rows_into(const SparseMatrix& s, const Matrix& x,
@@ -167,9 +156,7 @@ void spmm_rows_into(const SparseMatrix& s, const Matrix& x,
                 "spmm_rows_into needs one destination row per row of s");
     for (const std::uint32_t r : dst)
         SCGNN_CHECK(r < y.rows(), "spmm_rows_into destination out of range");
-    float* yd = y.data();
-    const std::size_t f = x.cols();
-    spmm_rows(s, x, [=](std::size_t r) { return yd + dst[r] * f; });
+    spmm_rows(s, x, y.data(), dst.data());
 }
 
 Matrix spmm(const SparseMatrix& s, const Matrix& x) {

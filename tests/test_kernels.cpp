@@ -9,6 +9,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -134,12 +135,149 @@ SparseMatrix random_sparse(std::size_t rows, std::size_t cols, double density,
     return SparseMatrix(rows, cols, std::move(trips));
 }
 
+// ------------------------------------------------- one vector tier each
+
+using kern::Isa;
+
+/// Widths around every tier's row tiles (8, 16, 32 and 64 floats), past
+/// two full 64-float tiles and around the 4×8 / 2×16 tiles of Aᵀ·B.
+const std::vector<std::size_t> kTileWidths = {
+    1,  2,  3,  4,  5,  6,  7,  8,  9,  15, 16, 17, 31, 32,
+    33, 47, 48, 49, 63, 64, 65, 95, 96, 97, 127, 128, 129};
+
+const kern::detail::Tier& tier_of(Isa isa) {
+    return kern::detail::kTiers[static_cast<std::size_t>(isa)];
+}
+
+/// Calls body(lo, hi) over [0, n) in chunks of 3, so the tier bodies see
+/// ranges that start past 0.
+template <typename Body>
+void in_chunks(std::size_t n, const Body& body) {
+    for (std::size_t lo = 0; lo < n; lo += 3) body(lo, std::min(n, lo + 3));
+}
+
+/// s·x on one tier; with `dst`, row r lands in row dst[r] of `y`.
+void tier_spmm_into(Isa isa, const SparseMatrix& s, const Matrix& x,
+                    Matrix& y, const std::uint32_t* dst = nullptr) {
+    const kern::SpmmArgs op{s.row_ptr().data(), s.col_idx().data(),
+                            s.values().data(), x.data(), y.data(), dst,
+                            x.cols()};
+    in_chunks(s.rows(), [&](std::size_t lo, std::size_t hi) {
+        tier_of(isa).spmm(op, lo, hi);
+    });
+}
+
+Matrix tier_spmm(Isa isa, const SparseMatrix& s, const Matrix& x) {
+    Matrix y(s.rows(), x.cols());
+    tier_spmm_into(isa, s, x, y);
+    return y;
+}
+
+/// a·b on one tier (matmul_into's terms, zero entries of a skipped).
+Matrix tier_matmul(Isa isa, const Matrix& a, const Matrix& b) {
+    Matrix c(a.rows(), b.cols());
+    const kern::GemmArgs op{a.data(), b.data(), c.data(), a.cols(), b.cols(),
+                            true};
+    in_chunks(a.rows(), [&](std::size_t lo, std::size_t hi) {
+        tier_of(isa).gemm(op, lo, hi);
+    });
+    return c;
+}
+
+/// a·bᵀ on one tier (matmul_a_bt_into's terms: packed bᵀ, no skip).
+Matrix tier_matmul_a_bt(Isa isa, const Matrix& a, const Matrix& b) {
+    const Matrix bt = transpose(b);
+    Matrix c(a.rows(), b.rows());
+    const kern::GemmArgs op{a.data(), bt.data(), c.data(), a.cols(),
+                            b.rows(), false};
+    in_chunks(a.rows(), [&](std::size_t lo, std::size_t hi) {
+        tier_of(isa).gemm(op, lo, hi);
+    });
+    return c;
+}
+
+/// aᵀ·b on one tier.
+Matrix tier_matmul_at_b(Isa isa, const Matrix& a, const Matrix& b) {
+    Matrix c(a.cols(), b.cols());
+    const kern::AtBArgs op{a.data(), b.data(), c.data(),
+                           a.rows(), a.cols(), b.cols()};
+    in_chunks(op.tiles(), [&](std::size_t lo, std::size_t hi) {
+        tier_of(isa).at_b(op, lo, hi);
+    });
+    return c;
+}
+
+/// One test per tier; a tier this CPU lacks is skipped by name.
+class KernelTiers : public testing::TestWithParam<Isa> {
+protected:
+    void SetUp() override {
+        if (!kern::detail::supports(GetParam()))
+            GTEST_SKIP() << "this CPU lacks the "
+                         << kern::isa_name(GetParam()) << " tier";
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, KernelTiers,
+    testing::Values(Isa::kBaseline, Isa::kAvx2, Isa::kAvx512),
+    [](const testing::TestParamInfo<Isa>& tier) {
+        return std::string(kern::isa_name(tier.param));
+    });
+
+TEST(Kernels, DispatchesTheWidestSupportedTier) {
+    Isa widest = Isa::kBaseline;
+    for (const Isa isa : {Isa::kAvx2, Isa::kAvx512})
+        if (kern::detail::supports(isa)) widest = isa;
+    EXPECT_EQ(kern::active_isa(), widest) << kern::isa_name(widest);
+    EXPECT_EQ(kern::detail::active().isa, widest);
+    EXPECT_TRUE(kern::detail::supports(Isa::kBaseline));
+#if defined(__x86_64__) || defined(__i386__)
+    EXPECT_EQ(kern::detail::supports(Isa::kAvx2),
+              __builtin_cpu_supports("avx2") != 0);
+    EXPECT_EQ(kern::detail::supports(Isa::kAvx512),
+              __builtin_cpu_supports("avx512f") != 0);
+#endif
+    for (const Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512})
+        EXPECT_EQ(tier_of(isa).isa, isa);
+}
+
+TEST_P(KernelTiers, NoFusedMultiplyAdd) {
+    // Two terms, -1·1 and (1+2⁻¹²)·(1+2⁻¹²), in every column. Rounded
+    // separately, the second product is 1+2⁻¹¹ and the sum 2⁻¹¹; a fused
+    // multiply-add keeps the product's 2⁻²⁴ and yields 2⁻¹¹+2⁻²⁴.
+    const Isa isa = GetParam();
+    const float e = 1.0f + std::ldexp(1.0f, -12);
+    const float want = std::ldexp(1.0f, -11);
+    for (const std::size_t w : kTileWidths) {
+        Matrix x(2, w);
+        for (std::size_t j = 0; j < w; ++j) {
+            x(0, j) = 1.0f;
+            x(1, j) = e;
+        }
+        const SparseMatrix s(1, 2, {{0, 0, -1.0f}, {0, 1, e}});
+        Matrix a(1, 2);
+        a(0, 0) = -1.0f;
+        a(0, 1) = e;
+        Matrix at(2, w);  // w columns of aᵀ, so aᵀ·x is w×w
+        for (std::size_t j = 0; j < w; ++j) {
+            at(0, j) = -1.0f;
+            at(1, j) = e;
+        }
+        for (const Matrix& y :
+             {tier_spmm(isa, s, x), tier_matmul(isa, a, x),
+              tier_matmul_a_bt(isa, a, transpose(x)),
+              tier_matmul_at_b(isa, at, x)})
+            for (const float v : y.flat())
+                ASSERT_EQ(v, want) << "w=" << w << " got " << v;
+    }
+}
+
 // ---------------------------------------- tensor ops: bitwise golden sweep
 
 TEST(Kernels, MatmulBitwiseEqualsReferenceSweep) {
     Rng rng(11);
-    // Shapes straddling the 16- and 8-float row tiles and the Aᵀ·B
-    // tiles, plus degenerate 1-sized edges.
+    // The public op on the active tier: shapes straddling the row tiles
+    // and the Aᵀ·B tiles, plus degenerate 1-sized edges.
     const std::size_t dims[] = {1, 2, 3, 7, 17, 64, 65, 129, 200};
     for (std::size_t m : dims)
         for (std::size_t k : dims)
@@ -173,67 +311,90 @@ TEST(Kernels, MatmulVariantsBitwiseEqualReference) {
         }
 }
 
-TEST(Kernels, GemmVariantsBitwiseAtTileEdges) {
-    // Widths around the 16- and 8-float tiles of the row kernels and the
-    // 4×8 / 2×16 tiles of Aᵀ·B, with signed zeros, ±inf and NaN in both
-    // operands: matmul and matmul_at_b skip zero entries of A, so 0·inf
-    // never enters a sum; matmul_a_bt is a plain dot and yields NaN.
+TEST_P(KernelTiers, GemmVariantsBitwiseAtTileEdges) {
+    // Widths around the row tiles of every tier and the 4×8 / 2×16 tiles
+    // of Aᵀ·B, with signed zeros, ±inf and NaN in both operands: matmul
+    // and matmul_at_b skip zero entries of A, so 0·inf never enters a sum;
+    // matmul_a_bt is a plain dot and yields NaN.
+    const Isa isa = GetParam();
     Rng rng(19);
     const std::size_t ms[] = {1, 3, 4, 5, 8, 9, 33};
-    const std::size_t ns[] = {1, 7, 8, 9, 16, 17, 64, 65};
     for (std::size_t m : ms)
-        for (std::size_t n : ns)
+        for (std::size_t n : kTileWidths)
             for (std::size_t k : {1ul, 6ul, 33ul}) {
                 const Matrix a = special_randn(m, k, rng);
                 const Matrix b = special_randn(k, n, rng);
-                ASSERT_TRUE(same_values(matmul(a, b), ref_matmul(a, b)))
+                ASSERT_TRUE(same_values(tier_matmul(isa, a, b),
+                                        ref_matmul(a, b)))
                     << "matmul " << m << "x" << k << "x" << n;
                 const Matrix at = special_randn(k, m, rng);
-                ASSERT_TRUE(
-                    same_values(matmul_at_b(at, b), ref_matmul_at_b(at, b)))
+                ASSERT_TRUE(same_values(tier_matmul_at_b(isa, at, b),
+                                        ref_matmul_at_b(at, b)))
                     << "matmul_at_b " << m << "x" << k << "x" << n;
                 const Matrix bt = special_randn(n, k, rng);
-                ASSERT_TRUE(
-                    same_values(matmul_a_bt(a, bt), ref_matmul_a_bt(a, bt)))
+                ASSERT_TRUE(same_values(tier_matmul_a_bt(isa, a, bt),
+                                        ref_matmul_a_bt(a, bt)))
                     << "matmul_a_bt " << m << "x" << k << "x" << n;
             }
 }
 
-TEST(Kernels, SpmmBitwiseEqualsReference) {
+TEST_P(KernelTiers, SpmmBitwiseEqualsReference) {
+    const Isa isa = GetParam();
     Rng rng(13);
-    for (const std::size_t f :
-         {1ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 31ul, 32ul, 33ul, 64ul, 65ul})
+    for (const std::size_t f : kTileWidths)
         for (const double density : {0.02, 0.2, 0.9}) {
             // Every fourth row is empty.
             const SparseMatrix s = random_sparse(37, 53, density, rng, 4);
             const Matrix x = Matrix::randn(53, f, rng);
-            ASSERT_TRUE(bitwise_equal(spmm(s, x), ref_spmm(s, x)))
+            ASSERT_TRUE(bitwise_equal(tier_spmm(isa, s, x), ref_spmm(s, x)))
                 << "f=" << f << " density=" << density;
         }
 }
 
-TEST(Kernels, SpmmRowsIntoWritesOnlyTheNamedRows) {
+TEST_P(KernelTiers, SpmmRowsIntoWritesOnlyTheNamedRows) {
+    const Isa isa = GetParam();
     Rng rng(20);
-    const SparseMatrix s = random_sparse(6, 11, 0.4, rng, 3);
-    const Matrix x = Matrix::randn(11, 19, rng);
-    const Matrix full = spmm(s, x);
     const std::vector<std::uint32_t> dst = {7, 0, 3, 9, 2, 5};
-    Matrix y(10, 19);
-    y.fill(-2.5f);
-    spmm_rows_into(s, x, dst, y);
-    for (std::size_t r = 0; r < y.rows(); ++r) {
-        const auto it = std::find(dst.begin(), dst.end(), r);
-        const auto got = y.row(r);
-        for (std::size_t c = 0; c < y.cols(); ++c) {
-            if (it == dst.end()) {
-                ASSERT_EQ(got[c], -2.5f) << "row " << r << " was written";
-            } else {
-                const float want =
-                    full(static_cast<std::size_t>(it - dst.begin()), c);
-                ASSERT_EQ(std::memcmp(&got[c], &want, sizeof(float)), 0);
+    for (const std::size_t f : kTileWidths) {
+        const SparseMatrix s = random_sparse(6, 11, 0.4, rng, 3);
+        const Matrix x = Matrix::randn(11, f, rng);
+        const Matrix full = ref_spmm(s, x);
+        Matrix y(10, f);
+        y.fill(-2.5f);
+        tier_spmm_into(isa, s, x, y, dst.data());
+        for (std::size_t r = 0; r < y.rows(); ++r) {
+            const auto it = std::find(dst.begin(), dst.end(), r);
+            const auto got = y.row(r);
+            for (std::size_t c = 0; c < y.cols(); ++c) {
+                if (it == dst.end()) {
+                    ASSERT_EQ(got[c], -2.5f)
+                        << "f=" << f << ": row " << r << " was written";
+                } else {
+                    const float want =
+                        full(static_cast<std::size_t>(it - dst.begin()), c);
+                    ASSERT_EQ(std::memcmp(&got[c], &want, sizeof(float)), 0)
+                        << "f=" << f << " row " << r << " col " << c;
+                }
             }
         }
     }
+}
+
+TEST(Kernels, SpmmRowsIntoMatchesSpmm) {
+    // The public op on the active tier, with its destination checks.
+    Rng rng(21);
+    const SparseMatrix s = random_sparse(6, 11, 0.4, rng, 3);
+    const Matrix x = Matrix::randn(11, 19, rng);
+    const std::vector<std::uint32_t> dst = {5, 4, 3, 2, 1, 0};
+    Matrix y(6, 19);
+    spmm_rows_into(s, x, dst, y);
+    const Matrix full = spmm(s, x);
+    for (std::size_t r = 0; r < 6; ++r)
+        ASSERT_EQ(std::memcmp(y.row(5 - r).data(), full.row(r).data(),
+                              19 * sizeof(float)),
+                  0);
+    const std::vector<std::uint32_t> out_of_range = {0, 1, 2, 3, 4, 6};
+    EXPECT_THROW(spmm_rows_into(s, x, out_of_range, y), Error);
 }
 
 TEST(Kernels, SqDistMatchesHistoricalLoop) {
@@ -274,13 +435,14 @@ TEST(SparseTranspose, MatchesDenseTransposeAndOrdering) {
     }
 }
 
-TEST(SparseTranspose, GatherOverTransposeEqualsScatter) {
+TEST_P(KernelTiers, GatherOverTransposeEqualsScatter) {
     // Every backward aggregate runs spmm() over a stored transpose in place
     // of a scatter over S. Pin that the two are bitwise equal on
     // rectangular matrices with empty rows and empty columns, at widths
     // around the row-kernel tiles.
+    const Isa isa = GetParam();
     Rng rng(17);
-    for (const std::size_t f : {1ul, 8ul, 13ul, 16ul, 33ul, 64ul})
+    for (const std::size_t f : kTileWidths)
         for (const auto& shape : {std::pair{23ul, 41ul}, std::pair{41ul, 23ul}}) {
             const auto [rows, cols] = shape;
             std::vector<Triplet> trips;
@@ -293,7 +455,8 @@ TEST(SparseTranspose, GatherOverTransposeEqualsScatter) {
                              static_cast<float>(rng.normal())});
             const SparseMatrix s(rows, cols, std::move(trips));
             const Matrix x = Matrix::randn(rows, f, rng);
-            ASSERT_TRUE(bitwise_equal(spmm(s.transposed(), x), ref_spmm_t(s, x)))
+            ASSERT_TRUE(bitwise_equal(tier_spmm(isa, s.transposed(), x),
+                                      ref_spmm_t(s, x)))
                 << rows << "x" << cols << " f=" << f;
         }
 }

@@ -24,6 +24,7 @@
 #include "scgnn/obs/obs.hpp"
 #include "scgnn/obs/trace.hpp"
 #include "scgnn/runtime/scenario.hpp"
+#include "scgnn/tensor/kernels.hpp"
 
 namespace scgnn::runtime {
 namespace {
@@ -350,6 +351,28 @@ TEST(ScenarioReport, SampledRunEmitsTheTrainRunsKeys) {
     EXPECT_NE(obs::ledger().to_json().find(
                   "\"trainer.mode\":\"sample-train\""),
               std::string::npos);
+    obs::reset();
+    obs::set_enabled(was_enabled);
+}
+
+TEST(ScenarioReport, EveryModeRecordsTheKernelTier) {
+    // Measured compute depends on the vector tier the row kernels ran, so
+    // every report names it.
+    const graph::Dataset d = tiny_data();
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    const std::string want = std::string("\"tensor.isa\":\"") +
+                             tensor::kern::isa_name(
+                                 tensor::kern::active_isa()) +
+                             "\"";
+    for (const ScenarioMode mode :
+         {ScenarioMode::kTrain, ScenarioMode::kSampleTrain,
+          ScenarioMode::kServe}) {
+        obs::reset();
+        (void)Scenario::build(base_cfg(d, mode)).run(d);
+        EXPECT_NE(obs::ledger().to_json().find(want), std::string::npos)
+            << mode_name(mode);
+    }
     obs::reset();
     obs::set_enabled(was_enabled);
 }
