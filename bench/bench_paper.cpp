@@ -221,6 +221,9 @@ public:
     explicit Paper(benchutil::Options o) : opt(std::move(o)) {}
 
     const benchutil::Options opt;
+    [[nodiscard]] std::uint32_t epochs() const {
+        return opt.scn.pipeline.train.epochs;
+    }
     std::string figure;     ///< id of the running figure
     WallTimer figure_time;  ///< restarted as each figure starts
     std::vector<Row> rows;
@@ -256,7 +259,7 @@ public:
     }
     /// The shared train config at `epochs`, per-epoch records off.
     [[nodiscard]] dist::DistTrainConfig train_cfg(std::uint32_t epochs) const {
-        dist::DistTrainConfig cfg = benchutil::train_cfg(opt);
+        dist::DistTrainConfig cfg = opt.scn.pipeline.train;
         cfg.epochs = epochs;
         cfg.record_epochs = false;
         return cfg;
@@ -286,7 +289,7 @@ public:
                   dist::BoundaryCompressor& comp) {
         const WallTimer t;
         dist::DistTrainResult r = runtime::Scenario::for_training(cfg).train(
-            d, parts, benchutil::model_for(d), comp);
+            d, parts, benchutil::model_for(opt, d), comp);
         Rows out = series(d.name, name, ns_since(t));
         out.value("comm_mb", r.mean_comm_mb)
             .value("comm_ms", r.mean_comm_ms)
@@ -324,7 +327,7 @@ void fig1b(Paper& p) {
                  {"compute share", "compute_share", Fmt::kPct, 2, true}});
     for (const Dataset& d : p.datasets()) {
         const auto parts = p.partition(d.graph, 4);
-        const auto cfg = p.train_cfg(std::max(5u, p.opt.epochs / 3));
+        const auto cfg = p.train_cfg(std::max(5u, p.epochs() / 3));
         for (Method method :
              {Method::kVanilla, Method::kSampling, Method::kSemantic}) {
             core::MethodConfig m = method_cfg(method);
@@ -345,7 +348,7 @@ void fig2b(Paper& p) {
     const Dataset& d = p.dataset(DatasetPreset::kPubMedSim);
     benchutil::print_dataset(d);
     const auto parts = p.partition(d.graph, 4);
-    const auto cfg = p.train_cfg(p.opt.epochs);
+    const auto cfg = p.train_cfg(p.epochs());
     const double vanilla_mb =
         p.train("vanilla", d, parts, cfg, method_cfg(Method::kVanilla))
             .r.mean_comm_mb;
@@ -537,7 +540,7 @@ void fig9(Paper& p) {
         benchutil::print_dataset(d);
         const auto parts = p.partition(d.graph, 4);
         // Volume needs few epochs.
-        const auto cfg = p.train_cfg(std::max(4u, p.opt.epochs / 4));
+        const auto cfg = p.train_cfg(std::max(4u, p.epochs() / 4));
         core::MethodConfig m = method_cfg(Method::kVanilla);
         m.sampling.rate = 0.1;
         m.quant.bits = 8;
@@ -626,7 +629,7 @@ void fig11(Paper& p) {
     for (const Dataset& d : p.datasets()) {
         benchutil::print_dataset(d);
         const auto parts = p.partition(d.graph, 4);
-        const auto cfg = p.train_cfg(p.opt.epochs);
+        const auto cfg = p.train_cfg(p.epochs());
         Sheet table({{"variant"}, {"comm MB", nullptr, Fmt::kNum, 3},
                      {"vs full", "vs_full", Fmt::kPct}, {"test acc"}});
         double full_mb = 0.0, full_acc = 0.0;
@@ -705,7 +708,7 @@ void fig12b(Paper& p) {
                 "(pubmed-sim, 2 partitions) ==\n");
     const Dataset& d = p.dataset(DatasetPreset::kPubMedSim);
     const auto parts = p.partition(d.graph, 2);
-    const auto cfg = p.train_cfg(p.opt.epochs);
+    const auto cfg = p.train_cfg(p.epochs());
     core::MethodConfig m = method_cfg(Method::kVanilla);
     m.sampling.rate = 0.3;
     m.quant.bits = 8;
@@ -761,7 +764,7 @@ void table1(Paper& p) {
                      {"test acc", nullptr, Fmt::kPct}});
         for (std::uint32_t n : {2u, 4u, 8u}) {
             const auto parts = p.partition(d.graph, n);
-            const auto cfg = p.train_cfg(p.opt.epochs);
+            const auto cfg = p.train_cfg(p.epochs());
             std::map<Method, Trained> runs;
             auto run = [&](Method method, const core::MethodConfig& m)
                 -> const dist::DistTrainResult& {
@@ -825,7 +828,7 @@ void table2(Paper& p) {
              {PartitionAlgo::kNodeCut, PartitionAlgo::kEdgeCut,
               PartitionAlgo::kMultilevel, PartitionAlgo::kRandomCut}) {
             const auto parts = p.partition(d.graph, 4, algo);
-            const auto cfg = p.train_cfg(p.opt.epochs);
+            const auto cfg = p.train_cfg(p.epochs());
             const std::string at = partition::to_string(algo);
             const double vanilla_mb =
                 p.train("vanilla@" + at, d, parts, cfg,
@@ -894,7 +897,7 @@ void abl_group_k(Paper& p) {
         const Dataset& d = p.dataset(preset);
         benchutil::print_dataset(d);
         const auto parts = p.partition(d.graph, 4);
-        const auto cfg = p.train_cfg(p.opt.epochs);
+        const auto cfg = p.train_cfg(p.epochs());
 
         const WallTimer eep_t;
         const dist::DistContext ctx(d, parts, cfg.norm);
@@ -908,7 +911,7 @@ void abl_group_k(Paper& p) {
                       .best_k;
         p.series(d.name, "largest-plan", ns_since(eep_t)).value("eep", eep);
 
-        const std::uint32_t hidden = benchutil::model_for(d).hidden_dim;
+        const std::uint32_t hidden = p.opt.scn.pipeline.model.hidden_dim;
         const double vanilla_bytes =
             static_cast<double>(ctx.vanilla_exchange_bytes(hidden));
         Sheet table({{"k", nullptr, Fmt::kCount},
@@ -1033,7 +1036,7 @@ void setup(Paper& p) {
                  {"breakeven epochs"}});
     for (const Dataset& d : p.datasets()) {
         const auto parts = p.partition(d.graph, 4);
-        const auto cfg = p.train_cfg(std::max(5u, p.opt.epochs / 3));
+        const auto cfg = p.train_cfg(std::max(5u, p.epochs() / 3));
         const WallTimer context_t;
         const dist::DistContext ctx(d, parts, cfg.norm);
         const double context_ms = context_t.millis();
@@ -1072,7 +1075,7 @@ void overlap(Paper& p) {
         const auto parts = p.partition(d.graph, 4);
         for (Method method : {Method::kVanilla, Method::kSemantic}) {
             const std::string key = core::method_key(method);
-            auto cfg = p.train_cfg(std::max(5u, p.opt.epochs / 3));
+            auto cfg = p.train_cfg(std::max(5u, p.epochs() / 3));
             cfg.comm.mode = comm::CostModel::Mode::kAdditive;
             const double additive_ms =
                 p.train(key + "@additive", d, parts, cfg, method_cfg(method))
@@ -1101,7 +1104,7 @@ void fault(Paper& p) {
     const auto parts = partition::make_partitioning(
         pipe.algo, d.graph, pipe.num_parts, pipe.partition_seed);
     const core::MethodConfig ours = method_cfg(Method::kSemantic);
-    dist::DistTrainConfig cfg = benchutil::train_cfg(p.opt);
+    dist::DistTrainConfig cfg = p.opt.scn.pipeline.train;
     cfg.comm.fault = comm::FaultModel{};
     const Trained base = p.train("fault-free", d, parts, cfg, ours);
     std::printf("# fault-free: acc=%.4f epoch_ms=%.3f\n",
@@ -1205,9 +1208,9 @@ void schedule(Paper& p) {
     benchutil::print_dataset(d);
     const auto parts = partition::make_partitioning(
         PartitionAlgo::kNodeCut, d.graph, 4, kSeed);
-    gnn::GnnConfig mc = benchutil::model_for(d);
+    gnn::GnnConfig mc = benchutil::model_for(p.opt, d);
     mc.num_layers = 3;
-    dist::DistTrainConfig cfg = benchutil::train_cfg(p.opt);
+    dist::DistTrainConfig cfg = p.opt.scn.pipeline.train;
     cfg.epochs = 96;  // per-epoch records on: they carry the rate
     std::printf("== Rate schedules: final loss vs wire MB (pubmed-sim x0.2, "
                 "4 partitions, 3 layers, 96 epochs; warmup floor=%.3g over "
@@ -1300,7 +1303,7 @@ void elastic(Paper& p) {
             PartitionAlgo::kNodeCut, d.graph, n, kSeed);
         double static_loss = 0.0;
         for (const bool churned : {false, true}) {
-            dist::DistTrainConfig cfg = benchutil::train_cfg(p.opt);
+            dist::DistTrainConfig cfg = p.opt.scn.pipeline.train;
             cfg.epochs = kEpochs;  // per-epoch records on: they carry comm ms
             cfg.comm.topology = comm::TopologySpec::preset(n);
             cfg.comm.collective = comm::collective::Algo::kHier;
@@ -1309,7 +1312,7 @@ void elastic(Paper& p) {
             const WallTimer t;
             const dist::DistTrainResult r =
                 runtime::Scenario::for_training(cfg).train(
-                    d, parts, benchutil::model_for(d),
+                    d, parts, benchutil::model_for(p.opt, d),
                     *core::make_compressor(method_cfg(Method::kVanilla)));
             double peak = 0.0, total = 0.0;
             for (const auto& e : r.epoch_metrics) {
@@ -1519,7 +1522,7 @@ void threads(Paper& p) {
         sweep("dist epoch", [&] {
             core::SemanticCompressor comp(benchutil::semantic_cfg());
             const auto r = runtime::Scenario::for_training(cfg).train(
-                d, parts, benchutil::model_for(d), comp);
+                d, parts, benchutil::model_for(p.opt, d), comp);
             return fnv1a(&r.test_accuracy, sizeof(r.test_accuracy),
                          fnv1a(&r.final_loss, sizeof(r.final_loss)));
         });
@@ -1554,7 +1557,7 @@ void write_json(const Paper& p) {
     w.begin_object().key("context").begin_object();
     w.kv("library", "scgnn.bench.paper")
         .kv("scale", p.opt.scale)
-        .kv("epochs", std::uint64_t{p.opt.epochs})
+        .kv("epochs", std::uint64_t{p.epochs()})
         .kv("seed", std::uint64_t{p.opt.seed})
         .kv("hardware_threads",
             std::uint64_t{std::thread::hardware_concurrency()});

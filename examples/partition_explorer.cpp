@@ -5,19 +5,22 @@
 // for node-cut, made tangible.
 //
 // Run: ./build/examples/partition_explorer [preset-index 0..3]
+// (any other argument exits 2)
 #include <cstdio>
-#include <cstdlib>
 
 #include "scgnn/common/table.hpp"
 #include "scgnn/core/semantic_compressor.hpp"
 #include "scgnn/dist/context.hpp"
+#include "scgnn/runtime/scenario.hpp"
 
 int main(int argc, char** argv) {
     using namespace scgnn;
 
     const auto presets = graph::all_presets();
     std::size_t pick = 1;  // yelp-sim by default
-    if (argc > 1) pick = static_cast<std::size_t>(std::atoi(argv[1])) % 4;
+    if (argc > 1)
+        pick = static_cast<std::size_t>(
+            runtime::parse_number("preset-index", argv[1], 0, 3, true));
     const graph::Dataset data = graph::make_dataset(presets[pick], 0.35, 3);
     std::printf("dataset %s: %u nodes, %llu edges, avg degree %.1f; 4 "
                 "partitions\n\n",

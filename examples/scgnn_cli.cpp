@@ -25,6 +25,12 @@
 //             [--timeout <s>] [--max-staleness <n>]
 //             [--membership <events>]
 //
+// The CLI's own flags are `--dataset --load --save --scale --seed
+// --max-staleness`. Every other flag writes the scenario config and is
+// read by runtime::Scenario::from_flags (runtime/scenario.hpp), the one
+// parse loop that bench_paper shares, with the same names, ranges and
+// defaults there.
+//
 // `--obs-out run` turns on observability and writes `run.trace.json`
 // (Chrome trace_event — open in about://tracing or ui.perfetto.dev) and
 // `run.report.json` (per-run telemetry ledger) when the run finishes.
@@ -46,8 +52,9 @@
 // `--topology hier:NxM` shapes the fabric as N nodes × M devices per node
 // with tiered links (fast intra-node, slow oversubscribed inter-node; N·M
 // must equal --parts). `--collective` picks the weight-sync algorithm
-// (see comm/collective.hpp) — `hier` is the natural pairing for
-// hierarchical topologies.
+// (see comm/collective.hpp). On the hier presets at P = 16, 64 and 128
+// the modelled allreduce is fastest with `tree`, then `ring`, then
+// `hier` (`bench_paper --figure collectives`).
 //
 // The `--fault-*`/`--retry-max`/`--timeout` flags inject a deterministic
 // fault schedule into the fabric (see comm/fault.hpp). Exit codes: 0 on
@@ -79,23 +86,21 @@
 //   scgnn_cli --dataset reddit --parts 4 --method ours --drop-o2o
 //   scgnn_cli --dataset yelp --method sampling --rate 0.1
 //   scgnn_cli --dataset reddit --method vanilla --overlap
-//   scgnn_cli --dataset reddit --parts 16 --topology hier:4x4 --collective hier
+//   scgnn_cli --dataset reddit --parts 16 --topology hier:4x4 --collective tree
 //   scgnn_cli --dataset pubmed --method ef+ours --compressor-schedule warmup
 //   scgnn_cli --dataset pubmed --method ours --obs-out run
 //   scgnn_cli --dataset pubmed --fault-drop 0.2 --retry-max 3 --max-staleness 4
-//   scgnn_cli --parts 16 --topology hier:4x4 --collective hier
+//   scgnn_cli --parts 16 --topology hier:4x4 --collective tree
 //             --membership leave:5@d3,join:10@d3   (one command line)
 //   scgnn_cli --dataset pubmed --save /tmp/pubmed && scgnn_cli --load /tmp/pubmed
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "scgnn/common/log.hpp"
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/common/table.hpp"
 #include "scgnn/core/framework.hpp"
-#include "scgnn/dist/factory.hpp"
 #include "scgnn/graph/io.hpp"
 #include "scgnn/obs/obs.hpp"
 #include "scgnn/runtime/scenario.hpp"
@@ -104,123 +109,41 @@ namespace {
 
 using namespace scgnn;
 
-[[noreturn]] void usage(const char* msg) {
-    std::fprintf(stderr, "error: %s\n(see the header of scgnn_cli.cpp for "
-                         "usage)\n", msg);
-    std::exit(2);
-}
-
 graph::DatasetPreset parse_preset(const std::string& s) {
     if (s == "reddit") return graph::DatasetPreset::kRedditSim;
     if (s == "yelp") return graph::DatasetPreset::kYelpSim;
     if (s == "ogbn") return graph::DatasetPreset::kOgbnProductsSim;
     if (s == "pubmed") return graph::DatasetPreset::kPubMedSim;
-    usage("unknown dataset (use reddit|yelp|ogbn|pubmed)");
-}
-
-// A plain method key sets the enum; anything else is treated as a
-// compressor-factory stack name ("ours+quant", "ef+ours", …) and
-// validated by a dry construction so typos fail fast at parse time.
-void set_method(core::MethodConfig& method, const std::string& s) {
-    core::Method m;
-    if (core::parse_method(s, m)) {
-        method.method = m;
-        method.name.clear();
-        return;
-    }
-    try {
-        (void)dist::make_compressor(s);
-    } catch (const scgnn::Error& e) {
-        usage(e.what());
-    }
-    method.name = s;
-}
-
-partition::PartitionAlgo parse_partition(const std::string& s) {
-    if (s == "node") return partition::PartitionAlgo::kNodeCut;
-    if (s == "edge") return partition::PartitionAlgo::kEdgeCut;
-    if (s == "random") return partition::PartitionAlgo::kRandomCut;
-    if (s == "multilevel") return partition::PartitionAlgo::kMultilevel;
-    usage("unknown partitioner (use node|edge|multilevel|random)");
+    std::fprintf(stderr, "bad --dataset '%s' (expected reddit|yelp|ogbn|"
+                         "pubmed)\n", s.c_str());
+    std::exit(2);
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    std::string dataset = "pubmed", load_dir, save_dir;
-    double scale = 0.35;
-    // The shared flags parse into `scn`; the CLI's own flags fill in its
-    // pipeline config through `cfg`.
+    // The CLI's defaults, set before parsing; PipelineConfig already
+    // defaults to 4 node-cut parts and SC-GNN.
     runtime::ScenarioConfig scn;
     core::PipelineConfig& cfg = scn.pipeline;
-    cfg.num_parts = 4;
     cfg.train.epochs = 30;
-    cfg.method.method = core::Method::kSemantic;
     cfg.method.semantic.grouping.kmeans_k = 20;
-    std::uint64_t seed = 2024;
-    std::uint32_t max_staleness = 0;
-
-    for (int i = 1; i < argc; ++i) {
-        if (runtime::Scenario::parse_flag(argc, argv, i, scn)) continue;
-        auto need = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) usage(std::string("missing value for ")
-                                         .append(flag)
-                                         .c_str());
-            return argv[++i];
-        };
-        // A malformed or out-of-range number exits 2.
-        auto number = [&](const char* flag, double lo, double hi,
-                          bool integral = false) {
-            return runtime::parse_number(flag, need(flag), lo, hi, integral);
-        };
-        auto whole = [&](const char* flag, double lo, double hi) {
-            return static_cast<std::uint32_t>(number(flag, lo, hi, true));
-        };
-        if (!std::strcmp(argv[i], "--dataset")) dataset = need("--dataset");
-        else if (!std::strcmp(argv[i], "--load")) load_dir = need("--load");
-        else if (!std::strcmp(argv[i], "--save")) save_dir = need("--save");
-        else if (!std::strcmp(argv[i], "--scale"))
-            scale = number("--scale", 1e-3, 100.0);
-        else if (!std::strcmp(argv[i], "--parts"))
-            cfg.num_parts = whole("--parts", 1, 4096);
-        else if (!std::strcmp(argv[i], "--epochs"))
-            cfg.train.epochs = whole("--epochs", 1, 1e6);
-        else if (!std::strcmp(argv[i], "--layers"))
-            cfg.model.num_layers = whole("--layers", 1, 64);
-        else if (!std::strcmp(argv[i], "--method"))
-            set_method(cfg.method, need("--method"));
-        else if (!std::strcmp(argv[i], "--partition"))
-            cfg.algo = parse_partition(need("--partition"));
-        else if (!std::strcmp(argv[i], "--rate"))
-            cfg.method.sampling.rate = number("--rate", 1e-6, 1.0);
-        else if (!std::strcmp(argv[i], "--bits")) {
-            const int bits = static_cast<int>(whole("--bits", 4, 16));
-            if (bits != 4 && bits != 8 && bits != 16)
-                usage("--bits must be 4, 8 or 16");
-            cfg.method.quant.bits = bits;
-        } else if (!std::strcmp(argv[i], "--tau"))
-            cfg.method.delay.period = whole("--tau", 1, 1e6);
-        else if (!std::strcmp(argv[i], "--groups"))
-            cfg.method.semantic.grouping.kmeans_k = whole("--groups", 1, 1e6);
-        else if (!std::strcmp(argv[i], "--ef-flush"))
-            cfg.method.ef.flush_threshold = number("--ef-flush", -1e9, 1e9);
-        else if (!std::strcmp(argv[i], "--drop-o2o"))
-            cfg.method.semantic.drop = scgnn::core::DropMask::without_o2o();
-        else if (!std::strcmp(argv[i], "--sage"))
-            cfg.model.kind = gnn::LayerKind::kSage;
-        else if (!std::strcmp(argv[i], "--gin"))
-            cfg.model.kind = gnn::LayerKind::kGin;
-        else if (!std::strcmp(argv[i], "--dropout"))
-            cfg.model.dropout =
-                static_cast<float>(number("--dropout", 0.0, 0.99));
-        else if (!std::strcmp(argv[i], "--seed"))
-            seed = static_cast<std::uint64_t>(
-                number("--seed", 0.0, 0x1p53, true));
-        else if (!std::strcmp(argv[i], "--max-staleness"))
-            max_staleness = whole("--max-staleness", 0, 4294967295.0);
-        else
-            usage((std::string("unknown flag ") + argv[i]).c_str());
-    }
+    std::string dataset = "pubmed", load_dir, save_dir, scale_text = "0.35",
+                seed_text = "2024", staleness_text = "0";
+    runtime::Scenario::from_flags(argc, argv, scn,
+                                  {{"--dataset", &dataset},
+                                   {"--load", &load_dir},
+                                   {"--save", &save_dir},
+                                   {"--scale", &scale_text},
+                                   {"--seed", &seed_text},
+                                   {"--max-staleness", &staleness_text}});
+    const double scale =
+        runtime::parse_number("--scale", scale_text.c_str(), 1e-3, 100.0);
+    const auto seed = static_cast<std::uint64_t>(runtime::parse_number(
+        "--seed", seed_text.c_str(), 0.0, 0x1p53, true));
+    const auto max_staleness = static_cast<std::uint32_t>(
+        runtime::parse_number("--max-staleness", staleness_text.c_str(), 0.0,
+                              4294967295.0, true));
 
     runtime::Scenario::activate(scn);
     const std::string& obs_out = scn.obs_out;
@@ -238,10 +161,6 @@ int main(int argc, char** argv) {
     cfg.partition_seed = seed;
     cfg.model.in_dim = static_cast<std::uint32_t>(data.features.cols());
     cfg.model.out_dim = data.num_classes;
-    if (cfg.model.kind == gnn::LayerKind::kSage)
-        cfg.train.norm = gnn::AdjNorm::kRowMean;
-    else if (cfg.model.kind == gnn::LayerKind::kGin)
-        cfg.train.norm = gnn::AdjNorm::kSum;
 
     std::printf("%s | %u nodes | %llu edges | avg degree %.1f | %u parts | "
                 "%s | %s | %s partition | %u threads\n",
@@ -258,14 +177,9 @@ int main(int argc, char** argv) {
     // flags so `--layers` / hidden width mean the same thing in both.
     scn.serve.layers = cfg.model.num_layers;
     scn.serve.embed_dim = cfg.model.hidden_dim;
-    const runtime::Scenario scenario = [&] {
-        try {
-            return runtime::Scenario::build(scn);
-        } catch (const scgnn::Error& e) {
-            usage(e.what());
-        }
-    }();
-    const runtime::ScenarioResult sres = scenario.run(data);
+    // from_flags has already run build() on these flags.
+    const runtime::ScenarioResult sres =
+        runtime::Scenario::build(scn).run(data);
 
     if (mode == runtime::ScenarioMode::kServe) {
         const runtime::ServeResult& s = sres.serve;

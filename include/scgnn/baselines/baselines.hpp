@@ -75,9 +75,6 @@ public:
     /// The configured base rate.
     [[nodiscard]] double rate() const noexcept { return cfg_.rate; }
 
-    /// The rate in force after the last apply_rate().
-    [[nodiscard]] double effective_rate() const noexcept { return rate_eff_; }
-
 private:
     /// Plan `plan_idx`'s row mask of the current epoch (one keep flag per
     /// plan row, built lazily per epoch).
@@ -147,9 +144,6 @@ public:
 
     /// The configured base bit-width.
     [[nodiscard]] int bits() const noexcept { return cfg_.bits; }
-
-    /// The bit-width in force after the last apply_rate().
-    [[nodiscard]] int effective_bits() const noexcept { return bits_eff_; }
 
 private:
     /// The one exchange body: quantise `in` and dequantise it into `out`.

@@ -104,11 +104,6 @@ public:
     /// Close the open step.
     void end_step();
 
-    /// Number of closed steps recorded since begin_epoch().
-    [[nodiscard]] std::size_t num_steps() const noexcept {
-        return steps_.size();
-    }
-
     /// Assign start/end times to every recorded event and return the
     /// epoch summary. With `per_device_compute_s >= 0`, each device's
     /// recorded per-step compute is rescaled to total exactly that budget

@@ -87,9 +87,6 @@ public:
     /// setup cost — and only runs when the fidelity actually changes.
     void apply_rate(double fidelity) override;
 
-    /// The fidelity last applied (1 until apply_rate is called).
-    [[nodiscard]] double rate_fidelity() const noexcept { return rate_; }
-
     /// Full-graph exchange: one fused row per group plus one per raw
     /// cross edge, the Fig. 9 wire volume.
     [[nodiscard]] std::uint64_t forward_rows(const dist::DistContext& ctx,

@@ -216,8 +216,9 @@ struct DistTrainConfig {
         scgnn::comm::TopologySpec topology{};
         /// Collective algorithm pricing the weight sync when
         /// count_weight_sync is on. kRing keeps the historical ring
-        /// all-reduce accounting; kHier is the right choice on
-        /// hierarchical topologies.
+        /// all-reduce accounting. On the hier presets (P = 16, 64, 128)
+        /// kHier models the slowest allreduce of kTree, kRing and kHier,
+        /// and kTree the fastest (`bench_paper --figure collectives`).
         scgnn::comm::collective::Algo collective =
             scgnn::comm::collective::Algo::kRing;
 

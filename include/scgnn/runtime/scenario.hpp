@@ -4,15 +4,15 @@
 ///        builder behind which training, neighbor-sampled training and
 ///        inference serving all mount.
 ///
-/// The config surface that grew across PRs 4–8 — nested CommPolicy, rate
-/// schedules, membership schedules, thread/obs flags — is parsed
-/// exactly once by Scenario::parse_flag()/from_flags() and validated
-/// exactly once by Scenario::build(). Binaries pick the workload with
+/// Every flag that writes a ScenarioConfig is read by one loop,
+/// Scenario::from_flags(), and the whole config is validated exactly once
+/// by Scenario::build(). Binaries pick the workload with
 /// `--mode train|sample-train|serve`; library callers that only need the
 /// training dispatch use Scenario::for_training(cfg).train(...).
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "scgnn/core/framework.hpp"
 #include "scgnn/runtime/inference.hpp"
@@ -55,30 +55,37 @@ struct ScenarioResult {
 
 /// Parse the whole of `s` as a number in [lo, hi], a whole one when
 /// `integral`; otherwise print "bad <flag> ..." and exit 2. The one
-/// numeric reader behind parse_flag and every binary's own flags.
+/// numeric reader behind from_flags and every binary's own flags.
 [[nodiscard]] double parse_number(const char* flag, const char* s, double lo,
                                   double hi, bool integral = false);
+
+/// A program's own value flag: from_flags stores the text that follows
+/// `name` in `*value`, for the program to read after parsing.
+struct ExtraFlag {
+    const char* name;
+    std::string* value;
+};
 
 /// A validated workload. Construct through build()/for_training() — the
 /// constructor is private so every instance has passed the single
 /// validation pass.
 class Scenario {
 public:
-    /// Consume argv[i] (and its value) when it is one of the shared
-    /// scenario flags — the set every bench and scgnn_cli accept
-    /// (--threads/--log-level/--obs-out/--overlap/--topology/
-    /// --collective/--compressor-schedule/--schedule-floor/--warmup-epochs/
-    /// --membership/--fault-*/--retry-max/--timeout) plus the workload
-    /// flags (--mode/--batch-size/--fanout/--qps/--deadline-ms/--queries/
-    /// --serve-batch/--no-serve-cache). Returns false for flags the
-    /// caller must handle itself; exits with code 2 on a malformed value.
-    [[nodiscard]] static bool parse_flag(int argc, char** argv, int& i,
-                                         ScenarioConfig& out);
-
-    /// Parse a full argv into a config: every flag must be a scenario
-    /// flag (exit 2 on anything unknown). For binaries with no flags of
-    /// their own.
-    [[nodiscard]] static ScenarioConfig from_flags(int argc, char** argv);
+    /// The one flag-parsing loop. Reads every flag of argv into `cfg`,
+    /// whose defaults the caller has set, or into one of the program's
+    /// `own` flags, then runs build() on the result. The flags that write
+    /// `cfg`: the workload (--mode/--batch-size/--fanout/--qps/
+    /// --deadline-ms/--queries/--serve-batch/--no-serve-cache), the
+    /// pipeline (--parts/--partition/--layers/--sage/--gin/--dropout/
+    /// --method/--rate/--bits/--tau/--groups/--ef-flush/--drop-o2o/
+    /// --epochs), the fabric (--overlap/--topology/--collective/--fault-*/
+    /// --retry-max/--timeout), the rate schedule (--compressor-schedule/
+    /// --schedule-floor/--warmup-epochs), --membership and the process
+    /// knobs (--threads/--log-level/--obs-out). Exits 2 on an unknown
+    /// flag, a missing or malformed value, or flags build() rejects
+    /// together.
+    static void from_flags(int argc, char** argv, ScenarioConfig& cfg,
+                           const std::vector<ExtraFlag>& own = {});
 
     /// Apply the side-effectful knobs (obs arming, pool width; resolves
     /// cfg.threads to the actual width).

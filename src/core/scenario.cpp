@@ -4,6 +4,7 @@
 
 #include "scgnn/runtime/scenario.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "scgnn/comm/fault.hpp"
 #include "scgnn/common/log.hpp"
 #include "scgnn/common/parallel.hpp"
+#include "scgnn/dist/factory.hpp"
 #include "scgnn/obs/ledger.hpp"
 #include "scgnn/obs/obs.hpp"
 #include "scgnn/tensor/kernels.hpp"
@@ -52,9 +54,25 @@ bool parse_log_level_key(const char* s, LogLevel& out) {
     return true;
 }
 
+bool parse_partition(const char* s, partition::PartitionAlgo& out) {
+    using partition::PartitionAlgo;
+    if (std::strcmp(s, "node") == 0) out = PartitionAlgo::kNodeCut;
+    else if (std::strcmp(s, "edge") == 0) out = PartitionAlgo::kEdgeCut;
+    else if (std::strcmp(s, "multilevel") == 0) out = PartitionAlgo::kMultilevel;
+    else if (std::strcmp(s, "random") == 0) out = PartitionAlgo::kRandomCut;
+    else return false;
+    return true;
+}
+
 constexpr double kMaxU32 = 4294967295.0;
 /// Seeds up to 2^53, the doubles that hold every integer.
 constexpr double kMaxSeed = 0x1p53;
+
+[[noreturn]] void bad_value(const char* flag, const char* s,
+                            const char* expected) {
+    std::fprintf(stderr, "bad %s '%s' (expected %s)\n", flag, s, expected);
+    std::exit(2);
+}
 
 /// The `sep`-separated fields of `s`, each a whole number in [lo, 2^32);
 /// exit 2 on an empty or malformed field.
@@ -69,6 +87,161 @@ std::vector<std::uint32_t> parse_list(const char* flag, const char* s,
         if (!end) return out;
         p = end;
     }
+}
+
+/// The one cursor over argv: the flag at `i` and the readers of its
+/// value, each exiting 2 on a missing or malformed value.
+struct Args {
+    int argc;
+    char** argv;
+    int i = 1;
+
+    [[nodiscard]] const char* flag() const { return argv[i]; }
+    const char* value() {
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "missing value for %s\n", argv[i]);
+            std::exit(2);
+        }
+        return argv[++i];
+    }
+    double number(double lo, double hi, bool integral = false) {
+        const char* name = flag();
+        return parse_number(name, value(), lo, hi, integral);
+    }
+    std::uint32_t whole(double lo, double hi) {
+        return static_cast<std::uint32_t>(number(lo, hi, true));
+    }
+    /// Read a keyword value through `parse(text, out)`.
+    template <class T, class Parse>
+    void key(Parse parse, T& out, const char* expected) {
+        const char* name = flag();
+        const char* s = value();
+        if (!parse(s, out)) bad_value(name, s, expected);
+    }
+};
+
+/// A plain method key sets the enum; anything else must be a
+/// compressor-factory stack name ("ours+quant", "ef+ours", ...), checked
+/// by a dry construction so a typo exits 2 before any work starts.
+void set_method(core::MethodConfig& method, const char* s) {
+    core::Method m;
+    if (core::parse_method(s, m)) {
+        method.method = m;
+        method.name.clear();
+        return;
+    }
+    try {
+        (void)dist::make_compressor(s);
+    } catch (const Error& e) {
+        std::fprintf(stderr, "bad --method '%s': %s\n", s, e.what());
+        std::exit(2);
+    }
+    method.name = s;
+}
+
+/// The one table of flags that write a ScenarioConfig: consume argv[a.i]
+/// and its value when it is one of them, else return false.
+bool parse_flag(Args& a, ScenarioConfig& out) {
+    const std::string_view flag = a.flag();
+    core::PipelineConfig& pipe = out.pipeline;
+    core::MethodConfig& method = pipe.method;
+    dist::DistTrainConfig& train = pipe.train;
+    if (flag == "--mode") {
+        a.key(parse_mode, out.mode, "train|sample-train|serve");
+    } else if (flag == "--batch-size") {
+        out.sampler.batch_size = a.whole(1, kMaxU32);
+    } else if (flag == "--fanout") {
+        out.sampler.fanout = parse_list("--fanout", a.value(), ',', 1);
+    } else if (flag == "--qps") {
+        out.serve.qps = a.number(1e-6, 1e9);
+    } else if (flag == "--deadline-ms") {
+        out.serve.deadline_ms = a.number(0, 1e9);
+    } else if (flag == "--queries") {
+        out.serve.queries = a.whole(1, kMaxU32);
+    } else if (flag == "--serve-batch") {
+        out.serve.batch_max = a.whole(1, kMaxU32);
+    } else if (flag == "--no-serve-cache") {
+        out.serve.halo_cache = false;  // flag only, no value
+    } else if (flag == "--threads") {
+        out.threads = a.whole(0, 1024);  // 0 = SCGNN_THREADS / all cores
+    } else if (flag == "--log-level") {
+        LogLevel level;
+        a.key(parse_log_level_key, level, "debug|info|warn|error");
+        set_log_level(level);
+    } else if (flag == "--obs-out") {
+        out.obs_out = a.value();
+    } else if (flag == "--parts") {
+        pipe.num_parts = a.whole(1, 4096);
+    } else if (flag == "--partition") {
+        a.key(parse_partition, pipe.algo, "node|edge|multilevel|random");
+    } else if (flag == "--layers") {
+        pipe.model.num_layers = a.whole(1, 64);
+    } else if (flag == "--sage") {
+        // The layer kind and its adjacency norm are set together.
+        pipe.model.kind = gnn::LayerKind::kSage;
+        train.norm = gnn::AdjNorm::kRowMean;
+    } else if (flag == "--gin") {
+        pipe.model.kind = gnn::LayerKind::kGin;
+        train.norm = gnn::AdjNorm::kSum;
+    } else if (flag == "--dropout") {
+        pipe.model.dropout = static_cast<float>(a.number(0, 0.99));
+    } else if (flag == "--method") {
+        set_method(method, a.value());
+    } else if (flag == "--rate") {
+        method.sampling.rate = a.number(1e-6, 1);
+    } else if (flag == "--bits") {
+        const auto bits = static_cast<int>(a.whole(4, 16));
+        if (bits != 4 && bits != 8 && bits != 16)
+            bad_value("--bits", a.argv[a.i], "4, 8 or 16");
+        method.quant.bits = bits;
+    } else if (flag == "--tau") {
+        method.delay.period = a.whole(1, 1e6);
+    } else if (flag == "--groups") {
+        method.semantic.grouping.kmeans_k = a.whole(1, 1e6);
+    } else if (flag == "--ef-flush") {
+        method.ef.flush_threshold = a.number(-1e9, 1e9);
+    } else if (flag == "--drop-o2o") {
+        method.semantic.drop = core::DropMask::without_o2o();  // flag only
+    } else if (flag == "--epochs") {
+        train.epochs = a.whole(1, 1e6);
+    } else if (flag == "--overlap") {
+        train.comm.mode = comm::CostModel::Mode::kOverlap;  // flag only
+    } else if (flag == "--topology") {
+        a.key(comm::parse_topology, train.comm.topology, "flat|hier:NxM");
+    } else if (flag == "--collective") {
+        a.key(comm::collective::parse_algo, train.comm.collective,
+              "p2p|ring|tree|hier");
+    } else if (flag == "--compressor-schedule") {
+        a.key(dist::parse_schedule, train.rate.kind, "fixed|warmup");
+    } else if (flag == "--schedule-floor") {
+        train.rate.floor = a.number(1e-6, 1);
+    } else if (flag == "--warmup-epochs") {
+        train.rate.warmup_epochs = a.whole(1, kMaxU32);
+    } else if (flag == "--membership") {
+        a.key(parse_membership, train.membership,
+              "comma-joined leave:<epoch>@d<dev> / join:<epoch>@d<dev> "
+              "events, optional seed:<n>");
+    } else if (flag == "--fault-drop") {
+        train.comm.fault.drop_probability = a.number(0, 1);
+    } else if (flag == "--fault-seed") {
+        train.comm.fault.seed =
+            static_cast<std::uint64_t>(a.number(0, kMaxSeed, true));
+    } else if (flag == "--fault-link-down") {
+        const char* s = a.value();
+        const auto f = parse_list("--fault-link-down", s, ':', 0);
+        if (f.size() != 4)
+            bad_value("--fault-link-down", s,
+                      "src:dst:first_epoch:last_epoch");
+        train.comm.fault.down_windows.push_back(
+            {.src = f[0], .dst = f[1], .first_epoch = f[2], .last_epoch = f[3]});
+    } else if (flag == "--retry-max") {
+        train.comm.retry.max_attempts = a.whole(1, kMaxU32);
+    } else if (flag == "--timeout") {
+        train.comm.retry.timeout_s = a.number(0, 1e6);
+    } else {
+        return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -87,135 +260,25 @@ double parse_number(const char* flag, const char* s, double lo, double hi,
     return v;
 }
 
-bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
-    const std::string_view flag = argv[i];
-    auto value = [&]() -> const char* {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n", argv[i]);
+void Scenario::from_flags(int argc, char** argv, ScenarioConfig& cfg,
+                          const std::vector<ExtraFlag>& own) {
+    for (Args a{argc, argv}; a.i < argc; ++a.i) {
+        if (parse_flag(a, cfg)) continue;
+        const auto it = std::find_if(
+            own.begin(), own.end(),
+            [&](const ExtraFlag& e) { return std::strcmp(e.name, a.flag()) == 0; });
+        if (it == own.end()) {
+            std::fprintf(stderr, "unknown flag '%s'\n", a.flag());
             std::exit(2);
         }
-        return argv[++i];
-    };
-    auto number = [&](double lo, double hi) {
-        const char* name = argv[i];
-        return parse_number(name, value(), lo, hi);
-    };
-    auto whole = [&](double lo, double hi) {
-        const char* name = argv[i];
-        return static_cast<std::uint32_t>(
-            parse_number(name, value(), lo, hi, true));
-    };
-    dist::DistTrainConfig& train = out.pipeline.train;
-    if (flag == "--mode") {
-        const char* s = value();
-        if (!parse_mode(s, out.mode)) {
-            std::fprintf(stderr,
-                         "unknown --mode '%s' "
-                         "(expected train|sample-train|serve)\n", s);
-            std::exit(2);
-        }
-    } else if (flag == "--batch-size") {
-        out.sampler.batch_size = whole(1, kMaxU32);
-    } else if (flag == "--fanout") {
-        out.sampler.fanout = parse_list("--fanout", value(), ',', 1);
-    } else if (flag == "--qps") {
-        out.serve.qps = number(1e-6, 1e9);
-    } else if (flag == "--deadline-ms") {
-        out.serve.deadline_ms = number(0, 1e9);
-    } else if (flag == "--queries") {
-        out.serve.queries = whole(1, kMaxU32);
-    } else if (flag == "--serve-batch") {
-        out.serve.batch_max = whole(1, kMaxU32);
-    } else if (flag == "--no-serve-cache") {
-        out.serve.halo_cache = false;  // flag only, no value
-    } else if (flag == "--threads") {
-        out.threads = whole(0, 1024);  // 0 = SCGNN_THREADS / all cores
-    } else if (flag == "--log-level") {
-        LogLevel level;
-        const char* s = value();
-        if (!parse_log_level_key(s, level)) {
-            std::fprintf(stderr,
-                         "unknown --log-level '%s' "
-                         "(expected debug|info|warn|error)\n", s);
-            std::exit(2);
-        }
-        set_log_level(level);
-    } else if (flag == "--obs-out") {
-        out.obs_out = value();
-    } else if (flag == "--overlap") {
-        train.comm.mode = comm::CostModel::Mode::kOverlap;  // flag only
-    } else if (flag == "--topology") {
-        const char* s = value();
-        if (!comm::parse_topology(s, train.comm.topology)) {
-            std::fprintf(stderr,
-                         "bad --topology '%s' (expected flat|hier:NxM)\n", s);
-            std::exit(2);
-        }
-    } else if (flag == "--collective") {
-        const char* s = value();
-        if (!comm::collective::parse_algo(s, train.comm.collective)) {
-            std::fprintf(stderr,
-                         "unknown --collective '%s' "
-                         "(expected p2p|ring|tree|hier)\n", s);
-            std::exit(2);
-        }
-    } else if (flag == "--compressor-schedule") {
-        const char* s = value();
-        if (!dist::parse_schedule(s, train.rate.kind)) {
-            std::fprintf(stderr,
-                         "unknown --compressor-schedule '%s' "
-                         "(expected fixed|warmup)\n", s);
-            std::exit(2);
-        }
-    } else if (flag == "--schedule-floor") {
-        train.rate.floor = number(1e-6, 1);
-    } else if (flag == "--warmup-epochs") {
-        train.rate.warmup_epochs = whole(1, kMaxU32);
-    } else if (flag == "--membership") {
-        const char* s = value();
-        if (!runtime::parse_membership(s, train.membership)) {
-            std::fprintf(stderr,
-                         "bad --membership '%s' (expected comma-joined "
-                         "leave:<epoch>@d<dev> / join:<epoch>@d<dev> "
-                         "events, optional seed:<n>)\n", s);
-            std::exit(2);
-        }
-    } else if (flag == "--fault-drop") {
-        train.comm.fault.drop_probability = number(0, 1);
-    } else if (flag == "--fault-seed") {
-        const char* s = value();
-        train.comm.fault.seed = static_cast<std::uint64_t>(
-            parse_number("--fault-seed", s, 0, kMaxSeed, true));
-    } else if (flag == "--fault-link-down") {
-        const char* s = value();
-        const auto f = parse_list("--fault-link-down", s, ':', 0);
-        if (f.size() != 4) {
-            std::fprintf(stderr,
-                         "bad --fault-link-down '%s' "
-                         "(expected src:dst:first_epoch:last_epoch)\n", s);
-            std::exit(2);
-        }
-        train.comm.fault.down_windows.push_back(
-            {.src = f[0], .dst = f[1], .first_epoch = f[2], .last_epoch = f[3]});
-    } else if (flag == "--retry-max") {
-        train.comm.retry.max_attempts = whole(1, kMaxU32);
-    } else if (flag == "--timeout") {
-        train.comm.retry.timeout_s = number(0, 1e6);
-    } else {
-        return false;
+        *it->value = a.value();
     }
-    return true;
-}
-
-ScenarioConfig Scenario::from_flags(int argc, char** argv) {
-    ScenarioConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        if (!parse_flag(argc, argv, i, cfg)) {
-            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-            std::exit(2);
-        }
+    try {
+        (void)build(cfg);
+    } catch (const Error& e) {
+        std::fprintf(stderr, "bad flags: %s\n", e.what());
+        std::exit(2);
     }
-    return cfg;
 }
 
 void Scenario::activate(ScenarioConfig& cfg) {

@@ -1,12 +1,12 @@
-// Table-driven exit-code contract for the Scenario::parse_flag validators
-// (and the scgnn_cli-local flag parser): every malformed value must end the
-// process with exit code 2 — the documented "bad usage" code — before any
-// training work starts. The binary under test is the installed scgnn_cli
-// (path injected by tests/CMakeLists.txt as SCGNN_CLI_PATH); when the
-// examples are not built the whole suite skips. The same contract holds
-// for the bench flag parser (bench_util.hpp), driven through bench_paper
-// (SCGNN_BENCH_PAPER_PATH); those rows skip when the benches are not
-// built.
+// Table-driven exit-code contract for Scenario::from_flags, the one flag
+// parse loop, and for the values of the programs' own flags: every
+// malformed value must end the process with exit code 2 — the documented
+// "bad usage" code — before any training work starts. The binary under
+// test is the installed scgnn_cli (path injected by tests/CMakeLists.txt
+// as SCGNN_CLI_PATH); when the examples are not built the whole suite
+// skips. The same contract holds for bench_paper, whose parse_options
+// (bench_util.hpp) runs the same loop (SCGNN_BENCH_PAPER_PATH); those rows
+// skip when the benches are not built.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -74,6 +74,16 @@ const Case kCases[] = {
     {"parts-zero", "--parts 0"},
     {"bits-unsupported", "--bits 5"},
     {"seed-fractional", "--seed 1.5"},
+    // The pipeline flags, and the cli's own keyword and count flags.
+    {"layers-zero", "--layers 0"},
+    {"partition-unknown", "--partition spiral"},
+    {"method-unknown", "--method frob"},
+    {"dropout-one", "--dropout 1"},
+    {"groups-zero", "--groups 0"},
+    {"tau-zero", "--tau 0"},
+    {"rate-zero", "--rate 0"},
+    {"dataset-unknown", "--dataset mars"},
+    {"max-staleness-negative", "--max-staleness -1"},
 };
 
 /// Run `binary` with the row's arguments and expect the bad-usage exit 2.
@@ -119,6 +129,8 @@ const Case kBenchCases[] = {
     {"unknown-figure", "--figure fig99"},
     {"threads-garbage", "--threads abc"},
     {"invalid-combination", "--fault-link-down 0:0:1:2"},
+    {"layers-zero", "--layers 0"},
+    {"method-unknown", "--method frob"},
 };
 
 class BenchPaperExitCode : public ::testing::TestWithParam<Case> {};

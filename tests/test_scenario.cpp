@@ -1,7 +1,7 @@
-// The Scenario API contract (runtime/scenario.hpp): the single
-// validation pass of build(), the training dispatch equivalence of
-// Scenario::for_training with the direct full-graph entry and of
-// Scenario::run with core::run_pipeline, the
+// The Scenario API contract (runtime/scenario.hpp): the one flag parse
+// loop from_flags(), the single validation pass of build(), the training
+// dispatch equivalence of Scenario::for_training with the direct
+// full-graph entry and of Scenario::run with core::run_pipeline, the
 // sampled-training workload on the shared epoch driver (one report
 // schema, rate control and overlap), and the serving
 // workload's determinism and caching/batching behaviour, its equality
@@ -13,8 +13,10 @@
 #include <functional>
 #include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/common/rng.hpp"
@@ -66,6 +68,66 @@ TEST(ScenarioBuild, ModeNamesRoundTrip) {
     }
     ScenarioMode out;
     EXPECT_FALSE(parse_mode("inference", out));
+}
+
+/// Run Scenario::from_flags over `words` (argv[0] included) into `cfg`.
+void parse_words(std::vector<std::string> words, ScenarioConfig& cfg,
+                 const std::vector<ExtraFlag>& own = {}) {
+    std::vector<char*> argv;
+    for (std::string& w : words) argv.push_back(w.data());
+    Scenario::from_flags(static_cast<int>(argv.size()), argv.data(), cfg,
+                         own);
+}
+
+TEST(ScenarioFlags, FromFlagsReadsThePipelineFlagsAndTheOwnFlags) {
+    ScenarioConfig cfg;
+    cfg.pipeline.partition_seed = 5;  // a default no flag names stays
+    std::string dataset, load, save, scale, seed, staleness;
+    parse_words({"scgnn_cli", "--parts", "8", "--epochs", "7", "--layers",
+                 "3", "--method", "ours+quant", "--partition", "edge",
+                 "--rate", "0.25", "--bits", "16", "--tau", "3", "--groups",
+                 "12", "--ef-flush", "0.75", "--drop-o2o", "--sage",
+                 "--dropout", "0.5", "--dataset", "reddit", "--load", "in",
+                 "--save", "out", "--scale", "0.5", "--seed", "9",
+                 "--max-staleness", "4"},
+                cfg,
+                {{"--dataset", &dataset},
+                 {"--load", &load},
+                 {"--save", &save},
+                 {"--scale", &scale},
+                 {"--seed", &seed},
+                 {"--max-staleness", &staleness}});
+    const core::PipelineConfig& p = cfg.pipeline;
+    EXPECT_EQ(p.num_parts, 8u);
+    EXPECT_EQ(p.train.epochs, 7u);
+    EXPECT_EQ(p.model.num_layers, 3u);
+    EXPECT_EQ(p.method.name, "ours+quant");
+    EXPECT_EQ(p.algo, partition::PartitionAlgo::kEdgeCut);
+    EXPECT_EQ(p.method.sampling.rate, 0.25);
+    EXPECT_EQ(p.method.quant.bits, 16);
+    EXPECT_EQ(p.method.delay.period, 3u);
+    EXPECT_EQ(p.method.semantic.grouping.kmeans_k, 12u);
+    EXPECT_EQ(p.method.ef.flush_threshold, 0.75);
+    EXPECT_TRUE(p.method.semantic.drop.o2o);
+    EXPECT_FALSE(p.method.semantic.drop.m2m);
+    EXPECT_EQ(p.model.kind, gnn::LayerKind::kSage);
+    EXPECT_EQ(p.train.norm, gnn::AdjNorm::kRowMean);
+    EXPECT_EQ(p.model.dropout, 0.5f);
+    EXPECT_EQ(p.partition_seed, 5u);
+    EXPECT_EQ(dataset, "reddit");
+    EXPECT_EQ(load, "in");
+    EXPECT_EQ(save, "out");
+    EXPECT_EQ(scale, "0.5");
+    EXPECT_EQ(seed, "9");
+    EXPECT_EQ(staleness, "4");
+
+    // --gin sets its kind and norm together; a plain method key sets the
+    // enum and clears the stack name.
+    parse_words({"bench_paper", "--gin", "--method", "vanilla"}, cfg);
+    EXPECT_EQ(cfg.pipeline.model.kind, gnn::LayerKind::kGin);
+    EXPECT_EQ(cfg.pipeline.train.norm, gnn::AdjNorm::kSum);
+    EXPECT_EQ(cfg.pipeline.method.method, core::Method::kVanilla);
+    EXPECT_TRUE(cfg.pipeline.method.name.empty());
 }
 
 TEST(ScenarioBuild, ValidatesOnce) {
