@@ -6,14 +6,18 @@
 ///
 /// parse_options reads its own `--scale <f>` (dataset size multiplier,
 /// default 0.35), `--seed <n>` (default 2024) and `--json <path>`, plus
-/// every flag of Scenario::from_flags (runtime/scenario.hpp), the one
+/// the flags of Scenario::from_flags (runtime/scenario.hpp), the one
 /// parse loop the CLI shares: `--epochs` (default 30 here), `--threads`,
 /// `--log-level`, `--obs-out`, the model flags (`--layers`, `--sage`,
 /// `--gin`, `--dropout`; hidden width 64 and weight seed 11 here), the
-/// fabric, fault and rate-schedule flags and the rest. Figures fix the
-/// values they sweep: a figure that sets the parts, the method or its
-/// knobs, the mode or the sampler ignores those flags. An unknown flag or
-/// a malformed value exits 2. All seeds are fixed and printed.
+/// fabric, fault and rate-schedule flags, `--partition`, `--groups` and
+/// `--drop-o2o` (the serving figure inherits the partitioner and the
+/// semantic knobs) and the serving shape (`--queries`, `--serve-batch`,
+/// `--deadline-ms`). Figures fix the parts, the method and its knobs,
+/// the mode, the sampler, the QPS ladder and the cache per arm, so
+/// `--parts --method --rate --bits --tau --ef-flush --mode --batch-size
+/// --fanout --qps --no-serve-cache` exit 2 naming the flag, as do an
+/// unknown flag and a malformed value. All seeds are fixed and printed.
 
 #include <cstdint>
 #include <cstdio>
@@ -54,8 +58,8 @@ struct Options {
 };
 
 /// Parse argv: the scenario flags, the common bench flags and `extra`.
-/// An unknown flag, a missing or malformed value, or flags that
-/// Scenario::build rejects together exit 2 before any work starts.
+/// An unknown or ignored flag, a missing or malformed value, or flags
+/// that Scenario::build rejects together exit 2 before any work starts.
 inline Options parse_options(int argc, char** argv,
                              std::vector<runtime::ExtraFlag> extra = {}) {
     Options opt;
@@ -67,6 +71,11 @@ inline Options parse_options(int argc, char** argv,
     extra.insert(extra.end(), {{"--scale", &scale},
                                {"--seed", &seed},
                                {"--json", &opt.json}});
+    // Scenario flags that no figure reads.
+    for (const char* ignored :
+         {"--parts", "--method", "--rate", "--bits", "--tau", "--ef-flush",
+          "--mode", "--batch-size", "--fanout", "--qps", "--no-serve-cache"})
+        extra.push_back({ignored, nullptr});
     runtime::Scenario::from_flags(argc, argv, opt.scn, extra);
     opt.scale = runtime::parse_number("--scale", scale.c_str(), 1e-3, 100.0);
     // seeds up to 2^53, the doubles that hold every integer

@@ -59,10 +59,12 @@
 // The `--fault-*`/`--retry-max`/`--timeout` flags inject a deterministic
 // fault schedule into the fabric (see comm/fault.hpp). Exit codes: 0 on
 // success — including a degraded run that stayed within `--max-staleness`
-// (default 0) consecutive stale epochs — 2 on bad usage (an unknown flag,
-// a malformed or out-of-range value, or flags that make an invalid
-// scenario together), and 3 when fault recovery left any halo block
-// staler than that threshold.
+// (default 0) consecutive stale epochs — 1 when the run itself fails (a
+// `--load` directory that cannot be read, or any other library error,
+// printed as `error: <what>`), 2 on bad usage (an unknown flag, a
+// malformed or out-of-range value, a `--fault-link-down` device not below
+// `--parts`, or flags that make an invalid scenario together), and 3 when
+// fault recovery left any halo block staler than that threshold.
 //
 // `--mode` picks the workload (see runtime/scenario.hpp): `train` is the
 // default full-batch distributed run, `sample-train` switches the trainer
@@ -97,6 +99,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "scgnn/common/error.hpp"
 #include "scgnn/common/log.hpp"
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/common/table.hpp"
@@ -119,9 +122,7 @@ graph::DatasetPreset parse_preset(const std::string& s) {
     std::exit(2);
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     // The CLI's defaults, set before parsing; PipelineConfig already
     // defaults to 4 node-cut parts and SC-GNN.
     runtime::ScenarioConfig scn;
@@ -263,4 +264,15 @@ int main(int argc, char** argv) {
         return 3;
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    try {
+        return run(argc, argv);
+    } catch (const scgnn::Error& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
+    }
 }

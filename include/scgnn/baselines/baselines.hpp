@@ -207,16 +207,17 @@ private:
     }
     /// The one exchange body: transmit and cache on a transmit epoch (or
     /// a cold cache), else replay the cached block for free.
-    std::uint64_t ship(std::vector<tensor::Matrix>& caches,
+    /// Each plan's per-layer caches grow on first use, so any model
+    /// depth works.
+    std::uint64_t ship(std::vector<std::vector<tensor::Matrix>>& caches,
                        const dist::DistContext& ctx, std::size_t plan_idx,
                        int layer, const tensor::Matrix& in,
                        tensor::Matrix& out);
-    static constexpr int kMaxLayers = 8;
 
     DelayConfig cfg_;
     std::uint64_t epoch_ = 0;
-    std::vector<tensor::Matrix> fwd_cache_;  ///< [plan × layer]
-    std::vector<tensor::Matrix> bwd_cache_;  ///< [plan × layer]
+    std::vector<std::vector<tensor::Matrix>> fwd_cache_;  ///< [plan][layer]
+    std::vector<std::vector<tensor::Matrix>> bwd_cache_;  ///< [plan][layer]
 };
 
 } // namespace scgnn::baselines

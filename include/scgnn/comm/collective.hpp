@@ -5,19 +5,16 @@
 ///        ("tree"), a two-level hierarchical algorithm for node-grouped
 ///        topologies, and the naive all-pairs exchange as the baseline.
 ///
-/// The layer is split the same way the fabric splits data from cost:
-///
-///   * the *cost plane* is an explicit per-round schedule of directed
-///     sends. Every send goes through Fabric::send(), so per-tier link
-///     models, fault schedules and retry penalties all apply per link — a
-///     dead inter-node link degrades the rounds that cross it, not the
-///     whole collective. With a Timeline attached, each round becomes one
-///     "sync" step, so ring rounds serialise on their directed links and
-///     overlap mode reports hidden vs exposed collective time;
-///   * the *data plane* (allreduce() over per-device buffers) always
-///     reduces in canonical rank order 0..P-1, whatever the schedule —
-///     the same determinism discipline as the rest of the project, so the
-///     result is bitwise identical across algorithms and thread counts.
+/// The layer only prices the synchronisation. A collective is an
+/// explicit per-round schedule of directed sends. Every send goes through
+/// Fabric::send(), so per-tier link models, fault schedules and retry
+/// penalties all apply per link — a dead inter-node link degrades the
+/// rounds that cross it, not the whole collective. With a Timeline
+/// attached, each round becomes one "sync" step, so ring rounds serialise
+/// on their directed links and overlap mode reports hidden vs exposed
+/// collective time. No float buffer is reduced here: training keeps one
+/// replicated weight copy, so the loss curve is the same for every
+/// algorithm and thread count because there is nothing to reduce.
 ///
 /// Cost shapes (B = per-device payload, α–β per the link tier):
 ///   ring  2(P−1) rounds of B/P chunks on neighbour links:
@@ -124,14 +121,5 @@ private:
     std::vector<Round> rounds_;
     std::vector<double> load_;  ///< per-device scratch, reused across runs
 };
-
-/// Data-plane allreduce: in-place sum of `bufs` (one equal-length vector
-/// per device) into every buffer, reduced in canonical rank order so the
-/// result is bitwise identical for every algorithm at any thread count,
-/// while the fabric is charged the algorithm's schedule. Returns the
-/// cost-plane outcome.
-Outcome allreduce(Fabric& fabric, Algo algo,
-                  std::vector<std::vector<float>>& bufs,
-                  Timeline* timeline = nullptr);
 
 } // namespace scgnn::comm::collective

@@ -21,27 +21,6 @@
 
 namespace scgnn::comm {
 
-/// α–β point-to-point cost model.
-struct CostModel {
-    /// How the trainer turns per-epoch costs into an epoch time. Lives
-    /// here (not on the trainer) because it is a property of the cost
-    /// model semantics: kAdditive keeps the legacy serial sum
-    /// `epoch = compute + comm`; kOverlap schedules compute and comm
-    /// events on a per-link FIFO timeline (comm/timeline.hpp) and reports
-    /// the makespan.
-    enum class Mode : std::uint8_t { kAdditive = 0, kOverlap = 1 };
-
-    double latency_s = 50e-6;              ///< α: per-message latency
-    double bandwidth_bytes_per_s = 250e6;  ///< 1/β: effective link bandwidth
-
-    /// Time to move `bytes` in `messages` discrete sends.
-    [[nodiscard]] double seconds(std::uint64_t bytes,
-                                 std::uint64_t messages) const noexcept {
-        return latency_s * static_cast<double>(messages) +
-               static_cast<double>(bytes) / bandwidth_bytes_per_s;
-    }
-};
-
 /// Aggregate traffic counters.
 struct TrafficStats {
     std::uint64_t bytes = 0;
@@ -60,27 +39,17 @@ struct TrafficStats {
 /// measured — payloads never leave the process.
 class Fabric {
 public:
-    /// A fabric over `num_devices` devices (>= 1) with the given cost
-    /// model on a flat (single-tier) topology.
-    explicit Fabric(std::uint32_t num_devices, CostModel model = {});
-
     /// A fabric shaped by `topo`: links resolve their α–β parameters from
     /// the topology tier of each device pair (fast intra-node, slow
-    /// oversubscribed inter-node) instead of one global model. A flat
-    /// topology reproduces the legacy single-tier fabric bit for bit; the
-    /// fabric-wide cost_model() defaults to the inter-node tier (the
-    /// binding constraint at datacenter shape).
+    /// oversubscribed inter-node). Topology::flat(n, cost) gives the
+    /// single-tier fabric every link of which uses `cost`.
     explicit Fabric(const Topology& topo);
 
     /// Number of devices.
     [[nodiscard]] std::uint32_t num_devices() const noexcept { return n_; }
 
-    /// The topology shaping the link tiers (flat unless constructed from
-    /// a hierarchical Topology).
+    /// The topology shaping the link tiers.
     [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
-
-    /// The cost model in force.
-    [[nodiscard]] const CostModel& cost_model() const noexcept { return model_; }
 
     /// Record one logical send of `bytes` bytes from device `src` to `dst`.
     /// Zero-byte sends still count a message (headers cross the wire).
@@ -124,8 +93,7 @@ public:
     [[nodiscard]] FaultStats fault_stats() const noexcept;
 
     /// The model governing a directed link: the topology tier of the pair
-    /// (intra- vs inter-node), or the fabric-wide model on a flat
-    /// topology.
+    /// (intra- vs inter-node; the single tier on a flat topology).
     [[nodiscard]] const CostModel& link_model(std::uint32_t src,
                                               std::uint32_t dst) const;
 
@@ -173,10 +141,7 @@ private:
                                        std::uint32_t dst) const;
 
     std::uint32_t n_;
-    Topology topo_;      ///< link-tier resolution (flat by default)
-    CostModel model_;
-    CostModel intra_cm_; ///< topology intra tier as a CostModel
-    CostModel inter_cm_; ///< topology inter tier (oversubscription folded)
+    Topology topo_;                            ///< link-tier resolution
     std::vector<TrafficStats> pair_;           ///< n×n current-epoch counters
     std::uint32_t epoch_ = 0;                  ///< closed epochs
     FaultModel fault_;                         ///< inactive by default

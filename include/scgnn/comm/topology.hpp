@@ -28,9 +28,16 @@
 
 namespace scgnn::comm {
 
-/// α–β parameters of one link tier (a plain pair, so topology headers do
-/// not depend on fabric.hpp's full interface).
-struct TierModel {
+/// α–β point-to-point cost model of one link tier.
+struct CostModel {
+    /// How the trainer turns per-epoch costs into an epoch time. Lives
+    /// here (not on the trainer) because it is a property of the cost
+    /// model semantics: kAdditive keeps the legacy serial sum
+    /// `epoch = compute + comm`; kOverlap schedules compute and comm
+    /// events on a per-link FIFO timeline (comm/timeline.hpp) and reports
+    /// the makespan.
+    enum class Mode : std::uint8_t { kAdditive = 0, kOverlap = 1 };
+
     double latency_s = 50e-6;              ///< α: per-message latency
     double bandwidth_bytes_per_s = 250e6;  ///< 1/β: per-link bandwidth
 
@@ -54,9 +61,9 @@ struct TopologySpec {
     std::uint32_t devices_per_node = 0;  ///< hierarchical: devices per node
     /// Fast intra-node tier (defaults ≈ a shared-memory/NVLink class link:
     /// 10× lower latency, 20× higher bandwidth than the flat default).
-    TierModel intra{5e-6, 5e9};
+    CostModel intra{5e-6, 5e9};
     /// Slow inter-node tier before oversubscription (Ethernet class).
-    TierModel inter{50e-6, 1e9};
+    CostModel inter{50e-6, 1e9};
     /// Core-layer oversubscription: effective inter-node bandwidth is
     /// inter.bandwidth_bytes_per_s / oversubscription.
     double oversubscription = 1.0;
@@ -88,13 +95,13 @@ public:
     /// `model`. A fabric over this behaves exactly like the historical
     /// flat fabric.
     [[nodiscard]] static Topology flat(std::uint32_t num_devices,
-                                       TierModel model = {});
+                                       CostModel model = {});
 
     /// Two-tier topology of `nodes` × `devices_per_node` devices.
     /// `oversubscription` (>= 1) divides the inter-tier bandwidth.
     [[nodiscard]] static Topology hierarchical(std::uint32_t nodes,
                                                std::uint32_t devices_per_node,
-                                               TierModel intra, TierModel inter,
+                                               CostModel intra, CostModel inter,
                                                double oversubscription = 1.0);
 
     /// Materialise a spec for a concrete device count. A flat spec uses
@@ -102,7 +109,7 @@ public:
     /// nodes × devices_per_node == num_devices (checked).
     [[nodiscard]] static Topology build(const TopologySpec& spec,
                                         std::uint32_t num_devices,
-                                        TierModel flat_model = {});
+                                        CostModel flat_model = {});
 
     [[nodiscard]] std::uint32_t num_devices() const noexcept { return n_; }
     [[nodiscard]] std::uint32_t num_nodes() const noexcept { return nodes_; }
@@ -139,20 +146,20 @@ public:
     /// The α–β tier governing the directed link src→dst: the intra model
     /// for same-node pairs, the oversubscribed inter model otherwise.
     /// Flat topologies always return the single tier.
-    [[nodiscard]] const TierModel& link(std::uint32_t src,
+    [[nodiscard]] const CostModel& link(std::uint32_t src,
                                         std::uint32_t dst) const {
         SCGNN_CHECK(src != dst, "self-links have no tier");
         return intra_node(src, dst) ? intra_ : inter_effective_;
     }
 
     /// The fast same-node tier (the single tier on flat topologies).
-    [[nodiscard]] const TierModel& intra_tier() const noexcept {
+    [[nodiscard]] const CostModel& intra_tier() const noexcept {
         return intra_;
     }
 
     /// The cross-node tier with oversubscription already folded into its
     /// bandwidth (the single tier on flat topologies).
-    [[nodiscard]] const TierModel& inter_tier() const noexcept {
+    [[nodiscard]] const CostModel& inter_tier() const noexcept {
         return inter_effective_;
     }
 
@@ -169,8 +176,8 @@ private:
     std::uint32_t per_node_ = 1;
     bool hier_ = false;
     double oversub_ = 1.0;
-    TierModel intra_{};
-    TierModel inter_effective_{};  ///< inter with oversubscription applied
+    CostModel intra_{};
+    CostModel inter_effective_{};  ///< inter with oversubscription applied
 };
 
 } // namespace scgnn::comm

@@ -1,24 +1,13 @@
 #pragma once
 /// \file analysis.hpp
-/// \brief Diagnostics over DBGs and groupings: the all-pairs similarity
-///        matrix (the vectorised Eq. (2) evaluated in bulk, as §3.1's SIMD
-///        discussion describes) and grouping-quality metrics used by the
-///        ablation studies and examples.
+/// \brief Diagnostics over DBGs and groupings: grouping-quality metrics
+///        used by the ablation studies and examples.
 
 #include <cstdint>
-#include <span>
 
 #include "scgnn/core/grouping.hpp"
-#include "scgnn/tensor/matrix.hpp"
 
 namespace scgnn::core {
-
-/// All-pairs similarity of the DBG rows of `pool` (|pool| × |pool|,
-/// symmetric, self-similarities on the diagonal). Runs off the sparse
-/// adjacency with a shared collection vector — O(Σ nnz · |pool|).
-[[nodiscard]] tensor::Matrix pairwise_similarity(
-    const graph::Dbg& dbg, std::span<const std::uint32_t> pool,
-    SimilarityKind kind);
 
 /// Quality metrics of one grouping, per the paper's cohesion framing:
 /// good groupings have high similarity inside groups, low across.

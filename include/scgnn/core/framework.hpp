@@ -15,7 +15,7 @@
 
 #include "scgnn/baselines/baselines.hpp"
 #include "scgnn/core/semantic_compressor.hpp"
-#include "scgnn/dist/error_feedback.hpp"
+#include "scgnn/dist/factory.hpp"
 #include "scgnn/dist/trainer.hpp"
 #include "scgnn/graph/dataset.hpp"
 #include "scgnn/partition/partition.hpp"
@@ -43,22 +43,16 @@ enum class Method : std::uint8_t {
 /// Parse a method key back to its enum; false on an unknown name.
 [[nodiscard]] bool parse_method(const std::string& key, Method& out) noexcept;
 
-/// All five methods in Table-1 row order.
-[[nodiscard]] std::vector<Method> all_methods();
-
-/// Union of every method's knobs; only the active method's fields are read.
-struct MethodConfig {
+/// Which compressor to build, plus the union of every method's knobs
+/// (inherited from dist::CompressorOptions); only the active method's
+/// fields are read.
+struct MethodConfig : dist::CompressorOptions {
     Method method = Method::kSemantic;
     /// When non-empty, overrides `method` with any dist::make_compressor
     /// name — composed stacks ("ours+quant") and error-feedback wraps
-    /// ("ef+ours+quant") included. The per-method knobs below still apply
-    /// to the stages the name selects.
+    /// ("ef+ours+quant") included. The per-method knobs still apply to
+    /// the stages the name selects.
     std::string name;
-    baselines::SamplingConfig sampling{};
-    baselines::QuantConfig quant{};
-    baselines::DelayConfig delay{};
-    SemanticCompressorConfig semantic{};
-    dist::ErrorFeedbackConfig ef{};
 
     /// True when the configured compressor is plain SC-GNN semantic
     /// compression (the case whose live grouping statistics run_pipeline

@@ -65,9 +65,6 @@ public:
     /// ascending; slot i of the halo block is halo(p)[i].
     [[nodiscard]] std::span<const std::uint32_t> halo(std::uint32_t p) const;
 
-    /// Owner partition of each halo slot, parallel to halo(p).
-    [[nodiscard]] std::span<const std::uint32_t> halo_owner(std::uint32_t p) const;
-
     /// Local aggregation matrix of partition p: shape
     /// (|local| × (|local| + |halo|)); columns [0,|local|) are local nodes,
     /// the rest are halo slots.
@@ -94,7 +91,7 @@ public:
     }
 
 private:
-    /// Halo, halo owners and local aggregation matrix of partition p; the
+    /// Halo and local aggregation matrix of partition p; the
     /// ctor runs one call per partition in parallel.
     void build_partition(const graph::Graph& g,
                          const tensor::SparseMatrix& global_adj,
@@ -104,7 +101,6 @@ private:
     std::uint32_t feat_dim_ = 0;
     std::vector<std::vector<std::uint32_t>> local_nodes_;
     std::vector<std::vector<std::uint32_t>> halo_;
-    std::vector<std::vector<std::uint32_t>> halo_owner_;
     std::vector<tensor::SparseMatrix> local_adj_;
     std::vector<std::uint32_t> local_index_;  ///< per global node
     std::vector<std::uint32_t> owner_;        ///< per global node

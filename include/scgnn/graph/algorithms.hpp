@@ -1,33 +1,15 @@
 #pragma once
 /// \file algorithms.hpp
-/// \brief Classic graph algorithms used by the analysis tooling and the
-///        partition/grouping diagnostics: connected components, BFS
-///        distances, clustering coefficient, k-core decomposition and
-///        degree histograms.
+/// \brief Classic graph algorithms used by the analysis tooling: BFS
+///        distances, clustering coefficient and average path length.
 
 #include <cstdint>
 #include <vector>
 
 #include "scgnn/common/rng.hpp"
-#include "scgnn/common/stats.hpp"
 #include "scgnn/graph/graph.hpp"
 
 namespace scgnn::graph {
-
-/// Connected components labelling.
-struct Components {
-    std::vector<std::uint32_t> label;  ///< component id per node (dense, 0-based)
-    std::uint32_t count = 0;           ///< number of components
-
-    /// Size of component `c`.
-    [[nodiscard]] std::uint32_t size_of(std::uint32_t c) const;
-
-    /// Size of the largest component (0 for the empty graph).
-    [[nodiscard]] std::uint32_t giant_size() const;
-};
-
-/// Label the connected components of `g` (BFS).
-[[nodiscard]] Components connected_components(const Graph& g);
 
 /// BFS hop distances from `source`; unreachable nodes get UINT32_MAX.
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const Graph& g,
@@ -39,13 +21,6 @@ struct Components {
 
 /// Mean local clustering coefficient over all nodes (0 for empty graphs).
 [[nodiscard]] double average_clustering(const Graph& g);
-
-/// Core number of every node (Matula–Beck peeling): the largest k such
-/// that the node belongs to the k-core.
-[[nodiscard]] std::vector<std::uint32_t> core_numbers(const Graph& g);
-
-/// Degree histogram of `g` with `bins` equal-width bins over [0, max_deg].
-[[nodiscard]] Histogram degree_histogram(const Graph& g, std::size_t bins = 16);
 
 /// Approximate average shortest-path length: BFS from `samples` random
 /// sources, averaging hop distances to all *reachable* nodes. Returns 0

@@ -19,17 +19,6 @@ namespace scgnn::graph {
 /// G(n, m) Erdős–Rényi: exactly ~m distinct uniform random edges.
 [[nodiscard]] Graph erdos_renyi(std::uint32_t n, std::uint64_t m, Rng& rng);
 
-/// Barabási–Albert preferential attachment; each new node attaches to
-/// `m_per_node` existing nodes. Produces a power-law degree tail.
-[[nodiscard]] Graph barabasi_albert(std::uint32_t n, std::uint32_t m_per_node,
-                                    Rng& rng);
-
-/// R-MAT (recursive matrix) generator with the usual (a,b,c,d) quadrant
-/// probabilities; 2^scale nodes, edge_factor·2^scale undirected edges after
-/// dedup/self-loop removal.
-[[nodiscard]] Graph rmat(std::uint32_t scale, std::uint32_t edge_factor,
-                         double a, double b, double c, Rng& rng);
-
 /// Watts–Strogatz small-world graph: a ring lattice where every node
 /// connects to its `k` nearest neighbours (k even), with each edge rewired
 /// to a uniform random endpoint with probability `beta`. beta=0 is the

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "scgnn/common/error.hpp"
@@ -72,10 +71,5 @@ private:
     std::vector<std::uint64_t> ptr_{0};
     std::vector<std::uint32_t> adj_;
 };
-
-/// Induce the subgraph on `nodes` (global ids); returns the subgraph plus
-/// the mapping local→global (== the input order, deduplicated and sorted).
-[[nodiscard]] std::pair<Graph, std::vector<std::uint32_t>> induced_subgraph(
-    const Graph& g, std::span<const std::uint32_t> nodes);
 
 } // namespace scgnn::graph

@@ -34,14 +34,4 @@ void save_dataset(const Dataset& dataset, const std::string& dir);
 /// consistency (feature rows == nodes == labels).
 [[nodiscard]] Dataset load_dataset(const std::string& dir);
 
-/// Write `g` in the METIS graph format (header "n m", then one line per
-/// node listing its 1-based neighbours) so external partitioners (METIS,
-/// KaHIP) can consume graphs generated here.
-void write_metis(const Graph& g, const std::string& path);
-
-/// Read a METIS-format graph (plain, unweighted; `%` comment lines are
-/// skipped). Validates the header against the body (node count, symmetric
-/// adjacency, edge count).
-[[nodiscard]] Graph read_metis(const std::string& path);
-
 } // namespace scgnn::graph

@@ -60,7 +60,9 @@ struct ScenarioResult {
                                   double hi, bool integral = false);
 
 /// A program's own value flag: from_flags stores the text that follows
-/// `name` in `*value`, for the program to read after parsing.
+/// `name` in `*value`, for the program to read after parsing. A null
+/// `value` names a scenario flag the program never reads: from_flags
+/// exits 2 naming it rather than accept it silently.
 struct ExtraFlag {
     const char* name;
     std::string* value;
@@ -82,8 +84,9 @@ public:
     /// --retry-max/--timeout), the rate schedule (--compressor-schedule/
     /// --schedule-floor/--warmup-epochs), --membership and the process
     /// knobs (--threads/--log-level/--obs-out). Exits 2 on an unknown
-    /// flag, a missing or malformed value, or flags build() rejects
-    /// together.
+    /// flag, a flag the program ignores (a null ExtraFlag value), a
+    /// missing or malformed value, a --fault-link-down device beyond
+    /// --parts, or flags build() rejects together.
     static void from_flags(int argc, char** argv, ScenarioConfig& cfg,
                            const std::vector<ExtraFlag>& own = {});
 

@@ -51,9 +51,6 @@ void relu_into(const Matrix& x, Matrix& y);
 /// relu_backward() into a reused destination (must not alias an input).
 void relu_backward_into(const Matrix& grad_out, const Matrix& x, Matrix& g);
 
-/// Row-wise numerically-stable softmax.
-[[nodiscard]] Matrix row_softmax(const Matrix& logits);
-
 /// Mean softmax cross-entropy over the rows listed in `mask` (the train/test
 /// split). `labels[r]` is the class index of row r. Returns the mean loss.
 [[nodiscard]] double softmax_cross_entropy(
@@ -81,12 +78,6 @@ void softmax_cross_entropy_grad_into(const Matrix& logits,
                                      std::span<const std::int32_t> labels,
                                      std::span<const std::uint32_t> mask);
 
-/// Micro-averaged F1 over the rows in `mask` (equals accuracy for
-/// single-label classification, kept for parity with Yelp-style reporting).
-[[nodiscard]] double masked_micro_f1(const Matrix& logits,
-                                     std::span<const std::int32_t> labels,
-                                     std::span<const std::uint32_t> mask);
-
 /// out = a + b (new matrix); shapes must match.
 [[nodiscard]] Matrix add(const Matrix& a, const Matrix& b);
 
@@ -97,9 +88,6 @@ void axpy(float alpha, const Matrix& x, Matrix& y);
 /// src's column count and at least ids.size() rows.
 void gather_rows(const Matrix& src, std::span<const std::uint32_t> ids,
                  Matrix& dst);
-
-/// Scale every row r of `m` by `scale[r]`. Requires scale.size()==m.rows().
-void scale_rows(Matrix& m, std::span<const float> scale);
 
 /// Transpose (m×n) → (n×m).
 [[nodiscard]] Matrix transpose(const Matrix& m);

@@ -39,8 +39,4 @@ struct QuantizedTensor {
 /// Reconstruct the (lossy) matrix from a quantised tensor.
 [[nodiscard]] Matrix dequantize(const QuantizedTensor& q);
 
-/// Worst-case absolute reconstruction error of the given quantisation, i.e.
-/// half a quantisation step. Useful for test bounds.
-[[nodiscard]] float quantization_step(const QuantizedTensor& q) noexcept;
-
 } // namespace scgnn::tensor

@@ -104,21 +104,25 @@ DelayCompressor::DelayCompressor(DelayConfig config) : cfg_(config) {
 }
 
 void DelayCompressor::setup(const DistContext& ctx) {
-    fwd_cache_.assign(ctx.plans().size() * kMaxLayers, {});
-    bwd_cache_.assign(ctx.plans().size() * kMaxLayers, {});
+    fwd_cache_.assign(ctx.plans().size(), {});
+    bwd_cache_.assign(ctx.plans().size(), {});
     epoch_ = 0;
 }
 
 void DelayCompressor::begin_epoch(std::uint64_t epoch) { epoch_ = epoch; }
 
-std::uint64_t DelayCompressor::ship(std::vector<Matrix>& caches,
+std::uint64_t DelayCompressor::ship(std::vector<std::vector<Matrix>>& caches,
                                     const DistContext& ctx,
                                     std::size_t plan_idx, int layer,
                                     const Matrix& in, Matrix& out) {
     const dist::ExchangeRows rows = dist::ExchangeRows::all(ctx, plan_idx);
     rows.check_payload(in);
-    SCGNN_CHECK(layer >= 0 && layer < kMaxLayers, "layer out of range");
-    Matrix& cache = caches[plan_idx * kMaxLayers + layer];
+    SCGNN_CHECK(layer >= 0, "layer out of range");
+    SCGNN_CHECK(plan_idx < caches.size(), "plan index out of range (setup?)");
+    auto& per_plan = caches[plan_idx];
+    const auto li = static_cast<std::size_t>(layer);
+    if (per_plan.size() <= li) per_plan.resize(li + 1);
+    Matrix& cache = per_plan[li];
     if (transmit_epoch() || cache.empty()) {
         cache = in;
         out = in;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "scgnn/common/parallel.hpp"
-
 namespace scgnn::comm::collective {
 
 namespace {
@@ -224,33 +222,6 @@ Outcome Allreduce::run(Fabric& fabric, Timeline* timeline) {
         double worst = 0.0;
         for (const double l : load_) worst = std::max(worst, l);
         oc.modelled_s += worst;
-    }
-    return oc;
-}
-
-Outcome allreduce(Fabric& fabric, Algo algo,
-                  std::vector<std::vector<float>>& bufs, Timeline* timeline) {
-    const std::uint32_t p = fabric.num_devices();
-    SCGNN_CHECK(bufs.size() == p,
-                "allreduce needs one buffer per fabric device");
-    const std::size_t len = bufs.empty() ? 0 : bufs[0].size();
-    for (const auto& b : bufs)
-        SCGNN_CHECK(b.size() == len, "allreduce buffers must be equal-length");
-
-    Allreduce plan(fabric.topology(), algo,
-                   static_cast<std::uint64_t>(len) * sizeof(float));
-    const Outcome oc = plan.run(fabric, timeline);
-
-    // Canonical rank-order reduction, element-parallel: bitwise identical
-    // for every algorithm at any thread count.
-    if (p > 1 && len > 0) {
-        parallel_for(0, len, 1024, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                float acc = bufs[0][i];
-                for (std::uint32_t d = 1; d < p; ++d) acc += bufs[d][i];
-                for (std::uint32_t d = 0; d < p; ++d) bufs[d][i] = acc;
-            }
-        });
     }
     return oc;
 }

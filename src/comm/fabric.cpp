@@ -12,37 +12,10 @@
 
 namespace scgnn::comm {
 
-namespace {
-
-[[nodiscard]] CostModel to_cost(const TierModel& t) noexcept {
-    return CostModel{.latency_s = t.latency_s,
-                     .bandwidth_bytes_per_s = t.bandwidth_bytes_per_s};
-}
-
-} // namespace
-
-Fabric::Fabric(std::uint32_t num_devices, CostModel model)
-    : n_(num_devices),
-      topo_(Topology::flat(std::max(num_devices, 1u),
-                           TierModel{model.latency_s,
-                                     model.bandwidth_bytes_per_s})),
-      model_(model),
-      intra_cm_(model),
-      inter_cm_(model) {
-    SCGNN_CHECK(n_ >= 1, "fabric needs at least one device");
-    SCGNN_CHECK(model_.latency_s >= 0.0, "latency must be non-negative");
-    SCGNN_CHECK(model_.bandwidth_bytes_per_s > 0.0,
-                "bandwidth must be positive");
+Fabric::Fabric(const Topology& topo) : n_(topo.num_devices()), topo_(topo) {
     pair_.assign(static_cast<std::size_t>(n_) * n_, {});
     fault_counter_.assign(pair_.size(), 0);
     pair_penalty_.assign(pair_.size(), 0.0);
-}
-
-Fabric::Fabric(const Topology& topo)
-    : Fabric(topo.num_devices(), to_cost(topo.inter_tier())) {
-    topo_ = topo;
-    intra_cm_ = to_cost(topo.intra_tier());
-    inter_cm_ = to_cost(topo.inter_tier());
 }
 
 void validate(const FaultModel& model) {
@@ -177,9 +150,7 @@ FaultStats Fabric::fault_stats() const noexcept {
 const CostModel& Fabric::link_model(std::uint32_t src,
                                     std::uint32_t dst) const {
     (void)idx(src, dst);  // range/self-send validation
-    if (topo_.hierarchical())
-        return topo_.intra_node(src, dst) ? intra_cm_ : inter_cm_;
-    return model_;
+    return topo_.link(src, dst);
 }
 
 std::string Fabric::link_key(std::uint32_t src, std::uint32_t dst) const {

@@ -59,8 +59,11 @@ std::string topology_name(const TopologySpec& spec) {
            std::to_string(spec.devices_per_node);
 }
 
-Topology Topology::flat(std::uint32_t num_devices, TierModel model) {
+Topology Topology::flat(std::uint32_t num_devices, CostModel model) {
     SCGNN_CHECK(num_devices >= 1, "topology needs at least one device");
+    SCGNN_CHECK(model.latency_s >= 0.0, "latency must be non-negative");
+    SCGNN_CHECK(model.bandwidth_bytes_per_s > 0.0,
+                "bandwidth must be positive");
     Topology t;
     t.n_ = num_devices;
     t.nodes_ = num_devices;  // every device is its own node
@@ -73,7 +76,7 @@ Topology Topology::flat(std::uint32_t num_devices, TierModel model) {
 
 Topology Topology::hierarchical(std::uint32_t nodes,
                                 std::uint32_t devices_per_node,
-                                TierModel intra, TierModel inter,
+                                CostModel intra, CostModel inter,
                                 double oversubscription) {
     SCGNN_CHECK(nodes >= 1 && devices_per_node >= 1,
                 "hierarchical topology needs nodes and devices per node");
@@ -96,7 +99,7 @@ Topology Topology::hierarchical(std::uint32_t nodes,
 }
 
 Topology Topology::build(const TopologySpec& spec, std::uint32_t num_devices,
-                         TierModel flat_model) {
+                         CostModel flat_model) {
     if (!spec.hierarchical()) return flat(num_devices, flat_model);
     SCGNN_CHECK(spec.nodes * spec.devices_per_node == num_devices,
                 "topology shape must cover exactly the device count "

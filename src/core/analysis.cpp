@@ -2,36 +2,7 @@
 
 #include <algorithm>
 
-#include "scgnn/common/parallel.hpp"
-
 namespace scgnn::core {
-
-tensor::Matrix pairwise_similarity(const graph::Dbg& dbg,
-                                   std::span<const std::uint32_t> pool,
-                                   SimilarityKind kind) {
-    for (std::uint32_t u : pool)
-        SCGNN_CHECK(u < dbg.num_src(), "pool row out of DBG range");
-    const std::size_t n = pool.size();
-    tensor::Matrix s(n, n);
-    // Parallel over anchor rows: row i writes only cells (i, j>=i) and
-    // their mirrors (j>=i, i), which no other anchor row touches, so the
-    // upper/lower halves fill without synchronisation. The triangular
-    // workload is ragged; the pool's dynamic chunk hand-out balances it.
-    parallel_for(0, n, grain_for(n * 32), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const auto a = dbg.out_neighbors(pool[i]);
-            for (std::size_t j = i; j < n; ++j) {
-                const auto b = dbg.out_neighbors(pool[j]);
-                const double sim = kind == SimilarityKind::kSemantic
-                                       ? semantic_similarity(a, b)
-                                       : jaccard_similarity(a, b);
-                s(i, j) = static_cast<float>(sim);
-                s(j, i) = static_cast<float>(sim);
-            }
-        }
-    });
-    return s;
-}
 
 GroupingQuality evaluate_grouping(const graph::Dbg& dbg,
                                   const Grouping& grouping,

@@ -38,21 +38,10 @@ bool parse_method(const std::string& key, Method& out) noexcept {
     return false;
 }
 
-std::vector<Method> all_methods() {
-    return {Method::kVanilla, Method::kDelay, Method::kQuant,
-            Method::kSampling, Method::kSemantic};
-}
-
 std::unique_ptr<dist::BoundaryCompressor> make_compressor(
     const MethodConfig& cfg) {
-    dist::CompressorOptions opts;
-    opts.sampling = cfg.sampling;
-    opts.quant = cfg.quant;
-    opts.delay = cfg.delay;
-    opts.semantic = cfg.semantic;
-    opts.ef = cfg.ef;
     return dist::make_compressor(
-        cfg.name.empty() ? method_key(cfg.method) : cfg.name, opts);
+        cfg.name.empty() ? method_key(cfg.method) : cfg.name, cfg);
 }
 
 // ------------------------------------------------------- ComposedCompressor

@@ -170,7 +170,7 @@ ServeResult InferenceServer::run() const {
         }
     }
 
-    comm::Fabric fabric(p, cfg_.cost);
+    comm::Fabric fabric(comm::Topology::flat(p, cfg_.cost));
     Histogram hist(0.0, cfg_.hist_max_ms, ServeConfig::kHistBins);
     RunningStat lat;
     ServeResult res;

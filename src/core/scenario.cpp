@@ -263,17 +263,29 @@ double parse_number(const char* flag, const char* s, double lo, double hi,
 void Scenario::from_flags(int argc, char** argv, ScenarioConfig& cfg,
                           const std::vector<ExtraFlag>& own) {
     for (Args a{argc, argv}; a.i < argc; ++a.i) {
-        if (parse_flag(a, cfg)) continue;
         const auto it = std::find_if(
             own.begin(), own.end(),
             [&](const ExtraFlag& e) { return std::strcmp(e.name, a.flag()) == 0; });
         if (it == own.end()) {
+            if (parse_flag(a, cfg)) continue;
             std::fprintf(stderr, "unknown flag '%s'\n", a.flag());
+            std::exit(2);
+        }
+        if (!it->value) {
+            std::fprintf(stderr, "flag '%s' is not read by this program\n",
+                         a.flag());
             std::exit(2);
         }
         *it->value = a.value();
     }
     try {
+        // build() leaves the down-window device range to the fabric, but
+        // here the device count is known.
+        for (const comm::LinkDownWindow& w :
+             cfg.pipeline.train.comm.fault.down_windows)
+            SCGNN_CHECK(w.src < cfg.pipeline.num_parts &&
+                            w.dst < cfg.pipeline.num_parts,
+                        "--fault-link-down names a device beyond --parts");
         (void)build(cfg);
     } catch (const Error& e) {
         std::fprintf(stderr, "bad flags: %s\n", e.what());

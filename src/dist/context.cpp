@@ -31,13 +31,12 @@ DistContext::DistContext(const graph::Dataset& data,
             local_index_[local_nodes_[p][i]] = i;
 
     // Per partition, in parallel: the halo (remote neighbours, sorted
-    // unique by global id), its owners and the local aggregation matrix.
+    // unique by global id) and the local aggregation matrix.
     // A row of Â ascends by global id, and so do both the partition's
     // nodes and its halo; the local row is therefore the same-owner
     // entries in order, then the halo entries in order, with no sort.
     const tensor::SparseMatrix global_adj = gnn::normalized_adjacency(g, norm);
     halo_.resize(p_);
-    halo_owner_.resize(p_);
     local_adj_.resize(p_);
     parallel_for(0, p_, 1, [&](std::size_t lo, std::size_t hi) {
         for (auto p = static_cast<std::uint32_t>(lo); p < hi; ++p)
@@ -82,8 +81,6 @@ void DistContext::build_partition(const graph::Graph& g,
             if (owner_[v] != p) h.push_back(v);
     std::sort(h.begin(), h.end());
     h.erase(std::unique(h.begin(), h.end()), h.end());
-    halo_owner_[p].reserve(h.size());
-    for (std::uint32_t v : h) halo_owner_[p].push_back(owner_[v]);
 
     const auto n_local = static_cast<std::uint32_t>(nodes.size());
     std::vector<std::uint64_t> ptr(nodes.size() + 1, 0);
@@ -120,11 +117,6 @@ std::span<const std::uint32_t> DistContext::local_nodes(std::uint32_t p) const {
 std::span<const std::uint32_t> DistContext::halo(std::uint32_t p) const {
     SCGNN_CHECK(p < p_, "partition id out of range");
     return halo_[p];
-}
-
-std::span<const std::uint32_t> DistContext::halo_owner(std::uint32_t p) const {
-    SCGNN_CHECK(p < p_, "partition id out of range");
-    return halo_owner_[p];
 }
 
 const tensor::SparseMatrix& DistContext::local_adj(std::uint32_t p) const {

@@ -26,13 +26,10 @@ EpochEnv::EpochEnv(const graph::Dataset& dataset,
       compressor(comp),
       ctx(dataset, partitioning, train_cfg.norm),
       // The fabric takes its link tiers from the configured topology; the
-      // default flat spec materialises every link with cfg.comm.cost, so
-      // the golden-pinned defaults are bit-identical to the pre-topology
-      // fabric.
-      fabric(comm::Topology::build(
-          train_cfg.comm.topology, partitioning.num_parts,
-          comm::TierModel{train_cfg.comm.cost.latency_s,
-                          train_cfg.comm.cost.bandwidth_bytes_per_s})),
+      // default flat spec prices every link with cfg.comm.cost.
+      fabric(comm::Topology::build(train_cfg.comm.topology,
+                                   partitioning.num_parts,
+                                   train_cfg.comm.cost)),
       timeline(partitioning.num_parts),
       model(model_cfg),
       opt(model.parameters(), train_cfg.adam) {

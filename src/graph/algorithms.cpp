@@ -6,46 +6,6 @@
 
 namespace scgnn::graph {
 
-std::uint32_t Components::size_of(std::uint32_t c) const {
-    SCGNN_CHECK(c < count, "component id out of range");
-    std::uint32_t n = 0;
-    for (std::uint32_t l : label)
-        if (l == c) ++n;
-    return n;
-}
-
-std::uint32_t Components::giant_size() const {
-    std::vector<std::uint32_t> sizes(count, 0);
-    for (std::uint32_t l : label) ++sizes[l];
-    std::uint32_t best = 0;
-    for (std::uint32_t s : sizes) best = std::max(best, s);
-    return best;
-}
-
-Components connected_components(const Graph& g) {
-    constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
-    Components comp;
-    comp.label.assign(g.num_nodes(), kUnset);
-    std::queue<std::uint32_t> q;
-    for (std::uint32_t root = 0; root < g.num_nodes(); ++root) {
-        if (comp.label[root] != kUnset) continue;
-        comp.label[root] = comp.count;
-        q.push(root);
-        while (!q.empty()) {
-            const std::uint32_t u = q.front();
-            q.pop();
-            for (std::uint32_t v : g.neighbors(u)) {
-                if (comp.label[v] == kUnset) {
-                    comp.label[v] = comp.count;
-                    q.push(v);
-                }
-            }
-        }
-        ++comp.count;
-    }
-    return comp;
-}
-
 std::vector<std::uint32_t> bfs_distances(const Graph& g, std::uint32_t source) {
     SCGNN_CHECK(source < g.num_nodes(), "source out of range");
     constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
@@ -86,37 +46,6 @@ double average_clustering(const Graph& g) {
     return total / g.num_nodes();
 }
 
-std::vector<std::uint32_t> core_numbers(const Graph& g) {
-    const std::uint32_t n = g.num_nodes();
-    std::vector<std::uint32_t> deg(n), core(n, 0);
-    std::uint32_t max_deg = 0;
-    for (std::uint32_t u = 0; u < n; ++u) {
-        deg[u] = g.degree(u);
-        max_deg = std::max(max_deg, deg[u]);
-    }
-    // Bucket sort by degree (the O(V+E) peeling of Matula & Beck).
-    std::vector<std::vector<std::uint32_t>> bucket(max_deg + 1);
-    for (std::uint32_t u = 0; u < n; ++u) bucket[deg[u]].push_back(u);
-    std::vector<char> removed(n, 0);
-    std::uint32_t k = 0;
-    for (std::uint32_t d = 0; d <= max_deg; ++d) {
-        // The bucket can grow as neighbours are demoted; index loop is safe.
-        for (std::size_t i = 0; i < bucket[d].size(); ++i) {
-            const std::uint32_t u = bucket[d][i];
-            if (removed[u] || deg[u] != d) continue;
-            k = std::max(k, d);
-            core[u] = k;
-            removed[u] = 1;
-            for (std::uint32_t v : g.neighbors(u)) {
-                if (removed[v] || deg[v] <= d) continue;
-                --deg[v];
-                bucket[deg[v]].push_back(v);
-            }
-        }
-    }
-    return core;
-}
-
 double approx_average_distance(const Graph& g, std::uint32_t samples,
                                Rng& rng) {
     SCGNN_CHECK(samples >= 1, "need at least one sample source");
@@ -136,14 +65,6 @@ double approx_average_distance(const Graph& g, std::uint32_t samples,
         }
     }
     return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
-}
-
-Histogram degree_histogram(const Graph& g, std::size_t bins) {
-    const double hi = std::max<double>(1.0, g.max_degree() + 1.0);
-    Histogram h(0.0, hi, bins);
-    for (std::uint32_t u = 0; u < g.num_nodes(); ++u)
-        h.add(static_cast<double>(g.degree(u)));
-    return h;
 }
 
 } // namespace scgnn::graph

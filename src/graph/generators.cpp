@@ -60,72 +60,6 @@ Graph erdos_renyi(std::uint32_t n, std::uint64_t m, Rng& rng) {
     return Graph(n, edges);
 }
 
-Graph barabasi_albert(std::uint32_t n, std::uint32_t m_per_node, Rng& rng) {
-    SCGNN_CHECK(m_per_node >= 1, "attachment count must be positive");
-    SCGNN_CHECK(n > m_per_node, "need more nodes than the attachment count");
-    // Repeated-endpoint list: drawing uniformly from it is preferential
-    // attachment.
-    std::vector<std::uint32_t> targets;
-    std::vector<Edge> edges;
-    // Seed clique over the first m_per_node+1 nodes.
-    for (std::uint32_t u = 0; u <= m_per_node; ++u)
-        for (std::uint32_t v = u + 1; v <= m_per_node; ++v) {
-            edges.push_back({u, v});
-            targets.push_back(u);
-            targets.push_back(v);
-        }
-    std::unordered_set<std::uint64_t> seen;
-    for (const Edge& e : edges) seen.insert(edge_key(e.u, e.v));
-
-    for (std::uint32_t u = m_per_node + 1; u < n; ++u) {
-        std::uint32_t added = 0;
-        std::size_t guard = 0;
-        while (added < m_per_node && guard++ < 64ull * m_per_node) {
-            const std::uint32_t v = targets[rng.index(targets.size())];
-            if (v == u || !seen.insert(edge_key(u, v)).second) continue;
-            edges.push_back({u, v});
-            targets.push_back(u);
-            targets.push_back(v);
-            ++added;
-        }
-    }
-    return Graph(n, edges);
-}
-
-Graph rmat(std::uint32_t scale, std::uint32_t edge_factor, double a, double b,
-           double c, Rng& rng) {
-    SCGNN_CHECK(scale >= 1 && scale <= 26, "rmat scale out of supported range");
-    SCGNN_CHECK(a > 0 && b >= 0 && c >= 0 && a + b + c < 1.0,
-                "rmat quadrant probabilities must leave room for d");
-    const std::uint32_t n = 1u << scale;
-    const std::uint64_t target =
-        static_cast<std::uint64_t>(edge_factor) * n;
-    std::unordered_set<std::uint64_t> seen;
-    std::vector<Edge> edges;
-    edges.reserve(target);
-    std::uint64_t attempts = 0;
-    const std::uint64_t max_attempts = target * 16;
-    while (edges.size() < target && attempts++ < max_attempts) {
-        std::uint32_t u = 0, v = 0;
-        for (std::uint32_t bit = 0; bit < scale; ++bit) {
-            const double t = rng.uniform();
-            if (t < a) {
-                // top-left: nothing set
-            } else if (t < a + b) {
-                v |= 1u << bit;
-            } else if (t < a + b + c) {
-                u |= 1u << bit;
-            } else {
-                u |= 1u << bit;
-                v |= 1u << bit;
-            }
-        }
-        if (u == v) continue;
-        if (seen.insert(edge_key(u, v)).second) edges.push_back({u, v});
-    }
-    return Graph(n, edges);
-}
-
 Graph watts_strogatz(std::uint32_t n, std::uint32_t k, double beta, Rng& rng) {
     SCGNN_CHECK(k >= 2 && k % 2 == 0, "lattice degree k must be even and >= 2");
     SCGNN_CHECK(n > k, "need more nodes than the lattice degree");

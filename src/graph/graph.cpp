@@ -1,7 +1,6 @@
 #include "scgnn/graph/graph.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace scgnn::graph {
 
@@ -57,29 +56,6 @@ std::uint32_t Graph::max_degree() const noexcept {
         best = std::max(best,
                         static_cast<std::uint32_t>(ptr_[u + 1] - ptr_[u]));
     return best;
-}
-
-std::pair<Graph, std::vector<std::uint32_t>> induced_subgraph(
-    const Graph& g, std::span<const std::uint32_t> nodes) {
-    std::vector<std::uint32_t> locals(nodes.begin(), nodes.end());
-    std::sort(locals.begin(), locals.end());
-    locals.erase(std::unique(locals.begin(), locals.end()), locals.end());
-
-    std::unordered_map<std::uint32_t, std::uint32_t> to_local;
-    to_local.reserve(locals.size());
-    for (std::uint32_t i = 0; i < locals.size(); ++i) to_local[locals[i]] = i;
-
-    std::vector<Edge> edges;
-    for (std::uint32_t lu = 0; lu < locals.size(); ++lu) {
-        const std::uint32_t gu = locals[lu];
-        for (std::uint32_t gv : g.neighbors(gu)) {
-            if (gv <= gu) continue;
-            const auto it = to_local.find(gv);
-            if (it != to_local.end()) edges.push_back({lu, it->second});
-        }
-    }
-    return {Graph(static_cast<std::uint32_t>(locals.size()), edges),
-            std::move(locals)};
 }
 
 } // namespace scgnn::graph

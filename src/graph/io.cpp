@@ -185,61 +185,4 @@ Dataset load_dataset(const std::string& dir) {
     return d;
 }
 
-void write_metis(const Graph& g, const std::string& path) {
-    std::ofstream out = open_out(path);
-    out << "% scgnn METIS export\n";
-    out << g.num_nodes() << ' ' << g.num_edges() << '\n';
-    for (std::uint32_t u = 0; u < g.num_nodes(); ++u) {
-        const auto nb = g.neighbors(u);
-        for (std::size_t i = 0; i < nb.size(); ++i)
-            out << (i ? " " : "") << (nb[i] + 1);  // METIS ids are 1-based
-        out << '\n';
-    }
-    SCGNN_CHECK(out.good(), "write failed: " + path);
-}
-
-Graph read_metis(const std::string& path) {
-    std::ifstream in = open_in(path);
-    std::string line;
-    // Header (first non-comment line): "n m [fmt [ncon]]".
-    std::uint64_t n = 0, m = 0;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line[0] == '%') continue;
-        if (is_comment_or_blank(line)) continue;
-        std::istringstream ss(line);
-        SCGNN_CHECK(static_cast<bool>(ss >> n >> m),
-                    "malformed METIS header in " + path);
-        std::uint32_t fmt = 0;
-        if (ss >> fmt)
-            SCGNN_CHECK(fmt == 0,
-                        "weighted METIS graphs are not supported: " + path);
-        break;
-    }
-    SCGNN_CHECK(n > 0 || m == 0, "malformed METIS header in " + path);
-
-    std::vector<Edge> edges;
-    edges.reserve(m);
-    std::uint64_t node = 0;
-    while (node < n && std::getline(in, line)) {
-        if (!line.empty() && line[0] == '%') continue;
-        std::istringstream ss(line);
-        std::uint64_t v1 = 0;
-        while (ss >> v1) {
-            SCGNN_CHECK(v1 >= 1 && v1 <= n,
-                        "METIS neighbour id out of range in " + path);
-            const auto u = static_cast<std::uint32_t>(node);
-            const auto v = static_cast<std::uint32_t>(v1 - 1);
-            SCGNN_CHECK(u != v, "METIS self-loop in " + path);
-            if (u < v) edges.push_back({u, v});  // each edge listed twice
-        }
-        ++node;
-    }
-    SCGNN_CHECK(node == n, "METIS body has fewer node lines than the header");
-    const Graph g(static_cast<std::uint32_t>(n), edges);
-    SCGNN_CHECK(g.num_edges() == m,
-                "METIS edge count does not match the header (asymmetric "
-                "adjacency?) in " + path);
-    return g;
-}
-
 } // namespace scgnn::graph

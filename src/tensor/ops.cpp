@@ -106,23 +106,6 @@ Matrix relu_backward(const Matrix& grad_out, const Matrix& x) {
     return g;
 }
 
-Matrix row_softmax(const Matrix& logits) {
-    Matrix p = logits;
-    for (std::size_t r = 0; r < p.rows(); ++r) {
-        auto row = p.row(r);
-        float mx = row[0];
-        for (float v : row) mx = std::max(mx, v);
-        float sum = 0.0f;
-        for (auto& v : row) {
-            v = std::exp(v - mx);
-            sum += v;
-        }
-        const float inv = 1.0f / sum;
-        for (auto& v : row) v *= inv;
-    }
-    return p;
-}
-
 double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::int32_t> labels,
                              std::span<const std::uint32_t> mask) {
@@ -208,26 +191,6 @@ double masked_accuracy(const Matrix& logits,
     return static_cast<double>(hit) / static_cast<double>(mask.size());
 }
 
-double masked_micro_f1(const Matrix& logits,
-                       std::span<const std::int32_t> labels,
-                       std::span<const std::uint32_t> mask) {
-    // Single-label multi-class micro-F1 equals accuracy; computed through
-    // TP/FP/FN to keep the metric honest if multi-label support is added.
-    const auto pred = row_argmax(logits);
-    std::size_t tp = 0, fp = 0, fn = 0;
-    for (std::uint32_t r : mask) {
-        SCGNN_CHECK(r < logits.rows(), "mask row out of range");
-        if (pred[r] == labels[r]) {
-            ++tp;
-        } else {
-            ++fp;
-            ++fn;
-        }
-    }
-    const double denom = static_cast<double>(2 * tp + fp + fn);
-    return denom == 0.0 ? 0.0 : 2.0 * static_cast<double>(tp) / denom;
-}
-
 Matrix add(const Matrix& a, const Matrix& b) {
     Matrix c = a;
     c += b;
@@ -246,14 +209,6 @@ void gather_rows(const Matrix& src, std::span<const std::uint32_t> ids,
     for (std::size_t i = 0; i < ids.size(); ++i) {
         const auto from = src.row(ids[i]);
         std::copy(from.begin(), from.end(), dst.row(i).begin());
-    }
-}
-
-void scale_rows(Matrix& m, std::span<const float> scale) {
-    SCGNN_CHECK(scale.size() == m.rows(), "one scale per row required");
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        const float s = scale[r];
-        for (auto& v : m.row(r)) v *= s;
     }
 }
 

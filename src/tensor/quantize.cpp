@@ -108,6 +108,4 @@ Matrix dequantize(const QuantizedTensor& q) {
     return m;
 }
 
-float quantization_step(const QuantizedTensor& q) noexcept { return q.scale; }
-
 } // namespace scgnn::tensor

@@ -33,35 +33,6 @@ graph::Dbg blocks() {
     return make_dbg(8, rows);
 }
 
-TEST(PairwiseSimilarity, MatchesScalarForm) {
-    const graph::Dbg d = blocks();
-    std::vector<std::uint32_t> pool{0, 1, 4};
-    const tensor::Matrix s =
-        pairwise_similarity(d, pool, SimilarityKind::kSemantic);
-    EXPECT_EQ(s.rows(), 3u);
-    EXPECT_FLOAT_EQ(s(0, 1), static_cast<float>(semantic_similarity(
-                                 d.out_neighbors(0), d.out_neighbors(1))));
-    EXPECT_FLOAT_EQ(s(0, 2), 0.0f);  // disjoint blocks
-    EXPECT_FLOAT_EQ(s(0, 1), s(1, 0));  // symmetric
-    EXPECT_FLOAT_EQ(s(0, 0), 9.0f / 6.0f);  // self-similarity |N|²/(2|N|)
-}
-
-TEST(PairwiseSimilarity, JaccardKind) {
-    const graph::Dbg d = blocks();
-    std::vector<std::uint32_t> pool{0, 1};
-    const tensor::Matrix s =
-        pairwise_similarity(d, pool, SimilarityKind::kJaccard);
-    EXPECT_FLOAT_EQ(s(0, 1), 1.0f);
-    EXPECT_FLOAT_EQ(s(0, 0), 1.0f);
-}
-
-TEST(PairwiseSimilarity, ValidatesPool) {
-    const graph::Dbg d = blocks();
-    std::vector<std::uint32_t> bad{99};
-    EXPECT_THROW((void)pairwise_similarity(d, bad, SimilarityKind::kSemantic),
-                 Error);
-}
-
 TEST(GroupingQuality, GoodGroupingHasHighCohesion) {
     const graph::Dbg d = blocks();
     const Grouping good = build_grouping(d, {.kmeans_k = 2, .seed = 1});

@@ -1,6 +1,9 @@
 // Unit/behavioural tests for the three SOTA baseline compressors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "scgnn/baselines/baselines.hpp"
 #include "scgnn/dist/factory.hpp"
 #include "scgnn/dist/trainer.hpp"
@@ -300,6 +303,42 @@ INSTANTIATE_TEST_SUITE_P(All, BaselineTraining,
                          ::testing::Values("sampling", "quant", "delay"),
                          [](const auto& param_info) {
                              return std::string(param_info.param);
+                         });
+
+class DeepDelay : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DeepDelay, NineLayersTrainAndReplay) {
+    // Deeper than any fixed cache table: each plan's per-layer caches
+    // grow on first use. Period 2 transmits on even epochs and replays
+    // the cached blocks (no halo bytes) on odd ones.
+    Ctx c;
+    dist::CompressorOptions opts;
+    opts.delay.period = 2;
+    const auto comp = dist::make_compressor(GetParam(), opts);
+    dist::DistTrainConfig cfg;
+    cfg.epochs = 4;
+    gnn::GnnConfig mc{
+        .in_dim = static_cast<std::uint32_t>(c.data.features.cols()),
+        .hidden_dim = 8,
+        .out_dim = c.data.num_classes,
+        .num_layers = 9,
+        .seed = 2};
+    const auto r =
+        runtime::Scenario::for_training(cfg).train(c.data, c.parts, mc, *comp);
+    ASSERT_EQ(r.epoch_metrics.size(), 4u);
+    for (const auto& m : r.epoch_metrics) EXPECT_TRUE(std::isfinite(m.loss));
+    EXPECT_GT(r.epoch_metrics[0].comm_mb, 0.0);
+    EXPECT_LT(r.epoch_metrics[1].comm_mb, r.epoch_metrics[0].comm_mb);
+    EXPECT_DOUBLE_EQ(r.epoch_metrics[2].comm_mb, r.epoch_metrics[0].comm_mb);
+    EXPECT_DOUBLE_EQ(r.epoch_metrics[3].comm_mb, r.epoch_metrics[1].comm_mb);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, DeepDelay,
+                         ::testing::Values("delay", "ours+delay"),
+                         [](const auto& param_info) {
+                             std::string name = param_info.param;
+                             std::replace(name.begin(), name.end(), '+', '_');
+                             return name;
                          });
 
 } // namespace

@@ -1,12 +1,14 @@
 // Table-driven exit-code contract for Scenario::from_flags, the one flag
-// parse loop, and for the values of the programs' own flags: every
-// malformed value must end the process with exit code 2 — the documented
-// "bad usage" code — before any training work starts. The binary under
-// test is the installed scgnn_cli (path injected by tests/CMakeLists.txt
-// as SCGNN_CLI_PATH); when the examples are not built the whole suite
-// skips. The same contract holds for bench_paper, whose parse_options
-// (bench_util.hpp) runs the same loop (SCGNN_BENCH_PAPER_PATH); those rows
-// skip when the benches are not built.
+// parse loop, for the values of the programs' own flags and for the
+// programs' other documented exits. Every row carries the exact code it
+// must end with: 2 for bad usage — before any training work starts — 1
+// for a run that fails, 3 for a degraded fault run. The binary under test
+// is the installed scgnn_cli (path injected by tests/CMakeLists.txt as
+// SCGNN_CLI_PATH); when the examples are not built those rows skip. The
+// same contract holds for bench_paper, whose parse_options
+// (bench_util.hpp) runs the same loop (SCGNN_BENCH_PAPER_PATH), and for
+// partition_explorer's preset index (SCGNN_PARTITION_EXPLORER_PATH); their
+// rows skip when those programs are not built.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,8 +17,9 @@
 namespace {
 
 struct Case {
-    const char* label;   ///< which validator the row exercises
-    const char* args;    ///< flag + bad value as passed on the command line
+    const char* label;  ///< which validator the row exercises
+    const char* args;   ///< flag + bad value as passed on the command line
+    int code = 2;       ///< the documented exit code
 };
 
 // Every shared-flag validator with a representative malformed value, plus
@@ -84,27 +87,34 @@ const Case kCases[] = {
     {"rate-zero", "--rate 0"},
     {"dataset-unknown", "--dataset mars"},
     {"max-staleness-negative", "--max-staleness -1"},
+    {"fault-link-down-beyond-parts", "--parts 2 --fault-link-down 0:9:0:1"},
+    // Past the parser: a library error ends the run with exit 1, and a
+    // fault run staler than --max-staleness with exit 3.
+    {"load-missing-dir", "--load /nonexistent/scgnn-dataset", 1},
+    {"fault-degraded",
+     "--dataset pubmed --scale 0.1 --epochs 4 --method ours --groups 8 "
+     "--fault-drop 0.6 --retry-max 1 --timeout 0.001 --max-staleness 0",
+     3},
 };
 
-/// Run `binary` with the row's arguments and expect the bad-usage exit 2.
-[[maybe_unused]] void expect_exit_2(const std::string& binary,
-                                    const Case& c) {
+/// Run `binary` with the row's arguments and expect the row's exit code.
+[[maybe_unused]] void expect_exit(const std::string& binary, const Case& c) {
     const std::string cmd =
         binary + " " + c.args + " >/dev/null 2>/dev/null";
     const int status = std::system(cmd.c_str());
     ASSERT_NE(status, -1) << "system() failed for " << cmd;
     ASSERT_TRUE(WIFEXITED(status)) << c.label << " did not exit normally";
-    EXPECT_EQ(WEXITSTATUS(status), 2)
-        << c.label << ": `" << cmd << "` must exit 2 on bad usage";
+    EXPECT_EQ(WEXITSTATUS(status), c.code)
+        << c.label << ": `" << cmd << "` must exit " << c.code;
 }
 
 class CliExitCode : public ::testing::TestWithParam<Case> {};
 
-TEST_P(CliExitCode, MalformedValueExitsWithCode2) {
+TEST_P(CliExitCode, ExitsWithTheDocumentedCode) {
 #ifndef SCGNN_CLI_PATH
     GTEST_SKIP() << "scgnn_cli not built (SCGNN_BUILD_EXAMPLES=OFF)";
 #else
-    expect_exit_2(SCGNN_CLI_PATH, GetParam());
+    expect_exit(SCGNN_CLI_PATH, GetParam());
 #endif
 }
 
@@ -120,8 +130,9 @@ INSTANTIATE_TEST_SUITE_P(Validators, CliExitCode, ::testing::ValuesIn(kCases),
                          case_name);
 
 // The bench flag parser: a misspelt flag, an out-of-range or unparsable
-// value, an unknown figure id and flags that Scenario::build rejects
-// together all exit 2 before any figure runs.
+// value, an unknown figure id, flags that Scenario::build rejects
+// together and the scenario flags no figure reads, even with a legal
+// value, all exit 2 before any figure runs.
 const Case kBenchCases[] = {
     {"misspelt-flag", "--scal 0.1"},
     {"negative-epochs", "--epochs -3"},
@@ -130,21 +141,39 @@ const Case kBenchCases[] = {
     {"threads-garbage", "--threads abc"},
     {"invalid-combination", "--fault-link-down 0:0:1:2"},
     {"layers-zero", "--layers 0"},
-    {"method-unknown", "--method frob"},
+    {"ignored-parts", "--parts 4"},
+    {"ignored-method", "--method ours"},
+    {"ignored-rate", "--rate 0.5"},
+    {"ignored-bits", "--bits 8"},
+    {"ignored-tau", "--tau 2"},
+    {"ignored-ef-flush", "--ef-flush 0.5"},
+    {"ignored-mode", "--mode train"},
+    {"ignored-batch-size", "--batch-size 32"},
+    {"ignored-fanout", "--fanout 10,5"},
+    {"ignored-qps", "--qps 1000"},
+    {"ignored-no-serve-cache", "--no-serve-cache"},
 };
 
 class BenchPaperExitCode : public ::testing::TestWithParam<Case> {};
 
-TEST_P(BenchPaperExitCode, MalformedValueExitsWithCode2) {
+TEST_P(BenchPaperExitCode, ExitsWithTheDocumentedCode) {
 #ifndef SCGNN_BENCH_PAPER_PATH
     GTEST_SKIP() << "bench_paper not built (SCGNN_BUILD_BENCH=OFF)";
 #else
-    expect_exit_2(SCGNN_BENCH_PAPER_PATH, GetParam());
+    expect_exit(SCGNN_BENCH_PAPER_PATH, GetParam());
 #endif
 }
 
 INSTANTIATE_TEST_SUITE_P(BenchFlags, BenchPaperExitCode,
                          ::testing::ValuesIn(kBenchCases), case_name);
+
+TEST(PartitionExplorerExitCode, OutOfRangePresetIndexExits2) {
+#ifndef SCGNN_PARTITION_EXPLORER_PATH
+    GTEST_SKIP() << "partition_explorer not built (SCGNN_BUILD_EXAMPLES=OFF)";
+#else
+    expect_exit(SCGNN_PARTITION_EXPLORER_PATH, {"bad-index", "7"});
+#endif
+}
 
 #ifdef SCGNN_CLI_PATH
 TEST(CliExitCode, WellFormedFlagsParse) {

@@ -16,13 +16,15 @@ TEST(CostModel, AlphaBetaDecomposition) {
 }
 
 TEST(Fabric, ConstructionValidates) {
-    EXPECT_THROW(Fabric(0), Error);
-    EXPECT_THROW(Fabric(2, CostModel{.latency_s = -1.0}), Error);
-    EXPECT_THROW(Fabric(2, CostModel{.bandwidth_bytes_per_s = 0.0}), Error);
+    EXPECT_THROW((void)Topology::flat(0), Error);
+    EXPECT_THROW((void)Topology::flat(2, CostModel{.latency_s = -1.0}), Error);
+    EXPECT_THROW(
+        (void)Topology::flat(2, CostModel{.bandwidth_bytes_per_s = 0.0}),
+        Error);
 }
 
 TEST(Fabric, RecordsPairTraffic) {
-    Fabric f(3);
+    Fabric f(Topology::flat(3));
     f.record(0, 1, 100);
     f.record(0, 1, 50);
     f.record(2, 0, 10);
@@ -34,14 +36,14 @@ TEST(Fabric, RecordsPairTraffic) {
 }
 
 TEST(Fabric, SelfSendRejected) {
-    Fabric f(2);
+    Fabric f(Topology::flat(2));
     EXPECT_THROW(f.record(1, 1, 10), Error);
     EXPECT_THROW(f.record(2, 0, 10), Error);
     EXPECT_THROW((void)f.link_model(0, 0), Error);
 }
 
 TEST(Fabric, ZeroByteSendStillCountsMessage) {
-    Fabric f(2);
+    Fabric f(Topology::flat(2));
     f.record(0, 1, 0);
     EXPECT_EQ(f.epoch_stats().messages, 1u);
     EXPECT_EQ(f.epoch_stats().bytes, 0u);
@@ -49,7 +51,7 @@ TEST(Fabric, ZeroByteSendStillCountsMessage) {
 
 TEST(Fabric, EpochRollOver) {
     CostModel m{.latency_s = 0.0, .bandwidth_bytes_per_s = 100.0};
-    Fabric f(2, m);
+    Fabric f(Topology::flat(2, m));
     f.record(0, 1, 200);
     EXPECT_DOUBLE_EQ(f.epoch_comm_seconds(), 2.0);
     f.end_epoch();
@@ -62,7 +64,7 @@ TEST(Fabric, EpochRollOver) {
 
 TEST(Fabric, CommTimeIsMaxOverDeviceSerialisation) {
     CostModel m{.latency_s = 0.0, .bandwidth_bytes_per_s = 1.0};
-    Fabric f(3, m);
+    Fabric f(Topology::flat(3, m));
     // Device 0 sends 10 to both others; devices 1 and 2 see 10 each, but
     // device 0 serialises 20.
     f.record(0, 1, 10);
@@ -76,12 +78,12 @@ TEST(Fabric, CommTimeIsMaxOverDeviceSerialisation) {
 }
 
 // Two nodes of two devices: {0, 1} and {2, 3}.
-Topology two_by_two(TierModel intra, TierModel inter) {
+Topology two_by_two(CostModel intra, CostModel inter) {
     return Topology::hierarchical(2, 2, intra, inter);
 }
 
 TEST(Fabric, TierPricesOnlyItsOwnLinks) {
-    Fabric f(two_by_two(TierModel{0.0, 100.0}, TierModel{0.0, 10.0}));
+    Fabric f(two_by_two(CostModel{0.0, 100.0}, CostModel{0.0, 10.0}));
     EXPECT_DOUBLE_EQ(f.link_model(0, 2).bandwidth_bytes_per_s, 10.0);
     EXPECT_DOUBLE_EQ(f.link_model(2, 0).bandwidth_bytes_per_s, 10.0);
     EXPECT_DOUBLE_EQ(f.link_model(0, 1).bandwidth_bytes_per_s, 100.0);
@@ -99,7 +101,7 @@ TEST(Fabric, TierPricesOnlyItsOwnLinks) {
 }
 
 TEST(Fabric, UniformTiersMatchFlatFabric) {
-    const TierModel base{1e-4, 1e6};
+    const CostModel base{1e-4, 1e6};
     Fabric plain(Topology::flat(4, base));
     Fabric tiered(two_by_two(base, base));
     for (auto* f : {&plain, &tiered}) {
@@ -115,7 +117,7 @@ TEST(Fabric, HeterogeneousLinkModelsComposeInEpochSeconds) {
     // NVLink-style fast links inside a box, Ethernet-style slow links
     // across: each directed link is charged by its own tier, and the
     // per-device in+out serialisation max picks the loaded device.
-    Fabric f(two_by_two(TierModel{0.0, 1000.0}, TierModel{1.0, 10.0}));
+    Fabric f(two_by_two(CostModel{0.0, 1000.0}, CostModel{1.0, 10.0}));
     f.record(0, 1, 1000);  // fast link: 1 s
     f.record(0, 2, 10);    // slow link: 1 s latency + 1 s wire = 2 s
     f.record(1, 0, 500);   // fast link: 0.5 s
@@ -139,7 +141,7 @@ TEST(FabricFault, InactiveSendIsExactlyRecord) {
     // With no fault model configured, send() must be byte-identical to the
     // pre-fault fabric: same traffic, same modelled time, no fault stats.
     CostModel m{.latency_s = 1e-3, .bandwidth_bytes_per_s = 1e6};
-    Fabric with_send(3, m), with_record(3, m);
+    Fabric with_send(Topology::flat(3, m)), with_record(Topology::flat(3, m));
     const SendOutcome out = with_send.send(0, 1, 12345, 3);
     with_record.record(0, 1, 12345, 3);
     EXPECT_TRUE(out.delivered);
@@ -160,7 +162,7 @@ TEST(FabricFault, ScheduleIsDeterministicPerSeed) {
     fm.drop_probability = 0.5;
     fm.seed = 77;
     auto run = [&](std::uint64_t seed) {
-        Fabric f(2);
+        Fabric f(Topology::flat(2));
         FaultModel m = fm;
         m.seed = seed;
         f.set_fault_model(m);
@@ -178,7 +180,7 @@ TEST(FabricFault, ScheduleIsIndependentPerLink) {
     // the schedule thread-count invariant).
     FaultModel fm;
     fm.drop_probability = 0.5;
-    Fabric lone(3), interleaved(3);
+    Fabric lone(Topology::flat(3)), interleaved(Topology::flat(3));
     lone.set_fault_model(fm);
     interleaved.set_fault_model(fm);
     std::vector<std::uint32_t> a, b;
@@ -193,7 +195,7 @@ TEST(FabricFault, ScheduleIsIndependentPerLink) {
 
 TEST(FabricFault, LinkDownWindowExhaustsRetriesWithExactPenalty) {
     CostModel m{.latency_s = 0.0, .bandwidth_bytes_per_s = 1e9};
-    Fabric f(2, m);
+    Fabric f(Topology::flat(2, m));
     FaultModel fm;
     fm.down_windows.push_back(
         LinkDownWindow{.src = 0, .dst = 1, .first_epoch = 0, .last_epoch = 1});
@@ -231,7 +233,7 @@ TEST(FabricFault, LinkDownWindowExhaustsRetriesWithExactPenalty) {
 }
 
 TEST(FabricFault, DropsChargeWireBytesAndObeyAccounting) {
-    Fabric f(2);
+    Fabric f(Topology::flat(2));
     FaultModel fm;
     fm.drop_probability = 0.5;
     fm.seed = 9;
@@ -260,7 +262,7 @@ TEST(FabricFault, DropsChargeWireBytesAndObeyAccounting) {
 }
 
 TEST(FabricFault, EndEpochRollsFaultStatsIntoTotal) {
-    Fabric f(2);
+    Fabric f(Topology::flat(2));
     FaultModel fm;
     fm.drop_probability = 0.5;
     f.set_fault_model(fm);
@@ -277,7 +279,7 @@ TEST(FabricFault, EndEpochRollsFaultStatsIntoTotal) {
 }
 
 TEST(FabricFault, ConfigurationValidates) {
-    Fabric f(2);
+    Fabric f(Topology::flat(2));
     FaultModel bad;
     bad.drop_probability = 1.0;  // certain loss can never deliver
     EXPECT_THROW(f.set_fault_model(bad), Error);
@@ -299,7 +301,7 @@ TEST(FabricFault, PenaltySerialisesOnSendingDevice) {
     // Timeout/backoff waits are the *sender's* problem: they add to the
     // sending device's serialisation term in the per-device max.
     CostModel m{.latency_s = 0.0, .bandwidth_bytes_per_s = 1.0};
-    Fabric f(3, m);
+    Fabric f(Topology::flat(3, m));
     FaultModel fm;
     fm.down_windows.push_back(
         LinkDownWindow{.src = 0, .dst = 1, .first_epoch = 0, .last_epoch = 0});

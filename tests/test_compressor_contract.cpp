@@ -435,10 +435,10 @@ TEST(CompressorFactory, OptionsReachTheCompressor) {
 }
 
 TEST(CompressorFactory, MethodEnumRoundTripsThroughKeys) {
-    for (const Method m : all_methods()) {
-        Method back{};
-        ASSERT_TRUE(parse_method(method_key(m), back)) << method_key(m);
-        EXPECT_EQ(back, m);
+    for (const std::string& key : dist::compressor_names()) {
+        Method m{};
+        ASSERT_TRUE(parse_method(key, m)) << key;
+        EXPECT_EQ(method_key(m), key);
     }
     Method out{};
     EXPECT_FALSE(parse_method("semantic", out));  // the key is "ours"

@@ -56,9 +56,8 @@ TEST(DistContext, HaloContainsExactlyRemoteNeighbours) {
     const auto h0 = ctx.halo(0);
     EXPECT_EQ(std::vector<std::uint32_t>(h0.begin(), h0.end()),
               (std::vector<std::uint32_t>{3, 5}));
-    const auto o0 = ctx.halo_owner(0);
-    EXPECT_EQ(o0[0], 1u);
-    EXPECT_EQ(o0[1], 1u);
+    EXPECT_EQ(ctx.owner(h0[0]), 1u);
+    EXPECT_EQ(ctx.owner(h0[1]), 1u);
     // Partition 1 references {0, 1, 2}.
     EXPECT_EQ(ctx.halo(1).size(), 3u);
 }
@@ -159,7 +158,7 @@ TEST(DistContext, FourPartitionsOnPreset) {
 /// halo with hash-map slots, the local matrices from sorted triplets and
 /// one two-scan DBG per ordered pair.
 struct ReferenceContext {
-    std::vector<std::vector<std::uint32_t>> halo, halo_owner;
+    std::vector<std::vector<std::uint32_t>> halo;
     std::vector<tensor::SparseMatrix> local_adj;
     std::vector<graph::Dbg> dbgs;
     std::vector<std::vector<std::uint32_t>> src_local_rows, dst_halo_slots;
@@ -214,7 +213,6 @@ ReferenceContext reference_context(const graph::Dataset& data,
 
     ReferenceContext r;
     r.halo.resize(p_count);
-    r.halo_owner.resize(p_count);
     std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> slot(
         p_count);
     for (std::uint32_t p = 0; p < p_count; ++p) {
@@ -225,10 +223,8 @@ ReferenceContext reference_context(const graph::Dataset& data,
         std::sort(h.begin(), h.end());
         h.erase(std::unique(h.begin(), h.end()), h.end());
         r.halo[p] = std::move(h);
-        for (std::uint32_t i = 0; i < r.halo[p].size(); ++i) {
-            r.halo_owner[p].push_back(owner[r.halo[p][i]]);
+        for (std::uint32_t i = 0; i < r.halo[p].size(); ++i)
             slot[p][r.halo[p][i]] = i;
-        }
     }
     const tensor::SparseMatrix global = gnn::normalized_adjacency(g, norm);
     for (std::uint32_t p = 0; p < p_count; ++p) {
@@ -315,11 +311,9 @@ TEST(DistContext, MatchesReferenceBuildAtEveryThreadCount) {
             const DistContext ctx(d, pt, gnn::AdjNorm::kSymmetric);
             for (std::uint32_t p = 0; p < parts; ++p) {
                 const auto halo = ctx.halo(p);
-                const auto owners = ctx.halo_owner(p);
                 EXPECT_TRUE(same_bits(halo, std::span<const std::uint32_t>(
                                                 ref.halo[p])));
-                EXPECT_TRUE(same_bits(owners, std::span<const std::uint32_t>(
-                                                  ref.halo_owner[p])));
+                for (const std::uint32_t v : halo) EXPECT_NE(ctx.owner(v), p);
                 const tensor::SparseMatrix& a = ctx.local_adj(p);
                 const tensor::SparseMatrix& b = ref.local_adj[p];
                 EXPECT_EQ(a.rows(), b.rows());

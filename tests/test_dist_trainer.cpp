@@ -36,7 +36,7 @@ TEST(DistAggregator, VanillaForwardMatchesGlobalSpmm) {
     const graph::Dataset d = data_small();
     const auto parts = parts_for(d, 3);
     const DistContext ctx(d, parts, gnn::AdjNorm::kSymmetric);
-    comm::Fabric fabric(3);
+    comm::Fabric fabric(comm::Topology::flat(3));
     VanillaExchange vanilla;
     DistAggregator agg(ctx, fabric, vanilla);
 
@@ -54,7 +54,7 @@ TEST(DistAggregator, VanillaBackwardMatchesGlobalSpmmT) {
     const graph::Dataset d = data_small();
     const auto parts = parts_for(d, 3);
     const DistContext ctx(d, parts, gnn::AdjNorm::kRowMean);
-    comm::Fabric fabric(3);
+    comm::Fabric fabric(comm::Topology::flat(3));
     VanillaExchange vanilla;
     DistAggregator agg(ctx, fabric, vanilla);
 
@@ -72,7 +72,7 @@ TEST(DistAggregator, RecordsTrafficOnFabric) {
     const graph::Dataset d = data_small();
     const auto parts = parts_for(d, 2);
     const DistContext ctx(d, parts, gnn::AdjNorm::kSymmetric);
-    comm::Fabric fabric(2);
+    comm::Fabric fabric(comm::Topology::flat(2));
     VanillaExchange vanilla;
     DistAggregator agg(ctx, fabric, vanilla);
     Rng rng(7);
@@ -95,7 +95,7 @@ AggregatorTrace run_faulted_aggregator(const DistContext& ctx,
                                        std::size_t num_nodes,
                                        unsigned threads) {
     ThreadCountGuard guard(threads);
-    comm::Fabric fabric(ctx.num_parts());
+    comm::Fabric fabric(comm::Topology::flat(ctx.num_parts()));
     comm::FaultModel faults;
     faults.drop_probability = 0.3;
     faults.seed = 77;

@@ -35,42 +35,6 @@ TEST(ErdosRenyi, DeterministicBySeed) {
         EXPECT_EQ(g1.degree(u), g2.degree(u));
 }
 
-TEST(BarabasiAlbert, SizeAndMinimumDegree) {
-    Rng rng(3);
-    const Graph g = barabasi_albert(200, 3, rng);
-    EXPECT_EQ(g.num_nodes(), 200u);
-    // Every non-seed node attaches at least once (usually m times).
-    for (std::uint32_t u = 4; u < 200; ++u) EXPECT_GE(g.degree(u), 1u);
-}
-
-TEST(BarabasiAlbert, ProducesHubs) {
-    Rng rng(4);
-    const Graph g = barabasi_albert(500, 2, rng);
-    // Preferential attachment: the max degree should be far above the mean.
-    EXPECT_GT(g.max_degree(), 4 * g.average_degree());
-}
-
-TEST(BarabasiAlbert, ValidatesParameters) {
-    Rng rng(5);
-    EXPECT_THROW((void)barabasi_albert(5, 0, rng), Error);
-    EXPECT_THROW((void)barabasi_albert(3, 3, rng), Error);
-}
-
-TEST(Rmat, SizeAndSkew) {
-    Rng rng(6);
-    const Graph g = rmat(10, 8, 0.57, 0.19, 0.19, rng);
-    EXPECT_EQ(g.num_nodes(), 1024u);
-    EXPECT_GT(g.num_edges(), 6000u);  // dedup loses some of the 8192 target
-    // Skewed quadrants produce hubs.
-    EXPECT_GT(g.max_degree(), 3 * g.average_degree());
-}
-
-TEST(Rmat, ValidatesParameters) {
-    Rng rng(7);
-    EXPECT_THROW((void)rmat(0, 8, 0.5, 0.2, 0.2, rng), Error);
-    EXPECT_THROW((void)rmat(5, 8, 0.5, 0.3, 0.3, rng), Error);  // sums > 1
-}
-
 class PlantedPartitionDegrees : public ::testing::TestWithParam<double> {};
 
 TEST_P(PlantedPartitionDegrees, HitsTargetAverageDegree) {

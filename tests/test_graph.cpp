@@ -88,42 +88,5 @@ TEST(Graph, IsolatedNodesAllowed) {
     EXPECT_EQ(g.neighbors(4).size(), 0u);
 }
 
-TEST(InducedSubgraph, KeepsInternalEdgesOnly) {
-    // Triangle 0-1-2 plus pendant 3.
-    const std::vector<Edge> e{{0, 1}, {1, 2}, {0, 2}, {2, 3}};
-    const Graph g(4, e);
-    const std::vector<std::uint32_t> nodes{0, 1, 2};
-    const auto [sub, mapping] = induced_subgraph(g, nodes);
-    EXPECT_EQ(sub.num_nodes(), 3u);
-    EXPECT_EQ(sub.num_edges(), 3u);
-    EXPECT_EQ(mapping, nodes);
-}
-
-TEST(InducedSubgraph, DeduplicatesAndSortsInput) {
-    const std::vector<Edge> e{{0, 1}, {1, 2}};
-    const Graph g(3, e);
-    const std::vector<std::uint32_t> nodes{2, 0, 2, 1};
-    const auto [sub, mapping] = induced_subgraph(g, nodes);
-    EXPECT_EQ(mapping, (std::vector<std::uint32_t>{0, 1, 2}));
-    EXPECT_EQ(sub.num_edges(), 2u);
-}
-
-TEST(InducedSubgraph, EmptySelection) {
-    const Graph g = path4();
-    const auto [sub, mapping] = induced_subgraph(g, {});
-    EXPECT_EQ(sub.num_nodes(), 0u);
-    EXPECT_TRUE(mapping.empty());
-}
-
-TEST(InducedSubgraph, LocalIdsMatchMapping) {
-    const std::vector<Edge> e{{1, 3}};
-    const Graph g(4, e);
-    const std::vector<std::uint32_t> nodes{1, 3};
-    const auto [sub, mapping] = induced_subgraph(g, nodes);
-    EXPECT_TRUE(sub.has_edge(0, 1));
-    EXPECT_EQ(mapping[0], 1u);
-    EXPECT_EQ(mapping[1], 3u);
-}
-
 } // namespace
 } // namespace scgnn::graph

@@ -1,6 +1,7 @@
 // Unit tests for the classic graph algorithms module.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "scgnn/graph/algorithms.hpp"
@@ -16,29 +17,22 @@ Graph two_triangles() {
                                       {3, 4}, {4, 5}, {3, 5}});
 }
 
-TEST(Components, TwoTriangles) {
-    const Components c = connected_components(two_triangles());
-    EXPECT_EQ(c.count, 2u);
-    EXPECT_EQ(c.label[0], c.label[1]);
-    EXPECT_EQ(c.label[0], c.label[2]);
-    EXPECT_NE(c.label[0], c.label[3]);
-    EXPECT_EQ(c.size_of(0), 3u);
-    EXPECT_EQ(c.size_of(1), 3u);
-    EXPECT_EQ(c.giant_size(), 3u);
-    EXPECT_THROW((void)c.size_of(2), Error);
-}
-
-TEST(Components, IsolatedNodesAreSingletons) {
-    const Graph g(4, std::vector<Edge>{{0, 1}});
-    const Components c = connected_components(g);
-    EXPECT_EQ(c.count, 3u);
-    EXPECT_EQ(c.giant_size(), 2u);
-}
-
-TEST(Components, EmptyGraph) {
-    const Components c = connected_components(Graph{});
-    EXPECT_EQ(c.count, 0u);
-    EXPECT_EQ(c.giant_size(), 0u);
+/// Size of the largest connected component, by one BFS per component.
+std::uint32_t giant_component_size(const Graph& g) {
+    std::vector<char> seen(g.num_nodes(), 0);
+    std::uint32_t best = 0;
+    for (std::uint32_t root = 0; root < g.num_nodes(); ++root) {
+        if (seen[root]) continue;
+        const auto dist = bfs_distances(g, root);
+        std::uint32_t size = 0;
+        for (std::uint32_t u = 0; u < g.num_nodes(); ++u) {
+            if (dist[u] == kInf) continue;
+            seen[u] = 1;
+            ++size;
+        }
+        best = std::max(best, size);
+    }
+    return best;
 }
 
 TEST(Components, DensePresetIsMostlyConnected) {
@@ -48,8 +42,7 @@ TEST(Components, DensePresetIsMostlyConnected) {
     spec.communities = 4;
     spec.avg_degree = 20.0;
     const Graph g = planted_partition(spec, rng, nullptr);
-    const Components c = connected_components(g);
-    EXPECT_GT(c.giant_size(), 480u);
+    EXPECT_GT(giant_component_size(g), 480u);
 }
 
 TEST(Bfs, PathDistances) {
@@ -85,45 +78,6 @@ TEST(Clustering, HalfOpenTriangle) {
     // 0-1, 0-2, 0-3, 1-2: node 0 has 3 neighbours, one closed pair of 3.
     const Graph g(4, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {1, 2}});
     EXPECT_NEAR(local_clustering(g, 0), 1.0 / 3.0, 1e-12);
-}
-
-TEST(Cores, CliquePlusTail) {
-    // 4-clique {0,1,2,3} with tail 3-4-5.
-    const Graph g(6, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {1, 2},
-                                       {1, 3}, {2, 3}, {3, 4}, {4, 5}});
-    const auto core = core_numbers(g);
-    EXPECT_EQ(core[0], 3u);
-    EXPECT_EQ(core[1], 3u);
-    EXPECT_EQ(core[2], 3u);
-    EXPECT_EQ(core[3], 3u);
-    EXPECT_EQ(core[4], 1u);
-    EXPECT_EQ(core[5], 1u);
-}
-
-TEST(Cores, CycleIsTwoCore) {
-    const Graph g(4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-    for (std::uint32_t c : core_numbers(g)) EXPECT_EQ(c, 2u);
-}
-
-TEST(Cores, IsolatedNodesAreZeroCore) {
-    const Graph g(3, std::vector<Edge>{{0, 1}});
-    const auto core = core_numbers(g);
-    EXPECT_EQ(core[2], 0u);
-    EXPECT_EQ(core[0], 1u);
-}
-
-TEST(Cores, MonotoneUnderDegree) {
-    Rng rng(5);
-    const Graph g = erdos_renyi(200, 800, rng);
-    const auto core = core_numbers(g);
-    for (std::uint32_t u = 0; u < g.num_nodes(); ++u)
-        EXPECT_LE(core[u], g.degree(u));
-}
-
-TEST(DegreeHistogram, CountsEveryNode) {
-    const Graph g = two_triangles();
-    const Histogram h = degree_histogram(g, 4);
-    EXPECT_EQ(h.total(), 6u);
 }
 
 TEST(AverageDistance, ExactOnPath) {

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "scgnn/graph/generators.hpp"
 #include "scgnn/graph/io.hpp"
 
 namespace scgnn::graph {
@@ -89,54 +88,6 @@ TEST_F(IoTest, LoadValidatesShapeConsistency) {
     out << "0\n1\n";
     out.close();
     EXPECT_THROW((void)load_dataset(path("ds")), Error);
-}
-
-TEST_F(IoTest, MetisRoundTrip) {
-    Rng rng(9);
-    const Graph g = erdos_renyi(40, 120, rng);
-    write_metis(g, path("g.metis"));
-    const Graph back = read_metis(path("g.metis"));
-    EXPECT_EQ(back.num_nodes(), g.num_nodes());
-    EXPECT_EQ(back.num_edges(), g.num_edges());
-    for (const Edge& e : g.edge_list()) EXPECT_TRUE(back.has_edge(e.u, e.v));
-}
-
-TEST_F(IoTest, MetisSkipsCommentLines) {
-    std::ofstream out(path("c.metis"));
-    out << "% comment\n3 2\n% another\n2\n1 3\n2\n";
-    out.close();
-    const Graph g = read_metis(path("c.metis"));
-    EXPECT_EQ(g.num_nodes(), 3u);
-    EXPECT_EQ(g.num_edges(), 2u);
-    EXPECT_TRUE(g.has_edge(0, 1));
-    EXPECT_TRUE(g.has_edge(1, 2));
-}
-
-TEST_F(IoTest, MetisValidatesHeaderAgainstBody) {
-    // Header claims 3 edges but the body holds 2.
-    std::ofstream out(path("bad.metis"));
-    out << "3 3\n2\n1 3\n2\n";
-    out.close();
-    EXPECT_THROW((void)read_metis(path("bad.metis")), Error);
-    // Neighbour id out of range.
-    std::ofstream out2(path("bad2.metis"));
-    out2 << "2 1\n9\n1\n";
-    out2.close();
-    EXPECT_THROW((void)read_metis(path("bad2.metis")), Error);
-    // Weighted format flag rejected.
-    std::ofstream out3(path("bad3.metis"));
-    out3 << "2 1 11\n2 5\n1 5\n";
-    out3.close();
-    EXPECT_THROW((void)read_metis(path("bad3.metis")), Error);
-}
-
-TEST_F(IoTest, MetisHandlesIsolatedNodes) {
-    const Graph g(4, std::vector<Edge>{{0, 2}});
-    write_metis(g, path("iso.metis"));
-    const Graph back = read_metis(path("iso.metis"));
-    EXPECT_EQ(back.num_nodes(), 4u);
-    EXPECT_EQ(back.degree(1), 0u);
-    EXPECT_EQ(back.degree(3), 0u);
 }
 
 TEST_F(IoTest, LoadValidatesSplitIds) {

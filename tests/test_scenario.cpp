@@ -608,7 +608,7 @@ ServeResult reference_serve(const graph::Dataset& d,
         per_device[ctx.owner(v)].push_back({i * (1e3 / cfg.qps), v});
     }
 
-    comm::Fabric fabric(p, cfg.cost);
+    comm::Fabric fabric(comm::Topology::flat(p, cfg.cost));
     Histogram hist(0.0, cfg.hist_max_ms, ServeConfig::kHistBins);
     RunningStat lat;
     ServeResult res;

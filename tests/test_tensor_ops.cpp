@@ -62,26 +62,6 @@ TEST(Ops, ReluBackwardMasksByInput) {
     EXPECT_EQ(dx(0, 2), 5.0f);
 }
 
-TEST(Ops, RowSoftmaxRowsSumToOne) {
-    Rng rng(3);
-    const Matrix x = Matrix::randn(6, 5, rng, 0.0f, 10.0f);
-    const Matrix p = row_softmax(x);
-    for (std::size_t r = 0; r < p.rows(); ++r) {
-        double sum = 0.0;
-        for (float v : p.row(r)) {
-            EXPECT_GE(v, 0.0f);
-            sum += v;
-        }
-        EXPECT_NEAR(sum, 1.0, 1e-5);
-    }
-}
-
-TEST(Ops, RowSoftmaxIsShiftInvariant) {
-    Matrix a(1, 3, std::vector<float>{1, 2, 3});
-    Matrix b(1, 3, std::vector<float>{1001, 1002, 1003});
-    EXPECT_LT(max_abs_diff(row_softmax(a), row_softmax(b)), 1e-6f);
-}
-
 TEST(Ops, CrossEntropyOfPerfectPredictionIsSmall) {
     Matrix logits(2, 2, std::vector<float>{100, 0, 0, 100});
     const std::vector<std::int32_t> labels{0, 1};
@@ -155,30 +135,12 @@ TEST(Ops, MaskedAccuracy) {
     EXPECT_EQ(masked_accuracy(logits, labels, wrong_only), 0.0);
 }
 
-TEST(Ops, MicroF1EqualsAccuracyForSingleLabel) {
-    Matrix logits(4, 3, std::vector<float>{1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0});
-    const std::vector<std::int32_t> labels{0, 1, 0, 0};
-    const std::vector<std::uint32_t> all{0, 1, 2, 3};
-    EXPECT_NEAR(masked_micro_f1(logits, labels, all),
-                masked_accuracy(logits, labels, all), 1e-12);
-}
-
 TEST(Ops, AxpyAccumulates) {
     Matrix x(1, 2, std::vector<float>{1, 2});
     Matrix y(1, 2, std::vector<float>{10, 20});
     axpy(2.0f, x, y);
     EXPECT_EQ(y(0, 0), 12.0f);
     EXPECT_EQ(y(0, 1), 24.0f);
-}
-
-TEST(Ops, ScaleRows) {
-    Matrix m(2, 2, std::vector<float>{1, 1, 1, 1});
-    const std::vector<float> s{2.0f, 3.0f};
-    scale_rows(m, s);
-    EXPECT_EQ(m(0, 0), 2.0f);
-    EXPECT_EQ(m(1, 1), 3.0f);
-    const std::vector<float> bad{1.0f};
-    EXPECT_THROW(scale_rows(m, bad), Error);
 }
 
 TEST(Ops, TransposeRoundTrip) {

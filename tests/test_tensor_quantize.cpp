@@ -15,7 +15,7 @@ TEST_P(QuantizeBits, RoundTripErrorBoundedByHalfStep) {
     const Matrix m = Matrix::randn(20, 16, rng, 0.0f, 3.0f);
     const QuantizedTensor q = quantize_per_tensor(m, bits);
     const Matrix back = dequantize(q);
-    EXPECT_LE(max_abs_diff(m, back), quantization_step(q) * 0.5f + 1e-6f);
+    EXPECT_LE(max_abs_diff(m, back), q.scale * 0.5f + 1e-6f);
 }
 
 TEST_P(QuantizeBits, WireBytesShrinkWithBitWidth) {

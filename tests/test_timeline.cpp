@@ -180,7 +180,7 @@ std::vector<EventSig> record_with_threads(unsigned threads) {
     const auto parts = partition::make_partitioning(
         partition::PartitionAlgo::kNodeCut, d.graph, 3, 17);
     const dist::DistContext ctx(d, parts, gnn::AdjNorm::kSymmetric);
-    comm::Fabric fabric(3);
+    comm::Fabric fabric(comm::Topology::flat(3));
     dist::VanillaExchange vanilla;
     Timeline tl(3);
     dist::DistAggregator agg(ctx, fabric, vanilla, &tl);

@@ -15,7 +15,7 @@ namespace scgnn::comm {
 namespace {
 
 TEST(Topology, FlatIsOneDevicePerNode) {
-    const Topology t = Topology::flat(4, TierModel{1e-3, 1e6});
+    const Topology t = Topology::flat(4, CostModel{1e-3, 1e6});
     EXPECT_EQ(t.num_devices(), 4u);
     EXPECT_EQ(t.num_nodes(), 4u);
     EXPECT_EQ(t.devices_per_node(), 1u);
@@ -31,8 +31,8 @@ TEST(Topology, FlatIsOneDevicePerNode) {
 }
 
 TEST(Topology, HierarchicalGroupsAndTiers) {
-    const Topology t = Topology::hierarchical(2, 3, TierModel{1e-6, 1e9},
-                                              TierModel{1e-4, 1e8});
+    const Topology t = Topology::hierarchical(2, 3, CostModel{1e-6, 1e9},
+                                              CostModel{1e-4, 1e8});
     EXPECT_EQ(t.num_devices(), 6u);
     EXPECT_EQ(t.num_nodes(), 2u);
     EXPECT_EQ(t.devices_per_node(), 3u);
@@ -51,8 +51,8 @@ TEST(Topology, HierarchicalGroupsAndTiers) {
 }
 
 TEST(Topology, OversubscriptionDividesInterBandwidthOnce) {
-    const Topology t = Topology::hierarchical(2, 2, TierModel{1e-6, 1e9},
-                                              TierModel{1e-4, 1e8}, 4.0);
+    const Topology t = Topology::hierarchical(2, 2, CostModel{1e-6, 1e9},
+                                              CostModel{1e-4, 1e8}, 4.0);
     EXPECT_DOUBLE_EQ(t.oversubscription(), 4.0);
     EXPECT_DOUBLE_EQ(t.inter_tier().bandwidth_bytes_per_s, 2.5e7);
     // The intra tier is untouched.
@@ -64,9 +64,9 @@ TEST(Topology, ValidationRejectsBadShapes) {
     EXPECT_THROW((void)Topology::hierarchical(0, 2, {}, {}), Error);
     EXPECT_THROW((void)Topology::hierarchical(2, 2, {}, {}, 0.5), Error);
     EXPECT_THROW(
-        (void)Topology::hierarchical(2, 2, TierModel{-1.0, 1e6}, {}), Error);
+        (void)Topology::hierarchical(2, 2, CostModel{-1.0, 1e6}, {}), Error);
     EXPECT_THROW(
-        (void)Topology::hierarchical(2, 2, {}, TierModel{1e-6, 0.0}), Error);
+        (void)Topology::hierarchical(2, 2, {}, CostModel{1e-6, 0.0}), Error);
     const Topology t = Topology::flat(2);
     EXPECT_THROW((void)t.node_of(2), Error);
     EXPECT_THROW((void)t.leader_of(2), Error);
@@ -133,25 +133,9 @@ TEST(Topology, DeviceKeysNamespaceByNode) {
     EXPECT_EQ(hier.device_key(3), "n1.d1");
 }
 
-TEST(FabricTopology, FlatTopologyFabricMatchesLegacyFabric) {
-    const CostModel m{.latency_s = 1e-3, .bandwidth_bytes_per_s = 1e6};
-    Fabric legacy(3, m);
-    Fabric shaped(Topology::flat(3, TierModel{m.latency_s,
-                                              m.bandwidth_bytes_per_s}));
-    for (Fabric* f : {&legacy, &shaped}) {
-        f->record(0, 1, 1000);
-        f->record(2, 0, 500, 2);
-    }
-    EXPECT_DOUBLE_EQ(legacy.epoch_comm_seconds(),
-                     shaped.epoch_comm_seconds());
-    EXPECT_DOUBLE_EQ(shaped.link_model(0, 2).latency_s, m.latency_s);
-    EXPECT_DOUBLE_EQ(shaped.cost_model().bandwidth_bytes_per_s,
-                     m.bandwidth_bytes_per_s);
-}
-
 TEST(FabricTopology, LinksResolveTheirTier) {
     const Topology topo = Topology::hierarchical(
-        2, 2, TierModel{1e-6, 1e9}, TierModel{1e-4, 1e8}, 2.0);
+        2, 2, CostModel{1e-6, 1e9}, CostModel{1e-4, 1e8}, 2.0);
     Fabric f(topo);
     EXPECT_EQ(f.num_devices(), 4u);
     // Intra-node pair → fast tier.
@@ -165,7 +149,7 @@ TEST(FabricTopology, LinksResolveTheirTier) {
 
 TEST(FabricTopology, EpochSecondsPriceEachTier) {
     const Topology topo = Topology::hierarchical(
-        2, 2, TierModel{0.0, 1e6}, TierModel{0.0, 1e5});
+        2, 2, CostModel{0.0, 1e6}, CostModel{0.0, 1e5});
     Fabric f(topo);
     // One intra transfer: 1e6 bytes over 1e6 B/s = 1 s on devices 0, 1.
     f.record(0, 1, 1'000'000);
@@ -208,7 +192,7 @@ TEST_F(TopoLedgerTest, HierarchicalLinkKeysDoNotAliasAcrossNodes) {
 
 TEST_F(TopoLedgerTest, FlatLinkKeysKeepTheHistoricalBareIds) {
     obs::set_enabled(true);
-    Fabric f(2);
+    Fabric f(Topology::flat(2));
     f.record(0, 1, 64);
     f.end_epoch();
     EXPECT_EQ(obs::registry().counter("fabric.link.0->1.bytes").value(), 64u);
