@@ -216,6 +216,24 @@ void BM_SpmmInto(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmInto)->ArgName("f")->Arg(64);
 
+void BM_ReluBackwardInto(benchmark::State& state) {
+    // The hidden-layer ReLU gradient at the dense full-graph shape: each
+    // input's sign is a coin flip, so a branch on it mispredicts half the
+    // time.
+    Rng rng(6);
+    const auto rows = static_cast<std::size_t>(state.range(0));
+    const tensor::Matrix x = tensor::Matrix::randn(rows, 64, rng);
+    const tensor::Matrix grad = tensor::Matrix::randn(rows, 64, rng);
+    tensor::Matrix g;
+    for (auto _ : state) {
+        tensor::relu_backward_into(grad, x, g);
+        benchmark::DoNotOptimize(g.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * rows * 64);
+}
+BENCHMARK(BM_ReluBackwardInto)->ArgName("rows")->Arg(18000);
+
 void BM_Axpy(benchmark::State& state) {
     Rng rng(4);
     const auto n = static_cast<std::size_t>(state.range(0));

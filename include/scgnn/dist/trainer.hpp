@@ -72,6 +72,14 @@ struct FaultSummary {
 /// into its own stack, each owner adds gradients in ascending plan order),
 /// so the bytes are the same at every pool width.
 ///
+/// The local SpMMs do not run one task per partition: the constructor cuts
+/// every partition's Â and Âᵀ into row blocks of about the same nonzero
+/// count, and each SpMM region is one pool task per block, so the heaviest
+/// partition no longer sets the region's wall time. The cut depends only
+/// on the adjacency, and every output row is still written by one row
+/// kernel call in CSR order, so the result is bitwise the same at every
+/// pool width.
+///
 /// When the fabric has an active FaultModel, every exchange goes through
 /// Fabric::send(); on exhausted retries the receiver falls back to the
 /// last successfully delivered block for that (plan, layer) — stale
@@ -152,6 +160,19 @@ private:
     const tensor::Matrix& landed(StaleCache& cache, std::size_t plan_idx,
                                  int layer);
 
+    /// Rows [lo, hi) of partition `part`'s Â (forward) or Âᵀ (backward):
+    /// one task of a balanced SpMM region.
+    struct RowBlock {
+        std::uint32_t part;
+        std::size_t lo, hi;
+    };
+
+    /// Run `body(block)` for every block across the pool. When the
+    /// timeline is on, each block's wall time is credited to its
+    /// partition's part_s_ slot, summed serially in block order.
+    template <typename Body>
+    void run_blocks(const std::vector<RowBlock>& blocks, Body&& body);
+
     /// Record this step's per-partition compute on the timeline and close
     /// the step.
     void end_timeline_step();
@@ -180,7 +201,10 @@ private:
     std::vector<tensor::Matrix> gp_;            ///< bwd gathered local grads
     std::vector<tensor::Matrix> stacked_grad_;  ///< bwd Âᵀ·gp results
     std::vector<tensor::SparseMatrix> adj_t_;   ///< local_adj(p) transposed
-    std::vector<double> part_s_;                ///< timeline compute seconds
+    std::vector<RowBlock> fwd_blocks_;  ///< nnz-cut rows of every local_adj
+    std::vector<RowBlock> bwd_blocks_;  ///< nnz-cut rows of every adj_t_
+    std::vector<double> block_s_;       ///< per-block seconds, this region
+    std::vector<double> part_s_;        ///< timeline compute seconds
     FaultSummary fault_;
 };
 

@@ -116,6 +116,12 @@ public:
     /// passes to backward(); owned here so warm epochs allocate nothing.
     [[nodiscard]] tensor::Matrix& loss_grad() noexcept { return dlogits_; }
 
+    /// Reused per-row loss terms that run_epoch() passes to
+    /// tensor::softmax_cross_entropy(), owned here for the same reason.
+    [[nodiscard]] std::vector<double>& loss_terms() noexcept {
+        return loss_terms_;
+    }
+
     /// Number of aggregation steps one forward pass performs (== layers).
     [[nodiscard]] int num_aggregations() const noexcept {
         return static_cast<int>(cfg_.num_layers);
@@ -151,7 +157,8 @@ private:
     // Capacity converges to the largest shape after one epoch, making
     // steady-state epochs allocation-free.
     tensor::Matrix dz_, dcomb_, dh_, gtmp_, btmp_;
-    tensor::Matrix dlogits_;  ///< loss_grad()
+    tensor::Matrix dlogits_;           ///< loss_grad()
+    std::vector<double> loss_terms_;   ///< loss_terms()
     // parameters()/gradients() views, built once (layers_ never resizes).
     std::vector<tensor::Matrix*> params_, grads_;
     bool have_cache_ = false;

@@ -38,14 +38,21 @@ void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c);
 /// c = A · Bᵀ into a reused destination.
 void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c);
 
+// The ReLU and loss ops below run row-parallel with a grain that depends
+// only on the matrix shape; each output element is computed by the same
+// expression as a serial loop, so results are bitwise identical at every
+// pool width.
+
 /// Element-wise ReLU, returning a new matrix.
 [[nodiscard]] Matrix relu(const Matrix& x);
 
-/// relu() into a reused destination (must not alias `x`).
+/// relu() into a reused destination (must not alias `x`). y = max(x, 0):
+/// NaN and -0 pass through.
 void relu_into(const Matrix& x, Matrix& y);
 
 /// ReLU backward: grad_in = grad_out ⊙ 1[x > 0], where `x` is the *input*
-/// that was fed to relu().
+/// that was fed to relu(). Computed as the select `x <= 0 ? 0 : grad`, so
+/// a NaN input passes its gradient through.
 [[nodiscard]] Matrix relu_backward(const Matrix& grad_out, const Matrix& x);
 
 /// relu_backward() into a reused destination (must not alias an input).
@@ -53,12 +60,18 @@ void relu_backward_into(const Matrix& grad_out, const Matrix& x, Matrix& g);
 
 /// Mean softmax cross-entropy over the rows listed in `mask` (the train/test
 /// split). `labels[r]` is the class index of row r. Returns the mean loss.
+/// Every mask row and its label are range-checked first, in mask order.
+/// Each mask row's term lse − logit[label] is computed in parallel into
+/// the reused buffer `terms` (resized to mask.size()), then the terms are
+/// summed serially in mask order.
 [[nodiscard]] double softmax_cross_entropy(
     const Matrix& logits, std::span<const std::int32_t> labels,
-    std::span<const std::uint32_t> mask);
+    std::span<const std::uint32_t> mask, std::vector<double>& terms);
 
 /// Gradient of mean softmax cross-entropy w.r.t. the logits; rows not in
-/// `mask` receive zero gradient. Matches softmax_cross_entropy above.
+/// `mask` receive zero gradient. Matches softmax_cross_entropy above and
+/// checks its inputs the same way. The rows of `mask` must be distinct:
+/// each one's gradient row is written by one parallel task.
 [[nodiscard]] Matrix softmax_cross_entropy_grad(
     const Matrix& logits, std::span<const std::int32_t> labels,
     std::span<const std::uint32_t> mask);

@@ -54,6 +54,21 @@ EpochEnv::EpochEnv(const graph::Dataset& dataset,
                        static_cast<double>(data.graph.num_nodes()));
     obs::record_config("trainer.feature_dim",
                        static_cast<double>(data.features.cols()));
+    // Each device's local SpMM nonzeros and their max/mean: the load
+    // imbalance that a node-balanced partitioning leaves.
+    std::uint64_t total_nnz = 0, max_nnz = 0;
+    for (std::uint32_t p = 0; p < ctx.num_parts(); ++p) {
+        const std::uint64_t nnz = ctx.local_adj(p).nnz();
+        obs::record_config("load.local_nnz." + std::to_string(p),
+                           static_cast<double>(nnz));
+        total_nnz += nnz;
+        max_nnz = std::max(max_nnz, nnz);
+    }
+    obs::record_config("load.local_nnz_max_over_mean",
+                       total_nnz == 0
+                           ? 1.0
+                           : static_cast<double>(max_nnz) * ctx.num_parts() /
+                                 static_cast<double>(total_nnz));
     if (cfg.comm.overlap()) obs::record_config("trainer.cost_mode", "overlap");
     if (cfg.rate.scheduled())
         obs::record_config("trainer.schedule", schedule_name(cfg.rate.kind));

@@ -11,6 +11,7 @@
 #include "scgnn/obs/ledger.hpp"
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/trace.hpp"
+#include "scgnn/tensor/kernels.hpp"
 #include "scgnn/tensor/ops.hpp"
 
 namespace scgnn::dist {
@@ -42,6 +43,11 @@ namespace {
 std::size_t layer_slot(int layer) {
     return static_cast<std::size_t>(layer < 0 ? 0 : layer);
 }
+
+/// Nonzeros per SpMM row block: enough work per task (a million
+/// multiply-adds at f = 64) that dispatch stays negligible, small enough
+/// that the largest partition splits into many tasks.
+constexpr std::uint64_t kBlockNnz = 16384;
 
 } // namespace
 
@@ -83,6 +89,44 @@ DistAggregator::DistAggregator(const DistContext& ctx, comm::Fabric& fabric,
             adj_t_[p] =
                 ctx.local_adj(static_cast<std::uint32_t>(p)).transposed();
     });
+    // Cut each matrix into runs of whole rows holding at least kBlockNnz
+    // nonzeros (the last run of a partition may hold fewer).
+    auto cut = [](const tensor::SparseMatrix& a, std::uint32_t part,
+                  std::vector<RowBlock>& out) {
+        const auto ptr = a.row_ptr();
+        std::size_t lo = 0;
+        for (std::size_t r = 0; r < a.rows(); ++r)
+            if (ptr[r + 1] - ptr[lo] >= kBlockNnz) {
+                out.push_back({part, lo, r + 1});
+                lo = r + 1;
+            }
+        if (lo < a.rows()) out.push_back({part, lo, a.rows()});
+    };
+    for (std::uint32_t p = 0; p < ctx.num_parts(); ++p) {
+        const tensor::SparseMatrix& a = ctx.local_adj(p);
+        SCGNN_CHECK(a.rows() == ctx.local_nodes(p).size() &&
+                        a.cols() == a.rows() + ctx.halo(p).size(),
+                    "local adjacency must be |local| x (|local| + |halo|)");
+        cut(a, p, fwd_blocks_);
+        cut(adj_t_[p], p, bwd_blocks_);
+    }
+    block_s_.resize(std::max(fwd_blocks_.size(), bwd_blocks_.size()));
+}
+
+template <typename Body>
+void DistAggregator::run_blocks(const std::vector<RowBlock>& blocks,
+                                Body&& body) {
+    const bool tl = timeline_ != nullptr;
+    parallel_for(0, blocks.size(), 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t b = lo; b < hi; ++b) {
+            WallTimer t;
+            body(blocks[b]);
+            if (tl) block_s_[b] = t.seconds();
+        }
+    });
+    if (tl)
+        for (std::size_t b = 0; b < blocks.size(); ++b)
+            part_s_[blocks[b].part] += block_s_[b];
 }
 
 DistAggregator::Arrival DistAggregator::send(bool forward,
@@ -191,10 +235,11 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
     const std::size_t f = h.cols();
 
     // One timeline step per aggregator call. Per-partition compute is
-    // measured inside the parallel regions (each partition is owned by
-    // exactly one chunk, so part_s_ has no races) and recorded serially
-    // afterwards in partition order — event ordering stays deterministic
-    // at any thread count even though the measured durations vary.
+    // measured inside the parallel regions (a per-partition region owns
+    // its part_s_ slot; a block region writes per-block slots that
+    // run_blocks sums serially) and recorded serially afterwards in
+    // partition order — event ordering stays deterministic at any thread
+    // count even though the measured durations vary.
     const bool tl = timeline_ != nullptr;
     if (tl) timeline_->begin_step("fwd");
     part_s_.assign(tl ? parts : 0, 0.0);
@@ -253,18 +298,18 @@ void DistAggregator::forward_into(const Matrix& h, int layer, Matrix& out) {
         });
     }
 
-    // Per-partition local SpMM, each row written straight to its global
-    // row. Partitions own disjoint local-node sets, so the written rows
-    // never overlap; the inner spmm runs serially inside the region.
+    // Local SpMM over the nnz-cut row blocks, each row written straight to
+    // its global row. Partitions own disjoint local-node sets and blocks
+    // disjoint rows of a partition, so the written rows never overlap.
     out.reshape_zero(h.rows(), f);
-    parallel_for(0, parts, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t p = lo; p < hi; ++p) {
-            WallTimer t;
-            const auto part = static_cast<std::uint32_t>(p);
-            tensor::spmm_rows_into(ctx.local_adj(part), stacked_[p],
-                                   ctx.local_nodes(part), out);
-            if (tl) part_s_[p] += t.seconds();
-        }
+    run_blocks(fwd_blocks_, [&](const RowBlock& b) {
+        const tensor::SparseMatrix& a = ctx.local_adj(b.part);
+        const tensor::kern::SpmmArgs op{
+            a.row_ptr().data(), a.col_idx().data(),
+            a.values().data(),  stacked_[b.part].data(),
+            out.data(),         ctx.local_nodes(b.part).data(),
+            f};
+        tensor::kern::spmm_rows(op, b.lo, b.hi);
     });
     if (tl) end_timeline_step();
 }
@@ -280,12 +325,7 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
     part_s_.assign(tl ? parts : 0, 0.0);
 
     out.reshape_zero(g.rows(), f);
-    // Per-partition Âᵀ·g as a gather over the stored transpose: its rows
-    // list their entries in ascending source row, the order a scatter
-    // over Â's rows would add them in, so the result is bitwise the same.
-    // The halo block of the result is the gradient that must travel back
-    // to the owners. Partitions fan out across the pool — each owns
-    // stacked_grad_[p] and its disjoint local rows of `out`.
+    // Each partition gathers its local rows of g into its own gp_[p].
     parallel_for(0, parts, 1, [&](std::size_t plo, std::size_t phi) {
         for (std::size_t p = plo; p < phi; ++p) {
             WallTimer t;
@@ -293,14 +333,29 @@ void DistAggregator::backward_into(const Matrix& g, int layer, Matrix& out) {
             const auto locals = ctx.local_nodes(part);
             gp_[p].reshape_zero(locals.size(), f);
             tensor::gather_rows(g, locals, gp_[p]);
-            tensor::spmm_into(adj_t_[p], gp_[p], stacked_grad_[p]);
-            // Local block accumulates directly.
-            for (std::size_t i = 0; i < locals.size(); ++i) {
-                const auto srow = stacked_grad_[p].row(i);
-                auto drow = out.row(locals[i]);
-                for (std::size_t c = 0; c < f; ++c) drow[c] += srow[c];
-            }
+            stacked_grad_[p].reshape_zero(adj_t_[p].rows(), f);
             if (tl) part_s_[p] += t.seconds();
+        }
+    });
+    // Per-partition Âᵀ·g as a gather over the stored transpose, one task
+    // per nnz-cut row block: its rows list their entries in ascending
+    // source row, the order a scatter over Â's rows would add them in, so
+    // the result is bitwise the same. The halo block of the result is the
+    // gradient that must travel back to the owners; a block's local rows
+    // accumulate straight into their (disjoint) rows of `out`.
+    run_blocks(bwd_blocks_, [&](const RowBlock& b) {
+        const tensor::SparseMatrix& at = adj_t_[b.part];
+        Matrix& sg = stacked_grad_[b.part];
+        const tensor::kern::SpmmArgs op{
+            at.row_ptr().data(), at.col_idx().data(), at.values().data(),
+            gp_[b.part].data(),  sg.data(),           nullptr,
+            f};
+        tensor::kern::spmm_rows(op, b.lo, b.hi);
+        const auto locals = ctx.local_nodes(b.part);
+        for (std::size_t i = b.lo; i < std::min(b.hi, locals.size()); ++i) {
+            const auto srow = sg.row(i);
+            auto drow = out.row(locals[i]);
+            for (std::size_t c = 0; c < f; ++c) drow[c] += srow[c];
         }
     });
 

@@ -1,5 +1,8 @@
 #include "scgnn/gnn/model.hpp"
 
+#include <algorithm>
+
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/tensor/ops.hpp"
 
 namespace scgnn::gnn {
@@ -7,25 +10,33 @@ namespace {
 
 using tensor::Matrix;
 
-/// z += broadcast of the (1 × cols) bias row.
+/// z += broadcast of the (1 × cols) bias row, row-parallel.
 void add_bias(Matrix& z, const Matrix& bias) {
     SCGNN_ASSERT(bias.rows() == 1 && bias.cols() == z.cols(),
                  "bias shape mismatch");
     const auto b = bias.row(0);
-    for (std::size_t r = 0; r < z.rows(); ++r) {
-        auto zr = z.row(r);
-        for (std::size_t c = 0; c < zr.size(); ++c) zr[c] += b[c];
-    }
+    parallel_for(0, z.rows(), grain_for(z.cols()),
+                 [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) {
+            auto zr = z.row(r);
+            for (std::size_t c = 0; c < zr.size(); ++c) zr[c] += b[c];
+        }
+    });
 }
 
-/// Column sums into a reused (1 × cols) matrix — the bias gradient.
+/// Column sums into a reused (1 × cols) matrix — the bias gradient. Each
+/// task owns a slice of at least 16 columns (one cache line) and adds
+/// its rows in ascending order, the order of a serial pass.
 void col_sums_into(const Matrix& m, Matrix& s) {
     s.reshape_zero(1, m.cols());
     auto sr = s.row(0);
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        const auto mr = m.row(r);
-        for (std::size_t c = 0; c < mr.size(); ++c) sr[c] += mr[c];
-    }
+    parallel_for(0, m.cols(), std::max<std::size_t>(16, grain_for(m.rows())),
+                 [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = 0; r < m.rows(); ++r) {
+            const auto mr = m.row(r);
+            for (std::size_t c = lo; c < hi; ++c) sr[c] += mr[c];
+        }
+    });
 }
 
 } // namespace

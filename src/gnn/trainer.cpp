@@ -26,8 +26,8 @@ double run_epoch(GnnModel& model, Adam& opt, Aggregator& agg,
     model.set_training(true);
     model.zero_grad();
     const tensor::Matrix& logits = model.forward_ref(features, agg);
-    const double loss =
-        tensor::softmax_cross_entropy(logits, labels, train_mask);
+    const double loss = tensor::softmax_cross_entropy(
+        logits, labels, train_mask, model.loss_terms());
     tensor::Matrix& dlogits = model.loss_grad();
     tensor::softmax_cross_entropy_grad_into(logits, labels, train_mask,
                                             dlogits);

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace scgnn::graph {
 namespace {
@@ -181,6 +183,18 @@ Dataset load_dataset(const std::string& dir) {
         }
         SCGNN_CHECK(!d.train_mask.empty() && !d.test_mask.empty(),
                     "splits.txt must define train and test splits");
+        // A split lists each node once: the loss gradient writes every
+        // mask row from its own parallel task.
+        std::vector<bool> seen;
+        for (const auto* split : {&d.train_mask, &d.val_mask, &d.test_mask}) {
+            seen.assign(d.graph.num_nodes(), false);
+            for (const std::uint32_t id : *split) {
+                SCGNN_CHECK(!seen[id], "splits.txt lists node " +
+                                           std::to_string(id) +
+                                           " twice in one split");
+                seen[id] = true;
+            }
+        }
     }
     return d;
 }

@@ -80,8 +80,15 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
 }
 
 void relu_into(const Matrix& x, Matrix& y) {
-    y = x;
-    for (auto& v : y.flat()) v = std::max(v, 0.0f);
+    y.reshape_zero(x.rows(), x.cols());
+    const std::size_t n = x.cols();
+    const float* xs = x.data();
+    float* ys = y.data();
+    parallel_for(0, x.rows(), grain_for(n),
+                 [xs, ys, n](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo * n; i < hi * n; ++i)
+            ys[i] = std::max(xs[i], 0.0f);
+    });
 }
 
 Matrix relu(const Matrix& x) {
@@ -93,11 +100,22 @@ Matrix relu(const Matrix& x) {
 void relu_backward_into(const Matrix& grad_out, const Matrix& x, Matrix& g) {
     SCGNN_CHECK(grad_out.rows() == x.rows() && grad_out.cols() == x.cols(),
                 "relu_backward shapes must match");
-    g = grad_out;
-    auto gf = g.flat();
-    auto xf = x.flat();
-    for (std::size_t i = 0; i < gf.size(); ++i)
-        if (xf[i] <= 0.0f) gf[i] = 0.0f;
+    g.reshape_zero(x.rows(), x.cols());
+    const std::size_t n = x.cols();
+    const float* gs = grad_out.data();
+    const float* xs = x.data();
+    float* gd = g.data();
+    // A select rather than a conditional store: the sign of x is a coin
+    // flip, so a branch would mispredict half the time. Both operands are
+    // loaded unconditionally so the compiler may if-convert and vectorise.
+    parallel_for(0, x.rows(), grain_for(n),
+                 [gs, xs, gd, n](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo * n; i < hi * n; ++i) {
+            const float gv = gs[i];
+            const float xv = xs[i];
+            gd[i] = xv <= 0.0f ? 0.0f : gv;
+        }
+    });
 }
 
 Matrix relu_backward(const Matrix& grad_out, const Matrix& x) {
@@ -106,26 +124,49 @@ Matrix relu_backward(const Matrix& grad_out, const Matrix& x) {
     return g;
 }
 
-double softmax_cross_entropy(const Matrix& logits,
-                             std::span<const std::int32_t> labels,
-                             std::span<const std::uint32_t> mask) {
+namespace {
+
+/// The input checks of both loss ops, run serially in mask order before
+/// any parallel work, so a bad input fails with the same message at
+/// every pool width and before any row is written.
+void check_loss_inputs(const Matrix& logits,
+                       std::span<const std::int32_t> labels,
+                       std::span<const std::uint32_t> mask) {
     SCGNN_CHECK(labels.size() == logits.rows(),
                 "one label per logits row required");
     SCGNN_CHECK(!mask.empty(), "loss mask must be non-empty");
-    double total = 0.0;
-    for (std::uint32_t r : mask) {
+    for (const std::uint32_t r : mask) {
         SCGNN_CHECK(r < logits.rows(), "mask row out of range");
-        const auto row = logits.row(r);
-        const auto label = labels[r];
-        SCGNN_CHECK(label >= 0 && static_cast<std::size_t>(label) < logits.cols(),
+        SCGNN_CHECK(labels[r] >= 0 &&
+                        static_cast<std::size_t>(labels[r]) < logits.cols(),
                     "label out of class range");
-        float mx = row[0];
-        for (float v : row) mx = std::max(mx, v);
-        double lse = 0.0;
-        for (float v : row) lse += std::exp(static_cast<double>(v - mx));
-        lse = std::log(lse) + mx;
-        total += lse - static_cast<double>(row[static_cast<std::size_t>(label)]);
     }
+}
+
+} // namespace
+
+double softmax_cross_entropy(const Matrix& logits,
+                             std::span<const std::int32_t> labels,
+                             std::span<const std::uint32_t> mask,
+                             std::vector<double>& terms) {
+    check_loss_inputs(logits, labels, mask);
+    terms.resize(mask.size());
+    parallel_for(0, mask.size(), grain_for(logits.cols()),
+                 [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+            const auto row = logits.row(mask[k]);
+            float mx = row[0];
+            for (float v : row) mx = std::max(mx, v);
+            double lse = 0.0;
+            for (float v : row) lse += std::exp(static_cast<double>(v - mx));
+            lse = std::log(lse) + mx;
+            terms[k] = lse - static_cast<double>(
+                                 row[static_cast<std::size_t>(labels[mask[k]])]);
+        }
+    });
+    // Summed serially in mask order: the same double as one serial pass.
+    double total = 0.0;
+    for (const double t : terms) total += t;
     return total / static_cast<double>(mask.size());
 }
 
@@ -133,26 +174,27 @@ void softmax_cross_entropy_grad_into(const Matrix& logits,
                                      std::span<const std::int32_t> labels,
                                      std::span<const std::uint32_t> mask,
                                      Matrix& grad) {
-    SCGNN_CHECK(labels.size() == logits.rows(),
-                "one label per logits row required");
-    SCGNN_CHECK(!mask.empty(), "loss mask must be non-empty");
+    check_loss_inputs(logits, labels, mask);
     grad.reshape_zero(logits.rows(), logits.cols());
     const float inv_n = 1.0f / static_cast<float>(mask.size());
-    for (std::uint32_t r : mask) {
-        SCGNN_CHECK(r < logits.rows(), "mask row out of range");
-        const auto row = logits.row(r);
-        auto grow = grad.row(r);
-        float mx = row[0];
-        for (float v : row) mx = std::max(mx, v);
-        float sum = 0.0f;
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            grow[c] = std::exp(row[c] - mx);
-            sum += grow[c];
+    parallel_for(0, mask.size(), grain_for(logits.cols()),
+                 [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+            const std::uint32_t r = mask[k];
+            const auto row = logits.row(r);
+            auto grow = grad.row(r);
+            float mx = row[0];
+            for (float v : row) mx = std::max(mx, v);
+            float sum = 0.0f;
+            for (std::size_t c = 0; c < row.size(); ++c) {
+                grow[c] = std::exp(row[c] - mx);
+                sum += grow[c];
+            }
+            const float inv = 1.0f / sum;
+            for (auto& g : grow) g *= inv * inv_n;
+            grow[static_cast<std::size_t>(labels[r])] -= inv_n;
         }
-        const float inv = 1.0f / sum;
-        for (auto& g : grow) g *= inv * inv_n;
-        grow[static_cast<std::size_t>(labels[r])] -= inv_n;
-    }
+    });
 }
 
 Matrix softmax_cross_entropy_grad(const Matrix& logits,

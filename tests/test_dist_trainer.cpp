@@ -157,6 +157,76 @@ TEST(DistAggregator, OverlappingPlansAreBitwiseEqualAtEveryThreadCount) {
     }
 }
 
+/// A partitioning that puts four nodes in five on partition 0 and deals
+/// the rest round-robin over the others, so partition 0's SpMM splits
+/// into many row blocks while each other partition is one or two.
+partition::Partitioning skewed_parts(const graph::Dataset& d,
+                                     std::uint32_t k) {
+    partition::Partitioning parts;
+    parts.num_parts = k;
+    parts.part_of.resize(d.graph.num_nodes());
+    for (std::uint32_t u = 0; u < parts.part_of.size(); ++u)
+        parts.part_of[u] = u % 5 < 4 ? 0 : 1 + (u / 5) % (k - 1);
+    return parts;
+}
+
+/// Forward then backward at widths 64 and 7 through an aggregator that
+/// records an overlap timeline (so every block is timed), every output in
+/// call order.
+std::vector<tensor::Matrix> run_timed_aggregator(const DistContext& ctx,
+                                                 std::size_t num_nodes,
+                                                 unsigned threads) {
+    ThreadCountGuard guard(threads);
+    comm::Fabric fabric(comm::Topology::flat(ctx.num_parts()));
+    comm::Timeline timeline(ctx.num_parts());
+    VanillaExchange vanilla;
+    DistAggregator agg(ctx, fabric, vanilla, &timeline);
+    std::vector<tensor::Matrix> outputs;
+    Rng rng(23);
+    for (const std::size_t width : {64u, 7u}) {
+        const auto h = tensor::Matrix::randn(num_nodes, width, rng);
+        outputs.emplace_back();
+        agg.forward_into(h, 0, outputs.back());
+        const auto g = tensor::Matrix::randn(num_nodes, width, rng);
+        outputs.emplace_back();
+        agg.backward_into(g, 1, outputs.back());
+    }
+    return outputs;
+}
+
+TEST(DistAggregator, SkewedPartitionsAreBitwiseEqualAtEveryThreadCount) {
+    const graph::Dataset d =
+        graph::make_dataset(graph::DatasetPreset::kRedditSim, 0.2, 3);
+    const std::size_t n = d.graph.num_nodes();
+    const auto global =
+        gnn::normalized_adjacency(d.graph, gnn::AdjNorm::kSymmetric);
+    for (const std::uint32_t k : {3u, 16u}) {
+        const DistContext ctx(d, skewed_parts(d, k), gnn::AdjNorm::kSymmetric);
+        // Partition 0 spans several of the aggregator's 16384-nonzero row
+        // blocks; the others are light.
+        ASSERT_GT(ctx.local_adj(0).nnz(), 4 * 16384u);
+        ASSERT_GT(ctx.local_adj(0).nnz(), 4 * ctx.local_adj(1).nnz());
+        const std::vector<tensor::Matrix> at1 = run_timed_aggregator(ctx, n, 1);
+        // The blocked aggregate is still the global one (forward and
+        // backward at width 64).
+        Rng rng(23);
+        const auto h = tensor::Matrix::randn(n, 64, rng);
+        const auto g = tensor::Matrix::randn(n, 64, rng);
+        EXPECT_LT(tensor::max_abs_diff(tensor::spmm(global, h), at1[0]), 1e-4f);
+        EXPECT_LT(tensor::max_abs_diff(tensor::spmm(global.transposed(), g),
+                                       at1[1]),
+                  1e-4f);
+        for (const unsigned threads : {3u, 4u}) {
+            const auto got = run_timed_aggregator(ctx, n, threads);
+            ASSERT_EQ(got.size(), at1.size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_TRUE(got[i] == at1[i])
+                    << "P=" << k << " output " << i << " differs at "
+                    << threads << " threads";
+        }
+    }
+}
+
 TEST(DistTrainer, VanillaMatchesSingleDeviceTrajectory) {
     const graph::Dataset d = data_small();
     const auto parts = parts_for(d, 4);

@@ -103,9 +103,10 @@ TEST_P(GradientCheck, AnalyticMatchesFiniteDifference) {
     const std::vector<std::int32_t> labels{0, 1, 2, 1};
     const std::vector<std::uint32_t> mask{0, 1, 3};
 
+    std::vector<double> terms;
     auto loss_fn = [&]() {
         const Matrix logits = model.forward(x, agg);
-        return tensor::softmax_cross_entropy(logits, labels, mask);
+        return tensor::softmax_cross_entropy(logits, labels, mask, terms);
     };
 
     model.zero_grad();
@@ -204,6 +205,7 @@ TEST(Model, ThreeLayerGradientCheck) {
                    agg);
     const auto params = model.parameters();
     const auto grads = model.gradients();
+    std::vector<double> terms;
     const float eps = 1e-2f;
     for (std::size_t pi = 0; pi < params.size(); ++pi) {
         auto flat = params[pi]->flat();
@@ -212,10 +214,10 @@ TEST(Model, ThreeLayerGradientCheck) {
         auto fd_at = [&](float step) {
             flat[idx] = orig + step;
             const double lp = tensor::softmax_cross_entropy(
-                model.forward(x, agg), labels, mask);
+                model.forward(x, agg), labels, mask, terms);
             flat[idx] = orig - step;
             const double lm = tensor::softmax_cross_entropy(
-                model.forward(x, agg), labels, mask);
+                model.forward(x, agg), labels, mask, terms);
             flat[idx] = orig;
             return (lp - lm) / (2.0 * step);
         };

@@ -99,5 +99,25 @@ TEST_F(IoTest, LoadValidatesSplitIds) {
     EXPECT_THROW((void)load_dataset(path("ds")), Error);
 }
 
+TEST_F(IoTest, LoadRejectsANodeRepeatedWithinASplit) {
+    const Dataset d = make_dataset(DatasetPreset::kPubMedSim, 0.1, 5);
+    save_dataset(d, path("ds"));
+    const auto write_splits = [&](const char* text) {
+        std::ofstream out(path("ds/splits.txt"), std::ios::trunc);
+        out << text;
+    };
+    // The same node in two splits is allowed; the same node twice in one
+    // split is not, on one line or across two lines of that split.
+    write_splits("train 3 4\nval 4\ntest 5\n");
+    const Dataset ok = load_dataset(path("ds"));
+    EXPECT_EQ(ok.train_mask, (std::vector<std::uint32_t>{3, 4}));
+    write_splits("train 3 3\ntest 5\n");
+    EXPECT_THROW((void)load_dataset(path("ds")), Error);
+    write_splits("train 3\ntest 5\ntrain 3\n");
+    EXPECT_THROW((void)load_dataset(path("ds")), Error);
+    write_splits("train 3\ntest 5 6 5\n");
+    EXPECT_THROW((void)load_dataset(path("ds")), Error);
+}
+
 } // namespace
 } // namespace scgnn::graph

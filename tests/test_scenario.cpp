@@ -439,6 +439,28 @@ TEST(ScenarioReport, EveryModeRecordsTheKernelTier) {
     obs::set_enabled(was_enabled);
 }
 
+TEST(ScenarioReport, TrainingRecordsEachDevicesLocalNnz) {
+    // Both training reports name every device's local SpMM nonzeros and
+    // their max/mean, the load imbalance of the partitioning.
+    const graph::Dataset d = tiny_data();
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    for (const ScenarioMode mode :
+         {ScenarioMode::kTrain, ScenarioMode::kSampleTrain}) {
+        obs::reset();
+        (void)Scenario::build(base_cfg(d, mode)).run(d);
+        const std::string json = obs::ledger().to_json();
+        for (const char* key :
+             {"\"load.local_nnz.0\":", "\"load.local_nnz.3\":",
+              "\"load.local_nnz_max_over_mean\":"})
+            EXPECT_NE(json.find(key), std::string::npos)
+                << mode_name(mode) << " " << key;
+        EXPECT_EQ(json.find("\"load.local_nnz.4\":"), std::string::npos);
+    }
+    obs::reset();
+    obs::set_enabled(was_enabled);
+}
+
 TEST(ScenarioSampleTrain, SharesRateAndOverlap) {
     // Sampled mode runs the driver's rate controller and overlap schedule.
     // The warmup ramp is a pure function of the epoch, so both modes

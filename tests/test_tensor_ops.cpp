@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/tensor/ops.hpp"
 
 namespace scgnn::tensor {
@@ -66,15 +69,18 @@ TEST(Ops, CrossEntropyOfPerfectPredictionIsSmall) {
     Matrix logits(2, 2, std::vector<float>{100, 0, 0, 100});
     const std::vector<std::int32_t> labels{0, 1};
     const std::vector<std::uint32_t> mask{0, 1};
-    EXPECT_NEAR(softmax_cross_entropy(logits, labels, mask), 0.0, 1e-6);
+    std::vector<double> terms;
+    EXPECT_NEAR(softmax_cross_entropy(logits, labels, mask, terms), 0.0,
+                1e-6);
 }
 
 TEST(Ops, CrossEntropyUniformIsLogC) {
     Matrix logits(1, 4);  // all zeros → uniform
     const std::vector<std::int32_t> labels{2};
     const std::vector<std::uint32_t> mask{0};
-    EXPECT_NEAR(softmax_cross_entropy(logits, labels, mask), std::log(4.0),
-                1e-6);
+    std::vector<double> terms;
+    EXPECT_NEAR(softmax_cross_entropy(logits, labels, mask, terms),
+                std::log(4.0), 1e-6);
 }
 
 TEST(Ops, CrossEntropyGradMatchesFiniteDifference) {
@@ -83,15 +89,17 @@ TEST(Ops, CrossEntropyGradMatchesFiniteDifference) {
     const std::vector<std::int32_t> labels{1, 3, 0};
     const std::vector<std::uint32_t> mask{0, 2};
     const Matrix grad = softmax_cross_entropy_grad(logits, labels, mask);
+    std::vector<double> terms;
     const float eps = 1e-3f;
     for (std::size_t r = 0; r < 3; ++r)
         for (std::size_t c = 0; c < 4; ++c) {
             Matrix lp = logits, lm = logits;
             lp(r, c) += eps;
             lm(r, c) -= eps;
-            const double fd = (softmax_cross_entropy(lp, labels, mask) -
-                               softmax_cross_entropy(lm, labels, mask)) /
-                              (2.0 * eps);
+            const double fd =
+                (softmax_cross_entropy(lp, labels, mask, terms) -
+                 softmax_cross_entropy(lm, labels, mask, terms)) /
+                (2.0 * eps);
             EXPECT_NEAR(grad(r, c), fd, 2e-3) << "at (" << r << "," << c << ")";
         }
 }
@@ -112,11 +120,128 @@ TEST(Ops, CrossEntropyValidatesInput) {
     Matrix logits(2, 2);
     const std::vector<std::int32_t> labels{0, 5};  // 5 out of range
     const std::vector<std::uint32_t> mask{1};
-    EXPECT_THROW((void)softmax_cross_entropy(logits, labels, mask), Error);
+    std::vector<double> terms;
+    EXPECT_THROW((void)softmax_cross_entropy(logits, labels, mask, terms),
+                 Error);
     const std::vector<std::int32_t> ok{0, 1};
     const std::vector<std::uint32_t> bad_mask{7};
-    EXPECT_THROW((void)softmax_cross_entropy(logits, ok, bad_mask), Error);
-    EXPECT_THROW((void)softmax_cross_entropy(logits, ok, {}), Error);
+    EXPECT_THROW((void)softmax_cross_entropy(logits, ok, bad_mask, terms),
+                 Error);
+    EXPECT_THROW((void)softmax_cross_entropy(logits, ok, {}, terms), Error);
+}
+
+TEST(Ops, CrossEntropyGradValidatesLabels) {
+    Matrix logits(2, 2);
+    const std::vector<std::uint32_t> mask{1};
+    for (const std::int32_t bad : {-1, 2}) {
+        const std::vector<std::int32_t> labels{0, bad};
+        EXPECT_THROW((void)softmax_cross_entropy_grad(logits, labels, mask),
+                     Error)
+            << "label " << bad;
+    }
+    const std::vector<std::int32_t> ok{0, 1};
+    const std::vector<std::uint32_t> bad_mask{7};
+    EXPECT_THROW((void)softmax_cross_entropy_grad(logits, ok, bad_mask), Error);
+}
+
+/// Same shape, and the bit patterns of `got` equal those of `want`.
+bool same_bits(const Matrix& got, const Matrix& want) {
+    return got.rows() == want.rows() && got.cols() == want.cols() &&
+           std::memcmp(got.data(), want.data(),
+                       got.size() * sizeof(float)) == 0;
+}
+
+/// A matrix of normal values with every seventh element replaced, in
+/// turn, by NaN, +0, -0, +inf or -inf.
+Matrix with_specials(std::size_t rows, std::size_t cols, Rng& rng) {
+    Matrix m = Matrix::randn(rows, cols, rng);
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(), 0.0f,
+                              -0.0f, std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+    auto f = m.flat();
+    for (std::size_t i = 0; i < f.size(); i += 7) f[i] = specials[i / 7 % 5];
+    return m;
+}
+
+TEST(Ops, ReluIsBitwiseAtEveryThreadCount) {
+    // 5000 rows of 16 floats span three chunks of the row grain.
+    Rng rng(31);
+    const Matrix x = with_specials(5000, 16, rng);
+    const Matrix grad = with_specials(5000, 16, rng);
+    // The historical serial loops: a max and a conditional store.
+    Matrix y_ref = x;
+    for (auto& v : y_ref.flat()) v = std::max(v, 0.0f);
+    Matrix g_ref = grad;
+    for (std::size_t i = 0; i < g_ref.size(); ++i)
+        if (x.flat()[i] <= 0.0f) g_ref.flat()[i] = 0.0f;
+    for (const unsigned threads : {1u, 3u, 4u}) {
+        ThreadCountGuard guard(threads);
+        Matrix y(2, 2, 9.0f);  // stale contents must not survive
+        Matrix g(7000, 3, 9.0f);
+        relu_into(x, y);
+        relu_backward_into(grad, x, g);
+        EXPECT_TRUE(same_bits(y, y_ref)) << threads << " threads";
+        EXPECT_TRUE(same_bits(g, g_ref)) << threads << " threads";
+    }
+}
+
+TEST(Ops, CrossEntropyIsBitwiseAtEveryThreadCount) {
+    // 12000 rows of 7 classes: the mask below spans several chunks of the
+    // row grain. Logits hold ±0 and -inf (a class with zero probability);
+    // no label sits on a -inf, so the loss stays finite.
+    const std::size_t rows = 12000, cols = 7;
+    Rng rng(32);
+    Matrix logits = Matrix::randn(rows, cols, rng);
+    std::vector<std::int32_t> labels(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+        labels[r] = static_cast<std::int32_t>(rng.index(cols));
+        const std::size_t other = (labels[r] + 1 + r % 5) % cols;
+        logits(r, other) = r % 3 == 0   ? 0.0f
+                           : r % 3 == 1 ? -0.0f
+                                        : -std::numeric_limits<float>::infinity();
+    }
+    // Every row but each tenth, visited out of order.
+    std::vector<std::uint32_t> mask;
+    for (std::size_t r = rows; r-- > 0;)
+        if (r % 10 != 0) mask.push_back(static_cast<std::uint32_t>(r));
+
+    // The historical serial loss and gradient.
+    double total = 0.0;
+    Matrix grad_ref(rows, cols);
+    const float inv_n = 1.0f / static_cast<float>(mask.size());
+    for (const std::uint32_t r : mask) {
+        const auto row = logits.row(r);
+        float mx = row[0];
+        for (float v : row) mx = std::max(mx, v);
+        double lse = 0.0;
+        for (float v : row) lse += std::exp(static_cast<double>(v - mx));
+        lse = std::log(lse) + mx;
+        total += lse - static_cast<double>(
+                           row[static_cast<std::size_t>(labels[r])]);
+        auto grow = grad_ref.row(r);
+        float sum = 0.0f;
+        for (std::size_t c = 0; c < cols; ++c) {
+            grow[c] = std::exp(row[c] - mx);
+            sum += grow[c];
+        }
+        const float inv = 1.0f / sum;
+        for (auto& g : grow) g *= inv * inv_n;
+        grow[static_cast<std::size_t>(labels[r])] -= inv_n;
+    }
+    const double loss_ref = total / static_cast<double>(mask.size());
+    ASSERT_TRUE(std::isfinite(loss_ref));
+
+    for (const unsigned threads : {1u, 3u, 4u}) {
+        ThreadCountGuard guard(threads);
+        std::vector<double> terms(3, 1.0);
+        const double loss = softmax_cross_entropy(logits, labels, mask, terms);
+        EXPECT_EQ(std::memcmp(&loss, &loss_ref, sizeof(double)), 0)
+            << threads << " threads: " << loss << " vs " << loss_ref;
+        EXPECT_EQ(terms.size(), mask.size());
+        Matrix grad(1, 1, 9.0f);
+        softmax_cross_entropy_grad_into(logits, labels, mask, grad);
+        EXPECT_TRUE(same_bits(grad, grad_ref)) << threads << " threads";
+    }
 }
 
 TEST(Ops, RowArgmax) {
